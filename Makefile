@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race verify cover bench resizebench rollingbench benchguard ingestbench ingestguard obsbench obsguard robustbench robustguard metrics-lint loadsmoke allocgate microbench tracebench chaos conformance whatif serve
+.PHONY: build vet test race fuzz verify cover bench resizebench rollingbench benchguard ingestbench ingestguard obsbench obsguard robustbench robustguard metrics-lint loadsmoke allocgate microbench tracebench chaos conformance whatif serve
 
 build:
 	$(GO) build ./...
@@ -19,9 +19,20 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/parallel/... ./internal/cluster/... ./internal/resize/... ./internal/regress/... ./internal/experiments/... ./internal/core/... ./internal/obs/... ./internal/score/... ./internal/control/... ./internal/resilience/... ./internal/actuator/... ./internal/state/... ./internal/engine/... ./internal/serve/... ./cmd/atmd/... ./cmd/atmcli/... ./cmd/atmload/...
+	$(GO) test -race ./internal/parallel/... ./internal/cluster/... ./internal/resize/... ./internal/regress/... ./internal/experiments/... ./internal/core/... ./internal/obs/... ./internal/score/... ./internal/control/... ./internal/resilience/... ./internal/actuator/... ./internal/timeseries/... ./internal/state/... ./internal/engine/... ./internal/serve/... ./cmd/atmd/... ./cmd/atmcli/... ./cmd/atmload/...
 
 verify: build vet test race
+
+# Coverage-guided fuzzing, FUZZTIME per target (go test -fuzz takes one
+# target and one package at a time): the ingest wire decoder against
+# encoding/json, the CSV trace reader, and the MCKP greedy solver. A
+# crasher is written under the package's testdata/fuzz/ — commit it as
+# a regression seed.
+FUZZTIME ?= 20s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzIngestDecode$$' -fuzztime $(FUZZTIME) ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/trace/
+	$(GO) test -run '^$$' -fuzz '^FuzzGreedy$$' -fuzztime $(FUZZTIME) ./internal/resize/
 
 # Fault-injection suite under the race detector: retry/breaker state
 # machines, chaos transport, transactional apply/rollback and the
@@ -63,10 +74,13 @@ resizebench:
 	$(GO) run ./cmd/atmbench -resizebench BENCH_resize.json
 
 # Go micro-benchmarks for the reworked kernels (allocation counts
-# included; the DTW kernels and the pooled envelope path must stay at
-# 0 allocs/op steady-state).
+# included; the DTW kernels, the pooled envelope path and the ingest
+# wire decoder must stay at 0 allocs/op steady-state). IngestDecode
+# times the wire decoder beside the encoding/json path it replaced;
+# AppendBatch is the store's series-major bulk append.
 microbench:
 	$(GO) test -run NONE -bench 'BenchmarkDTW|BenchmarkEnvelopeAllocs|BenchmarkOptimalCut' -benchmem ./internal/cluster/ .
+	$(GO) test -run NONE -bench 'BenchmarkIngestDecode|BenchmarkAppendBatch' -benchmem ./internal/serve/ ./internal/state/
 
 # Rolling model-reuse benchmark: full search per window vs the
 # incremental window-roll fast path; emits BENCH_rolling.json plus a
@@ -74,11 +88,12 @@ microbench:
 rollingbench:
 	$(GO) run ./cmd/atmbench -rollingbench BENCH_rolling.json
 
-# Zero-allocation gates for the incremental kernels and the arena
-# step, run WITHOUT the race detector (the detector inflates
+# Zero-allocation gates for the incremental kernels, the arena step
+# and the ingest path (wire decode, store batch append, ring bulk
+# append), run WITHOUT the race detector (the detector inflates
 # allocation counts, so these tests skip themselves under -race).
 allocgate:
-	$(GO) test -count=1 -run 'AllocFree|AllocationFree' ./internal/linalg/ ./internal/regress/ ./internal/spatial/ ./internal/resize/ ./internal/core/ ./internal/engine/ ./internal/score/ ./internal/control/
+	$(GO) test -count=1 -run 'AllocFree|AllocationFree' ./internal/linalg/ ./internal/regress/ ./internal/spatial/ ./internal/resize/ ./internal/core/ ./internal/engine/ ./internal/score/ ./internal/control/ ./internal/serve/ ./internal/state/ ./internal/timeseries/
 
 # Regression gate over the checked-in rolling record: re-runs the
 # benchmark and fails if the incremental fast path's speedup drops

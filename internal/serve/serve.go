@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -225,13 +226,19 @@ type BatchResponse struct {
 	Boxes    []BatchBoxResult `json:"boxes"`
 }
 
-// ingestScratch holds the per-request decode state for the batched
-// ingestion path. Pooling it lets the hot loop reuse the request
-// struct's entry slice, every entry's tick slices (encoding/json
-// decodes into existing capacity) and the AppendBatch staging arrays
-// instead of re-growing them on every request.
+// ingestScratch holds the per-request state of the two ingest routes:
+// the body buffer (reused for the response once the body is decoded),
+// the wire decoder with its number arena, the decoded request whose
+// slices the decoder refills in place, and the AppendBatch staging
+// arrays. Pooling it means a steady-state request allocates nothing
+// but the ids it has not seen at that position before. Everything the
+// decoder hands out aliases this scratch (see wire.go): it must not be
+// used after the scratch goes back to the pool.
 type ingestScratch struct {
-	req      BatchRequest
+	buf      []byte
+	dec      wireDecoder
+	batch    BatchRequest
+	samples  SamplesRequest
 	cpu, ram [][]float64
 	results  []BatchBoxResult
 }
@@ -269,27 +276,61 @@ func boxRoute(path string) (string, string, bool) {
 	return id, verb, true
 }
 
-// decode parses a JSON body under the service's size cap, translating
-// the MaxBytesReader trip into 413 with the JSON error convention.
-// Returns false after writing the error response.
-func (s *Service) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
+// readBody reads the whole request body into sc.buf under the service's
+// size cap: a declared Content-Length over the cap is refused before a
+// byte is read, a longer chunked body trips http.MaxBytesReader; both
+// are answered 413 with the JSON error convention. The buffer is sized
+// once from Content-Length. Returns false after writing the error
+// response.
+func (s *Service) readBody(w http.ResponseWriter, r *http.Request, sc *ingestScratch) bool {
 	body := r.Body
 	if s.maxBody > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	}
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			jsonError(w, http.StatusRequestEntityTooLarge,
-				"body exceeds %d bytes: split the batch", tooBig.Limit)
+		if r.ContentLength > s.maxBody {
+			tooLarge(w, s.maxBody)
 			return false
 		}
-		jsonError(w, http.StatusBadRequest, "bad body: %v", err)
+		body = http.MaxBytesReader(w, r.Body, s.maxBody)
+	}
+	buf := sc.buf[:0]
+	// Content-Length is the client's claim: with the cap switched off it
+	// still sizes no more than the default cap up front.
+	if n := min(r.ContentLength, DefaultMaxBody); n >= int64(cap(buf)) {
+		// One spare byte lets the final Read report EOF without a grow;
+		// rounding up lets bodies of slightly different lengths share a
+		// pooled buffer.
+		buf = make([]byte, 0, (n+1+4095)&^4095)
+	}
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == nil {
+			continue
+		}
+		sc.buf = buf // keep the capacity whatever the outcome
+		var tooBig *http.MaxBytesError
+		switch {
+		case err == io.EOF:
+			return true
+		case errors.As(err, &tooBig):
+			tooLarge(w, tooBig.Limit)
+		default:
+			jsonError(w, http.StatusBadRequest, "bad body: %v", err)
+		}
 		return false
 	}
-	return true
+}
+
+func tooLarge(w http.ResponseWriter, limit int64) {
+	jsonError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes: split the batch", limit)
+}
+
+// respond writes the response the handler built in sc.buf.
+func respond(w http.ResponseWriter, sc *ingestScratch) {
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(sc.buf) // a client that hung up is not the handler's to report
 }
 
 // Handler routes the per-box streaming API:
@@ -384,7 +425,7 @@ func appendStatus(err error) int {
 	switch {
 	case errors.Is(err, state.ErrUnknownBox):
 		return http.StatusNotFound
-	case errors.Is(err, state.ErrShapeMismatch):
+	case errors.Is(err, state.ErrShapeMismatch), errors.Is(err, state.ErrBadSample):
 		return http.StatusBadRequest
 	default:
 		return http.StatusInternalServerError
@@ -392,15 +433,20 @@ func appendStatus(err error) int {
 }
 
 func (s *Service) handleSamples(w http.ResponseWriter, r *http.Request, id string) {
-	var req SamplesRequest
-	if !s.decode(w, r, &req) {
+	sc := scratchPool.Get().(*ingestScratch)
+	defer scratchPool.Put(sc)
+	if !s.readBody(w, r, sc) {
+		return
+	}
+	req := &sc.samples
+	if err := sc.dec.decodeSamples(sc.buf, req); err != nil {
+		jsonError(w, http.StatusBadRequest, "bad body: %v", err)
 		return
 	}
 	if code, err := s.register(req.Box, id); err != nil {
 		jsonError(w, code, "%v", err)
 		return
 	}
-	sc := scratchPool.Get().(*ingestScratch)
 	cpu, ram := sc.stage(req.Samples)
 	// The ingest span is the root of the step's trace: AppendBatchCtx
 	// retains its ids on the box, and the scheduler parents the
@@ -413,7 +459,6 @@ func (s *Service) handleSamples(w http.ResponseWriter, r *http.Request, id strin
 	// whole batch without duplicating ticks.
 	total, err := s.store.AppendBatchCtx(ctx, id, cpu, ram)
 	span.End()
-	scratchPool.Put(sc)
 	if err != nil {
 		if errors.Is(err, state.ErrUnknownBox) {
 			jsonError(w, http.StatusNotFound,
@@ -423,35 +468,31 @@ func (s *Service) handleSamples(w http.ResponseWriter, r *http.Request, id strin
 		jsonError(w, appendStatus(err), "%v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]any{
-		"box": id, "total": total, "accepted": len(req.Samples),
-	})
+	sc.buf = appendSamplesResponse(sc.buf[:0], id, total, len(req.Samples))
+	respond(w, sc)
 }
 
 func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 	sc := scratchPool.Get().(*ingestScratch)
 	defer scratchPool.Put(sc)
-	// encoding/json appends into existing capacity without zeroing, so
-	// stale fields from a previous request would survive an entry that
-	// omits them — clear the reused elements, keep the array.
-	for i := range sc.req.Boxes {
-		sc.req.Boxes[i] = BatchEntry{}
-	}
-	sc.req.Boxes = sc.req.Boxes[:0]
-	if !s.decode(w, r, &sc.req) {
+	if !s.readBody(w, r, sc) {
 		return
 	}
-	ingestBatchSize.Observe(float64(len(sc.req.Boxes)))
+	if err := sc.dec.decodeBatch(sc.buf, &sc.batch); err != nil {
+		jsonError(w, http.StatusBadRequest, "bad body: %v", err)
+		return
+	}
+	boxes := sc.batch.Boxes
+	ingestBatchSize.Observe(float64(len(boxes)))
 	// One ingest span per batch request; every appended box adopts it
 	// as the parent of its next engine step.
 	ctx, span := obs.StartSpan(obs.WithTracer(r.Context(), s.tracer), "serve.ingest")
-	span.SetAttr("boxes", len(sc.req.Boxes))
+	span.SetAttr("boxes", len(boxes))
 	defer span.End()
 	sc.results = sc.results[:0]
 	accepted, failed := 0, 0
-	for i := range sc.req.Boxes {
-		e := &sc.req.Boxes[i]
+	for i := range boxes {
+		e := &boxes[i]
 		res := BatchBoxResult{Box: e.ID}
 		switch {
 		case e.ID == "":
@@ -476,11 +517,11 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 		sc.results = append(sc.results, res)
 	}
 	// Per-box outcomes, not a request-level verdict: one bad entry
-	// must not force a retry of its healthy neighbours.
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(BatchResponse{
-		Accepted: accepted, Failed: failed, Boxes: sc.results,
-	})
+	// must not force a retry of its healthy neighbours. The body is
+	// fully decoded (ids copied out, values in the arena), so its
+	// buffer carries the response.
+	sc.buf = appendBatchResponse(sc.buf[:0], accepted, failed, sc.results)
+	respond(w, sc)
 }
 
 func (s *Service) handlePlan(w http.ResponseWriter, id string) {

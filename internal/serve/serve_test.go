@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -156,9 +157,10 @@ func TestIngestBatch(t *testing.T) {
 	}
 }
 
-// TestIngestScratchReuse replays distinct batches back to back so the
-// pooled decode scratch is reused, and checks nothing leaks between
-// requests (stale entries, stale samples).
+// TestIngestScratchReuse replays a big-then-small-then-meta-less
+// sequence through the handlers, so the pooled scratch (entries, tick
+// slices, arena, body buffer) is reused, and checks nothing leaks
+// between requests: no stale entries, samples, ids or box meta.
 func TestIngestScratchReuse(t *testing.T) {
 	svc := testService(t, 0)
 	h := svc.IngestHandler()
@@ -166,32 +168,63 @@ func TestIngestScratchReuse(t *testing.T) {
 	if err := svc.Store().Register(m); err != nil {
 		t.Fatal(err)
 	}
-	// First request: a wide batch.
+	post := func(name string, req BatchRequest) BatchResponse {
+		t.Helper()
+		w, body := postJSON(t, h, "/v1/ingest", req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", name, w.Code, body)
+		}
+		var resp BatchResponse
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatalf("%s: %v: %s", name, err, body)
+		}
+		return resp
+	}
+	// First request: a wide batch whose every entry registers a
+	// three-VM box in-band and carries many ticks.
 	entries := make([]BatchEntry, 8)
 	for i := range entries {
-		entries[i] = BatchEntry{ID: "b1", Samples: ticks(1, 2, float64(i))}
+		wide := boxMeta(fmt.Sprintf("wide%d", i), 3)
+		entries[i] = BatchEntry{ID: wide.ID, Box: &wide, Samples: ticks(3, 6, float64(i))}
 	}
-	w, body := postJSON(t, h, "/v1/ingest", BatchRequest{Boxes: entries})
-	if w.Code != http.StatusOK {
-		t.Fatalf("first: status %d: %s", w.Code, body)
+	if resp := post("big", BatchRequest{Boxes: entries}); resp.Accepted != 48 || resp.Failed != 0 {
+		t.Fatalf("big: %+v", resp)
 	}
-	// Second request: a single entry. A stale-scratch bug would surface
-	// extra entries or phantom samples here.
-	w, body = postJSON(t, h, "/v1/ingest", BatchRequest{Boxes: []BatchEntry{
-		{ID: "b1", Samples: ticks(1, 1, 99)},
+	// Second request: a single one-VM, one-tick entry. A stale-scratch
+	// bug would surface extra entries, phantom samples or three-wide
+	// ticks here.
+	resp := post("small", BatchRequest{Boxes: []BatchEntry{{ID: "b1", Samples: ticks(1, 1, 99)}}})
+	if len(resp.Boxes) != 1 || resp.Accepted != 1 || resp.Failed != 0 || resp.Boxes[0].Box != "b1" {
+		t.Fatalf("scratch leak: %+v", resp)
+	}
+	// Third request: entries without meta, without samples, and one
+	// unknown box. Stale meta from the first request would register
+	// "ghost" (or re-announce wide0 under the wrong id); stale samples
+	// would append to b1.
+	resp = post("meta-less", BatchRequest{Boxes: []BatchEntry{
+		{ID: "ghost", Samples: ticks(3, 2, 0)},
+		{ID: "b1"},
+		{ID: "wide0", Samples: ticks(3, 1, 7)},
 	}})
-	if w.Code != http.StatusOK {
-		t.Fatalf("second: status %d: %s", w.Code, body)
+	if resp.Accepted != 1 || resp.Failed != 1 || resp.Boxes[0].Error == "" || resp.Boxes[1].Total != 1 {
+		t.Fatalf("meta-less: %+v", resp)
 	}
-	var resp BatchResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
+	if _, err := svc.Store().Total("ghost"); err == nil {
+		t.Error("stale box meta registered the ghost box")
 	}
-	if len(resp.Boxes) != 1 || resp.Accepted != 1 {
-		t.Fatalf("scratch leak: %s", body)
+	for id, want := range map[string]int{"b1": 1, "wide0": 7, "wide7": 6} {
+		if total, _ := svc.Store().Total(id); total != want {
+			t.Errorf("%s total = %d, want %d", id, total, want)
+		}
 	}
-	if total, _ := svc.Store().Total("b1"); total != 17 {
-		t.Fatalf("b1 total = %d, want 17", total)
+	// The samples route shares the pool: a bare {"samples":null} after
+	// all that must append nothing.
+	w, body := postJSON(t, svc.Handler(), "/v1/boxes/wide1/samples", SamplesRequest{})
+	if w.Code != http.StatusOK || !strings.Contains(string(body), `"accepted":0`) {
+		t.Fatalf("empty samples: status %d: %s", w.Code, body)
+	}
+	if total, _ := svc.Store().Total("wide1"); total != 6 {
+		t.Errorf("wide1 total = %d after an empty request, want 6", total)
 	}
 }
 
@@ -264,6 +297,110 @@ func TestMaxBody(t *testing.T) {
 		SamplesRequest{Samples: ticks(4, 1, 0)})
 	if w.Code != http.StatusOK {
 		t.Errorf("small body: status %d: %s", w.Code, body)
+	}
+
+	raw, err := json.Marshal(huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A declared Content-Length over the cap is refused before a byte
+	// of the body is read.
+	unread := &countingReader{r: bytes.NewReader(raw)}
+	req := httptest.NewRequest(http.MethodPost, "/v1/ingest", unread)
+	req.ContentLength = int64(len(raw))
+	rec := httptest.NewRecorder()
+	svc.IngestHandler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge || unread.n != 0 {
+		t.Errorf("declared length: status %d after reading %d bytes, want 413 after 0", rec.Code, unread.n)
+	}
+	var msg map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &msg); err != nil || !strings.Contains(msg["error"], "256 bytes") {
+		t.Errorf("declared length: 413 body %s", rec.Body.Bytes())
+	}
+	// A chunked body declares nothing, so it trips MaxBytesReader: it is
+	// read up to the cap, not beyond.
+	chunked := &countingReader{r: bytes.NewReader(raw)}
+	req = httptest.NewRequest(http.MethodPost, "/v1/ingest", chunked)
+	req.ContentLength = -1
+	rec = httptest.NewRecorder()
+	svc.IngestHandler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge || chunked.n == 0 || chunked.n > 256+1 {
+		t.Errorf("chunked: status %d after reading %d bytes, want 413 within the cap", rec.Code, chunked.n)
+	}
+	// A chunked body under the cap is served.
+	small, _ := json.Marshal(SamplesRequest{Samples: ticks(4, 1, 0)})
+	req = httptest.NewRequest(http.MethodPost, "/v1/boxes/b1/samples", &countingReader{r: bytes.NewReader(small)})
+	req.ContentLength = -1
+	rec = httptest.NewRecorder()
+	svc.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Errorf("small chunked body: status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+}
+
+// countingReader counts the bytes a handler pulled from a request body.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestIngestRejectsBadSamples: a negative usage value (NaN and ±Inf
+// cannot be written in JSON) is refused by the store's validation pass
+// on both routes — 400 on the per-box route, a per-box error in a
+// batch — and the request's other ticks are not appended.
+func TestIngestRejectsBadSamples(t *testing.T) {
+	svc := testService(t, 0)
+	for _, id := range []string{"b1", "b2"} {
+		if err := svc.Store().Register(boxMeta(id, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		cpu, ram float64
+		ok       bool
+	}{
+		{"zero", 0, 0, true},
+		{"above 100", 250, 1e9, true},
+		{"negative cpu", -0.01, 5, false},
+		{"negative ram", 5, -1e-300, false},
+	} {
+		bad := ticks(2, 3, 1)
+		bad[1].CPU[1], bad[1].RAM[0] = tc.cpu, tc.ram
+		before, _ := svc.Store().Total("b1")
+
+		w, body := postJSON(t, svc.Handler(), "/v1/boxes/b1/samples", SamplesRequest{Samples: bad})
+		if want := map[bool]int{true: http.StatusOK, false: http.StatusBadRequest}[tc.ok]; w.Code != want {
+			t.Errorf("%s: samples route status %d, want %d: %s", tc.name, w.Code, want, body)
+		}
+		if !tc.ok && !strings.Contains(string(body), "finite and non-negative") {
+			t.Errorf("%s: samples route error does not name the rule: %s", tc.name, body)
+		}
+
+		w, body = postJSON(t, svc.IngestHandler(), "/v1/ingest", BatchRequest{Boxes: []BatchEntry{
+			{ID: "b1", Samples: bad},
+			{ID: "b2", Samples: ticks(2, 1, 1)},
+		}})
+		var resp BatchResponse
+		if err := json.Unmarshal(body, &resp); err != nil || w.Code != http.StatusOK {
+			t.Fatalf("%s: batch status %d: %s", tc.name, w.Code, body)
+		}
+		if got := resp.Boxes[0].Error == ""; got != tc.ok || resp.Boxes[1].Error != "" {
+			t.Errorf("%s: batch results %+v", tc.name, resp.Boxes)
+		}
+		want := before
+		if tc.ok {
+			want += 6 // three ticks on each route
+		}
+		if total, _ := svc.Store().Total("b1"); total != want {
+			t.Errorf("%s: b1 total = %d, want %d (a refused request appends nothing)", tc.name, total, want)
+		}
 	}
 }
 

@@ -19,6 +19,7 @@ package state
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -49,6 +50,9 @@ var (
 	// ErrShapeMismatch indicates a register or append whose VM count
 	// disagrees with the box's registered shape.
 	ErrShapeMismatch = errors.New("state: shape mismatch")
+	// ErrBadSample indicates a batch carrying a usage value that is not
+	// a finite, non-negative number.
+	ErrBadSample = errors.New("state: bad sample")
 )
 
 // VMMeta is the static configuration of one VM on a streamed box.
@@ -288,11 +292,14 @@ func (s *Store) Append(id string, cpu, ram []float64) (int, error) {
 }
 
 // AppendBatch ingests many ticks for a box atomically: cpu[k][i] and
-// ram[k][i] are VM i's usage percent at tick k. Every tick's shape is
-// validated before the first ring write, so a rejected batch appends
-// nothing — the all-or-nothing contract the ingestion API needs to
-// make client retries duplicate-free. It returns the box's new total
-// sample count. An empty batch is a valid no-op.
+// ram[k][i] are VM i's usage percent at tick k. Every tick's shape and
+// every value (finite, non-negative) is validated before the first
+// ring write, so a rejected batch appends nothing — the all-or-nothing
+// contract the ingestion API needs to make client retries
+// duplicate-free. The write itself is series-major: each ring takes
+// the whole batch as one bulk append (one eviction/compaction decision
+// per ring, not per sample). It returns the box's new total sample
+// count. An empty batch is a valid no-op.
 func (s *Store) AppendBatch(id string, cpu, ram [][]float64) (int, error) {
 	if len(cpu) != len(ram) {
 		return 0, fmt.Errorf("state: box %s batch with %d cpu / %d ram ticks: %w",
@@ -310,12 +317,15 @@ func (s *Store) AppendBatch(id string, cpu, ram [][]float64) (int, error) {
 			return 0, fmt.Errorf("state: box %s tick %d with %d cpu / %d ram values, want %d: %w",
 				id, k, len(cpu[k]), len(ram[k]), n, ErrShapeMismatch)
 		}
-	}
-	for k := range cpu {
-		for v := 0; v < n; v++ {
-			bs.rings[trace.SeriesIndex(v, trace.CPU)].Append(cpu[k][v])
-			bs.rings[trace.SeriesIndex(v, trace.RAM)].Append(ram[k][v])
+		if v := firstBadSample(cpu[k], ram[k]); v >= 0 {
+			bs.mu.Unlock()
+			return 0, fmt.Errorf("state: box %s tick %d vm %d: usage %v / %v must be finite and non-negative: %w",
+				id, k, v, cpu[k][v], ram[k][v], ErrBadSample)
 		}
+	}
+	for v := 0; v < n; v++ {
+		fillColumn(bs.rings[trace.SeriesIndex(v, trace.CPU)], cpu, v)
+		fillColumn(bs.rings[trace.SeriesIndex(v, trace.RAM)], ram, v)
 	}
 	total := bs.rings[0].Total()
 	bs.mu.Unlock()
@@ -325,6 +335,31 @@ func (s *Store) AppendBatch(id string, cpu, ram [][]float64) (int, error) {
 	counterSamples.Add(float64(2 * n * len(cpu)))
 	s.markDirty(sh, bs)
 	return total, nil
+}
+
+// firstBadSample returns the index of the first VM whose cpu or ram
+// value is NaN, infinite or negative, or -1. cpu and ram have equal
+// length.
+func firstBadSample(cpu, ram []float64) int {
+	for v := range cpu {
+		if !usage(cpu[v]) || !usage(ram[v]) {
+			return v
+		}
+	}
+	return -1
+}
+
+// usage reports whether x is a finite, non-negative number (both
+// comparisons are false for NaN).
+func usage(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
+
+// fillColumn bulk-appends column v of a tick-major batch to the ring.
+func fillColumn(r *timeseries.Ring, ticks [][]float64, v int) {
+	dst := r.Extend(len(ticks))
+	ticks = ticks[len(ticks)-len(dst):]
+	for k := range dst {
+		dst[k] = ticks[k][v]
+	}
 }
 
 // DrainDirty removes the shard's dirty list and appends the affected

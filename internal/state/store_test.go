@@ -3,10 +3,12 @@ package state
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"testing"
 
+	"atm/internal/race"
 	"atm/internal/timeseries"
 	"atm/internal/trace"
 )
@@ -180,6 +182,9 @@ func TestStoreConcurrentIngest(t *testing.T) {
 					continue
 				}
 				first, _ := s.First(id)
+				if first >= total {
+					continue // a whole history of appends landed between the two reads
+				}
 				// Concurrent appends may evict `first` between the two
 				// calls; any other error is a real failure.
 				if _, err := s.Window(id, first, total); err != nil && !errors.Is(err, timeseries.ErrEvicted) {
@@ -411,5 +416,148 @@ func TestStoreDirtyNoLostWakeup(t *testing.T) {
 		if got := s.DrainDirty(i, nil); len(got) != 0 {
 			t.Errorf("shard %d still dirty after final drain: %v", i, got)
 		}
+	}
+}
+
+// TestStoreAppendBatchRejectsBadSamples: a NaN, infinite or negative
+// usage value anywhere in a batch fails the validation pass, so the
+// batch appends nothing and does not mark the box dirty.
+func TestStoreAppendBatchRejectsBadSamples(t *testing.T) {
+	s, _ := NewStore(16)
+	if err := s.Register(meta("b", 2)); err != nil {
+		t.Fatal(err)
+	}
+	good := [][]float64{{1, 2}, {3, 4}, {0, math.Copysign(0, -1)}}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.01, -math.MaxFloat64} {
+		for _, inRAM := range []bool{false, true} {
+			cpu := [][]float64{{1, 2}, {3, 4}, {5, 6}}
+			ram := [][]float64{{1, 2}, {3, 4}, {5, 6}}
+			if inRAM {
+				ram[2][1] = bad
+			} else {
+				cpu[1][0] = bad
+			}
+			if _, err := s.AppendBatch("b", cpu, ram); !errors.Is(err, ErrBadSample) {
+				t.Fatalf("value %v (ram=%v): err = %v, want ErrBadSample", bad, inRAM, err)
+			}
+		}
+	}
+	if total, _ := s.Total("b"); total != 0 {
+		t.Fatalf("bad batches appended %d ticks, want 0", total)
+	}
+	if got := s.DrainDirty(0, nil); len(got) != 0 {
+		t.Fatalf("bad batch marked dirty: %v", got)
+	}
+	// Zero, negative zero and the largest finite value are usage values.
+	good[0][0] = math.MaxFloat64
+	if total, err := s.AppendBatch("b", good, good); err != nil || total != 3 {
+		t.Fatalf("good batch: total=%d err=%v", total, err)
+	}
+}
+
+// TestStoreAppendBatchMatchesAppend: the series-major bulk write leaves
+// the store exactly where tick-by-tick Append leaves it, across ring
+// eviction and compaction and for batches longer than the history.
+func TestStoreAppendBatchMatchesAppend(t *testing.T) {
+	const history, vms = 12, 3
+	bulk, _ := NewStore(history)
+	ref, _ := NewStore(history)
+	for _, s := range []*Store{bulk, ref} {
+		if err := s.Register(meta("b", vms)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tick := 0
+	for _, n := range []int{1, 5, 0, 11, 12, 13, 2, 40, 7, 24, 3} {
+		cpu := make([][]float64, n)
+		ram := make([][]float64, n)
+		for k := range cpu {
+			cpu[k], ram[k] = make([]float64, vms), make([]float64, vms)
+			for v := 0; v < vms; v++ {
+				cpu[k][v] = float64(tick*10 + v)
+				ram[k][v] = float64(tick*10+v) + 0.5
+			}
+			if _, err := ref.Append("b", cpu[k], ram[k]); err != nil {
+				t.Fatal(err)
+			}
+			tick++
+		}
+		total, err := bulk.AppendBatch("b", cpu, ram)
+		if err != nil || total != tick {
+			t.Fatalf("batch of %d: total=%d err=%v, want %d", n, total, err, tick)
+		}
+		first, _ := bulk.First("b")
+		if want, _ := ref.First("b"); first != want {
+			t.Fatalf("after %d ticks: first = %d, want %d", tick, first, want)
+		}
+		if first == tick {
+			continue
+		}
+		got, err := bulk.Window("b", first, tick)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Window("b", first, tick)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < vms; v++ {
+			if !slices.Equal(got.VMs[v].CPU, want.VMs[v].CPU) || !slices.Equal(got.VMs[v].RAM, want.VMs[v].RAM) {
+				t.Fatalf("after %d ticks vm %d:\nbulk %v / %v\nref  %v / %v", tick, v,
+					got.VMs[v].CPU, got.VMs[v].RAM, want.VMs[v].CPU, want.VMs[v].RAM)
+			}
+		}
+	}
+}
+
+// BenchmarkAppendBatch times the store's share of one backfill request
+// entry: 24 ticks × 10 VMs appended to a box at the paper's history,
+// steady state (rings warm, eviction and compaction included).
+func BenchmarkAppendBatch(b *testing.B) {
+	const history, vms, ticks = 1152, 10, 24
+	s, _ := NewStoreSharded(history, DefaultShards)
+	if err := s.Register(meta("b", vms)); err != nil {
+		b.Fatal(err)
+	}
+	cpu := make([][]float64, ticks)
+	ram := make([][]float64, ticks)
+	for k := range cpu {
+		cpu[k], ram[k] = make([]float64, vms), make([]float64, vms)
+		for v := range cpu[k] {
+			cpu[k][v], ram[k][v] = float64(k+v), float64(k*v)
+		}
+	}
+	b.SetBytes(int64(2 * ticks * vms * 8))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.AppendBatch("b", cpu, ram); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestStoreAppendBatchAllocFree gates the ingest hot path: between
+// ring compactions a batch append — validation, the series-major bulk
+// write, the dirty mark — allocates nothing.
+func TestStoreAppendBatchAllocFree(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	s, _ := NewStoreSharded(4096, DefaultShards) // no compaction within the runs below
+	if err := s.Register(meta("b", 3)); err != nil {
+		t.Fatal(err)
+	}
+	cpu := [][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {1, 2, 3}}
+	if _, err := s.AppendBatch("b", cpu, cpu); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := s.AppendBatch("b", cpu, cpu); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("AppendBatch: %v allocs/op, want 0", allocs)
 	}
 }

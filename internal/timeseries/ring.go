@@ -49,35 +49,70 @@ func NewRing(limit int) *Ring {
 	if limit <= 0 {
 		panic(fmt.Sprintf("timeseries: ring limit %d: must be positive", limit))
 	}
-	// Capacity 2*limit: appends fill the slack and compaction runs once
-	// per limit appends, so eviction is amortized O(1) and never
-	// touches memory an outstanding view aliases.
+	// Capacity 2*limit: appends fill the slack and compaction runs about
+	// once per limit appended samples, so eviction is amortized O(1) and
+	// never touches memory an outstanding view aliases.
 	return &Ring{limit: limit, buf: make([]float64, 0, 2*limit)}
 }
 
 // Append adds one sample, evicting the oldest retained sample if the
 // ring is full.
 func (r *Ring) Append(v float64) {
-	if len(r.buf)-r.start >= r.limit {
+	if len(r.buf) == cap(r.buf) {
+		r.Extend(1)[0] = v // compacts
+		return
+	}
+	// Extend(1) without the call: the per-tick Store.Append path lands
+	// here once per series.
+	if r.Len() == r.limit {
 		r.start++
 		r.dropped++
-	}
-	if r.start >= r.limit && len(r.buf) == cap(r.buf) {
-		// Compact into a fresh array so outstanding views (which alias
-		// the old one) remain valid.
-		nb := make([]float64, len(r.buf)-r.start, 2*r.limit)
-		copy(nb, r.buf[r.start:])
-		r.buf = nb
-		r.start = 0
 	}
 	r.buf = append(r.buf, v)
 }
 
-// AppendSlice appends every sample of s in order.
+// AppendSlice appends every sample of s in order as one bulk append.
+// When s is longer than Limit only its last Limit samples are stored;
+// the rest still count towards Total.
 func (r *Ring) AppendSlice(s Series) {
-	for _, v := range s {
-		r.Append(v)
+	dst := r.Extend(len(s))
+	copy(dst, s[len(s)-len(dst):])
+}
+
+// Extend appends n samples whose values the caller fills in: it makes
+// one eviction and at most one compaction decision for the whole batch
+// and returns the new tail as a writable slice, which the caller must
+// fill before the next call on the ring (the slots hold garbage until
+// then). It is the reserve form of a bulk append for callers whose
+// samples are not contiguous in memory — the state store writes one
+// strided column of a tick-major batch into it. When n exceeds Limit
+// the first n-Limit samples of the batch would be evicted by its own
+// tail, so the returned slice has length min(n, Limit) and stands for
+// the batch's last samples; Total still advances by n. It panics if n
+// is negative (programmer error).
+//
+// The view contract holds as for Append: the returned slots lie past
+// every outstanding view in the current array, or in a fresh one.
+func (r *Ring) Extend(n int) []float64 {
+	if n < 0 {
+		panic(fmt.Sprintf("timeseries: ring extend %d: must be non-negative", n))
 	}
+	keep := min(n, r.limit)
+	if over := r.Len() + keep - r.limit; over > 0 {
+		r.start += over
+		r.dropped += over
+	}
+	r.dropped += n - keep
+	end := len(r.buf)
+	if end+keep > cap(r.buf) {
+		// Compact into a fresh array so outstanding views (which alias
+		// the old one) remain valid.
+		nb := make([]float64, end-r.start, 2*r.limit)
+		copy(nb, r.buf[r.start:])
+		r.buf, r.start, end = nb, 0, len(nb)
+	}
+	r.buf = r.buf[:end+keep]
+	return r.buf[end:]
 }
 
 // Len returns the number of retained samples (≤ Limit).

@@ -2,7 +2,10 @@ package timeseries
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
+
+	"atm/internal/race"
 )
 
 func TestRingAppendAndWindows(t *testing.T) {
@@ -138,4 +141,117 @@ func TestRingBadLimitPanics(t *testing.T) {
 		}
 	}()
 	NewRing(0)
+}
+
+// TestRingBulkAppendMatchesModel is the bulk-append property: a ring
+// fed by a random mix of Append, AppendSlice and Extend — batches
+// shorter than, equal to and longer than Limit, across wrap, eviction
+// and compaction — always equals the model "the last Limit samples of
+// everything ever appended, in absolute coordinates", and a view held
+// across the appends (re-read concurrently, for the race detector)
+// never changes.
+func TestRingBulkAppendMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, limit := range []int{1, 2, 7, 8, 64} {
+		r := NewRing(limit)
+		var all []float64 // the model: every sample ever appended
+		next := func() float64 { return float64(len(all)) + 0.5 }
+
+		var view, snapshot Series
+		stop, done := make(chan struct{}), make(chan struct{})
+		watch := func() {
+			defer close(done)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for i := range snapshot {
+					if view[i] != snapshot[i] {
+						t.Errorf("limit %d: view[%d] changed from %v to %v under bulk appends",
+							limit, i, snapshot[i], view[i])
+						return
+					}
+				}
+			}
+		}
+		for op := 0; op < 400; op++ {
+			n := []int{0, 1, 2, limit - 1, limit, limit + 1, 3*limit + 2}[rng.Intn(7)]
+			n = max(n, 0)
+			switch rng.Intn(3) {
+			case 0:
+				for k := 0; k < n; k++ {
+					all = append(all, next())
+					r.Append(all[len(all)-1])
+				}
+			case 1:
+				batch := make(Series, n)
+				for k := range batch {
+					all = append(all, next())
+					batch[k] = all[len(all)-1]
+				}
+				r.AppendSlice(batch)
+			default:
+				dst := r.Extend(n)
+				if len(dst) != min(n, limit) {
+					t.Fatalf("limit %d: Extend(%d) returned %d slots", limit, n, len(dst))
+				}
+				for k := 0; k < n; k++ {
+					all = append(all, next())
+				}
+				copy(dst, all[len(all)-len(dst):])
+			}
+			if r.Total() != len(all) || r.Len() != min(len(all), limit) || r.First() != len(all)-r.Len() {
+				t.Fatalf("limit %d after op %d: total %d len %d first %d, model has %d",
+					limit, op, r.Total(), r.Len(), r.First(), len(all))
+			}
+			got := r.Values()
+			for i, v := range got {
+				if want := all[r.First()+i]; v != want {
+					t.Fatalf("limit %d after op %d: values[%d] = %v, want %v", limit, op, i, v, want)
+				}
+			}
+			if r.Len() > 0 {
+				mid := r.First() + rng.Intn(r.Len())
+				got, err := r.Range(mid, r.Total())
+				if err != nil || got[0] != all[mid] {
+					t.Fatalf("limit %d: range [%d,%d): %v %v", limit, mid, r.Total(), got, err)
+				}
+			}
+			if op == 20 {
+				// Hold the whole retained window from here on.
+				view = r.Values()
+				snapshot = view.Clone()
+				go watch()
+			}
+		}
+		close(stop)
+		<-done
+	}
+}
+
+func TestRingExtendNegativePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Extend(-1) did not panic")
+		}
+	}()
+	NewRing(4).Extend(-1)
+}
+
+// TestRingExtendAllocFree: a bulk append allocates only when it
+// compacts — once per Limit samples, never within the slack.
+func TestRingExtendAllocFree(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	r := NewRing(1024)
+	batch := make(Series, 8)
+	allocs := testing.AllocsPerRun(100, func() { // 808 of the 2048 slots
+		r.AppendSlice(batch)
+	})
+	if allocs != 0 {
+		t.Fatalf("AppendSlice within capacity: %v allocs/op, want 0", allocs)
+	}
 }
