@@ -19,20 +19,21 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/parallel/... ./internal/cluster/... ./internal/resize/... ./internal/regress/... ./internal/experiments/... ./internal/core/... ./internal/obs/... ./internal/score/... ./internal/control/... ./internal/resilience/... ./internal/actuator/... ./internal/timeseries/... ./internal/state/... ./internal/engine/... ./internal/serve/... ./cmd/atmd/... ./cmd/atmcli/... ./cmd/atmload/...
+	$(GO) test -race ./internal/parallel/... ./internal/cluster/... ./internal/predict/... ./internal/resize/... ./internal/regress/... ./internal/experiments/... ./internal/core/... ./internal/obs/... ./internal/score/... ./internal/control/... ./internal/resilience/... ./internal/actuator/... ./internal/timeseries/... ./internal/state/... ./internal/engine/... ./internal/serve/... ./cmd/atmd/... ./cmd/atmcli/... ./cmd/atmload/...
 
 verify: build vet test race
 
 # Coverage-guided fuzzing, FUZZTIME per target (go test -fuzz takes one
 # target and one package at a time): the ingest wire decoder against
-# encoding/json, the CSV trace reader, and the MCKP greedy solver. A
-# crasher is written under the package's testdata/fuzz/ — commit it as
-# a regression seed.
+# encoding/json, the CSV trace reader, the MCKP greedy solver, and the
+# DTW kernel against its row-by-row oracle. A crasher is written under
+# the package's testdata/fuzz/ — commit it as a regression seed.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzIngestDecode$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzGreedy$$' -fuzztime $(FUZZTIME) ./internal/resize/
+	$(GO) test -run '^$$' -fuzz '^FuzzDTWKernel$$' -fuzztime $(FUZZTIME) ./internal/cluster/
 
 # Fault-injection suite under the race detector: retry/breaker state
 # machines, chaos transport, transactional apply/rollback and the
@@ -74,12 +75,16 @@ resizebench:
 	$(GO) run ./cmd/atmbench -resizebench BENCH_resize.json
 
 # Go micro-benchmarks for the reworked kernels (allocation counts
-# included; the DTW kernels, the pooled envelope path and the ingest
-# wire decoder must stay at 0 allocs/op steady-state). IngestDecode
-# times the wire decoder beside the encoding/json path it replaced;
-# AppendBatch is the store's series-major bulk append.
+# included; the DTW kernels, the pooled envelope path, a retained MLP
+# fit and the ingest wire decoder must stay at 0 allocs/op
+# steady-state). DTWKernel times one pair at the serving path's three
+# shapes (unconstrained 480x480, band 12, early abandon) and MLPFit one
+# fit of the paper's model on a five-day window. IngestDecode times the
+# wire decoder beside the encoding/json path it replaced; AppendBatch
+# is the store's series-major bulk append.
 microbench:
 	$(GO) test -run NONE -bench 'BenchmarkDTW|BenchmarkEnvelopeAllocs|BenchmarkOptimalCut' -benchmem ./internal/cluster/ .
+	$(GO) test -run NONE -bench 'BenchmarkMLPFit' -benchmem ./internal/predict/
 	$(GO) test -run NONE -bench 'BenchmarkIngestDecode|BenchmarkAppendBatch' -benchmem ./internal/serve/ ./internal/state/
 
 # Rolling model-reuse benchmark: full search per window vs the
@@ -88,12 +93,13 @@ microbench:
 rollingbench:
 	$(GO) run ./cmd/atmbench -rollingbench BENCH_rolling.json
 
-# Zero-allocation gates for the incremental kernels, the arena step
-# and the ingest path (wire decode, store batch append, ring bulk
-# append), run WITHOUT the race detector (the detector inflates
-# allocation counts, so these tests skip themselves under -race).
+# Zero-allocation gates for the incremental kernels, the DTW kernel, a
+# retained MLP's fit+forecast, the arena step and the ingest path (wire
+# decode, store batch append, ring bulk append), run WITHOUT the race
+# detector (the detector inflates allocation counts, so these tests
+# skip themselves under -race).
 allocgate:
-	$(GO) test -count=1 -run 'AllocFree|AllocationFree' ./internal/linalg/ ./internal/regress/ ./internal/spatial/ ./internal/resize/ ./internal/core/ ./internal/engine/ ./internal/score/ ./internal/control/ ./internal/serve/ ./internal/state/ ./internal/timeseries/
+	$(GO) test -count=1 -run 'AllocFree|AllocationFree' ./internal/cluster/ ./internal/predict/ ./internal/linalg/ ./internal/regress/ ./internal/spatial/ ./internal/resize/ ./internal/core/ ./internal/engine/ ./internal/score/ ./internal/control/ ./internal/serve/ ./internal/state/ ./internal/timeseries/
 
 # Regression gate over the checked-in rolling record: re-runs the
 # benchmark and fails if the incremental fast path's speedup drops

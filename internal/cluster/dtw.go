@@ -49,21 +49,26 @@ func (e *BoundsError) Error() string {
 	return fmt.Sprintf("cluster: index (%d,%d) out of range for %d items", e.I, e.J, e.N)
 }
 
-// dtwScratch holds the per-call working memory of the DTW recurrence:
-// the two rolling rows of the cumulative-cost matrix. Pooled so the
-// inner loop performs zero heap allocations per pair.
-type dtwScratch struct {
-	prev, cur []float64
+// ErrNonFinite indicates a NaN (a trace gap) or infinite sample in the
+// input of a distance matrix: there is no meaningful DTW distance to
+// cluster on.
+var ErrNonFinite = errors.New("cluster: non-finite sample")
+
+// checkFinite returns ErrNonFinite if s holds a NaN or an infinity.
+func checkFinite(s timeseries.Series) error {
+	for t, v := range s {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("sample %d is %v: %w", t, v, ErrNonFinite)
+		}
+	}
+	return nil
 }
 
-// rows returns the two rolling rows sized to m+1, growing the backing
-// arrays only when a longer series than ever before arrives.
-func (s *dtwScratch) rows(m int) (prev, cur []float64) {
-	if cap(s.prev) < m+1 {
-		s.prev = make([]float64, m+1)
-		s.cur = make([]float64, m+1)
-	}
-	return s.prev[:m+1], s.cur[:m+1]
+// dtwScratch holds the per-call working memory of the DTW recurrence:
+// one row of the cumulative-cost matrix as IEEE-754 bit patterns,
+// updated in place. Pooled, so the kernel allocates nothing per pair.
+type dtwScratch struct {
+	row []uint64
 }
 
 // scratchPool recycles dtwScratch values across DTW/DTWWindow calls so
@@ -73,88 +78,196 @@ var scratchPool = sync.Pool{New: func() any { return new(dtwScratch) }}
 // DTW returns the dynamic-time-warping dissimilarity between two series
 // using squared pointwise distance d(p_i, q_j) = (p_i - q_j)^2 and the
 // standard cumulative recurrence (paper Eq. 2). Either series being
-// empty yields +Inf (no warping path exists).
+// empty yields +Inf (no warping path exists); a NaN or infinite sample
+// in either yields NaN.
 func DTW(p, q timeseries.Series) float64 {
 	return DTWWindow(p, q, -1)
 }
 
 // DTWWindow is DTW constrained to a Sakoe-Chiba band of half-width w
 // (|i-j| <= w). A negative w means unconstrained. The band is widened
-// to at least |len(p)-len(q)| so a path always exists.
+// to at least |len(p)-len(q)| so a path always exists. Like DTW it
+// returns NaN when either series holds a non-finite sample.
 func DTWWindow(p, q timeseries.Series, w int) float64 {
+	if checkFinite(p) != nil || checkFinite(q) != nil {
+		return math.NaN()
+	}
 	sc := scratchPool.Get().(*dtwScratch)
 	v, _ := dtwKernel(p, q, w, math.Inf(1), sc)
 	scratchPool.Put(sc)
 	return v
 }
 
+const (
+	// dtwRows is how many matrix rows advance together. A cell's
+	// min+add is a ~10-cycle dependency chain through its left
+	// neighbour; four skewed rows are four chains the CPU overlaps.
+	dtwRows = 4
+	// infBits is +Inf as an IEEE-754 bit pattern.
+	infBits = 0x7FF0000000000000
+)
+
+// dtwCell returns one cumulative cost, d(x, y) + min(diag, up, left), as
+// a bit pattern. Cumulative costs are sums of squares: never negative
+// (nor -0) and, for finite input, never NaN, so the unsigned order of
+// their bit patterns is the float order, +Inf included. The integer
+// min compiles to conditional moves; the float one is two branches
+// that random data mispredicts.
+func dtwCell(x, y float64, diag, up, left uint64) uint64 {
+	// y-x, not x-y: the square is bit-equal and the subtraction can
+	// overwrite the freshly loaded y instead of a copy of x.
+	d := y - x
+	d *= d
+	if up < diag {
+		diag = up
+	}
+	if left < diag {
+		diag = left
+	}
+	return math.Float64bits(d + math.Float64frombits(diag))
+}
+
+// dtwSweep is the per-row state of the rows advancing together: the
+// row's sample, the last cost it computed (its next left neighbour),
+// the cost above that one (its next diagonal) and its running minimum.
+type dtwSweep struct {
+	x               [dtwRows]float64
+	left, diag, min [dtwRows]uint64
+}
+
+// run advances row r alone over columns [from, to]. row[c] holds the
+// cost above column c on entry and row r's cost on return.
+func (s *dtwSweep) run(r int, row []uint64, q timeseries.Series, from, to int) {
+	x, left, diag, rowMin := s.x[r], s.left[r], s.diag[r], s.min[r]
+	for c := from; c <= to; c++ {
+		up := row[c]
+		left = dtwCell(x, q[c-1], diag, up, left)
+		diag, row[c] = up, left
+		if left < rowMin {
+			rowMin = left
+		}
+	}
+	s.left[r], s.diag[r], s.min[r] = left, diag, rowMin
+}
+
+// skewed advances all dtwRows rows together, row r one column behind
+// row r-1: at t, row r takes index t-r of the two equal-length views
+// (costs, and the samples under them), overwriting the cost the row
+// above left there one step earlier.
+func (s *dtwSweep) skewed(row []uint64, q timeseries.Series) {
+	x0, x1, x2, x3 := s.x[0], s.x[1], s.x[2], s.x[3]
+	l0, l1, l2, l3 := s.left[0], s.left[1], s.left[2], s.left[3]
+	d0, d1, d2, d3 := s.diag[0], s.diag[1], s.diag[2], s.diag[3]
+	m0, m1, m2, m3 := s.min[0], s.min[1], s.min[2], s.min[3]
+	row = row[:len(q)]
+	for t := dtwRows - 1; t < len(q); t++ {
+		up := row[t]
+		l0 = dtwCell(x0, q[t], d0, up, l0)
+		d0, row[t] = up, l0
+		if l0 < m0 {
+			m0 = l0
+		}
+		up = row[t-1]
+		l1 = dtwCell(x1, q[t-1], d1, up, l1)
+		d1, row[t-1] = up, l1
+		if l1 < m1 {
+			m1 = l1
+		}
+		up = row[t-2]
+		l2 = dtwCell(x2, q[t-2], d2, up, l2)
+		d2, row[t-2] = up, l2
+		if l2 < m2 {
+			m2 = l2
+		}
+		up = row[t-3]
+		l3 = dtwCell(x3, q[t-3], d3, up, l3)
+		d3, row[t-3] = up, l3
+		if l3 < m3 {
+			m3 = l3
+		}
+	}
+	s.left = [dtwRows]uint64{l0, l1, l2, l3}
+	s.diag = [dtwRows]uint64{d0, d1, d2, d3}
+	s.min = [dtwRows]uint64{m0, m1, m2, m3}
+}
+
 // dtwKernel runs the DTW recurrence on caller-provided scratch. It
 // performs no heap allocations once the scratch has grown to the
-// series length.
+// series length. Samples must be finite (see dtwCell).
+//
+// The matrix is walked dtwRows rows at a time over one in-place cost
+// row. Cells right of a row's band are never written, so the initial
+// +Inf is still there when the band grows into them, and cells left of
+// it are never read again: no per-row refill. In a block each row runs
+// alone up to the column from which every row is inside its band, the
+// rows advance together (skewed), and each finishes alone; a trailing
+// block of fewer rows, or a band too narrow for the skew, runs row
+// after row. Every schedule computes a cell from the same three
+// neighbours, so costs are bit-equal to the row-by-row recurrence.
 //
 // abandon enables early abandoning: when the minimum cumulative cost of
 // a completed row already exceeds abandon, the true DTW cost must too
 // (costs are non-negative and every warping path crosses every row), so
-// the kernel stops and returns that row minimum with exact=false. The
-// returned value is then a valid lower bound on the full DTW cost. An
-// infinite abandon never triggers and the result is exact — identical,
-// operation for operation, to the unpruned recurrence.
+// the kernel returns that row minimum, a valid lower bound, with
+// exact=false. Row minima are tested in row order once their block is
+// done, so the first row past abandon is the one reported. An infinite
+// abandon never triggers and the result is exact.
 func dtwKernel(p, q timeseries.Series, w int, abandon float64, sc *dtwScratch) (v float64, exact bool) {
 	n, m := len(p), len(q)
 	if n == 0 || m == 0 {
 		return math.Inf(1), true
 	}
-	if w >= 0 {
-		if d := n - m; d < 0 {
-			if w < -d {
-				w = -d
+	if d := n - m; w < 0 || w > n+m {
+		w = n + m // unconstrained: a band wider than the matrix
+	} else if w < d {
+		w = d
+	} else if w < -d {
+		w = -d
+	}
+	if cap(sc.row) < m+1 {
+		sc.row = make([]uint64, m+1)
+	}
+	row := sc.row[:m+1]
+	row[0] = 0
+	for j := 1; j <= m; j++ {
+		row[j] = infBits
+	}
+	var s dtwSweep
+	var lo, hi [dtwRows]int
+	for i := 1; i <= n; i += dtwRows {
+		rows := min(dtwRows, n-i+1)
+		for r := 0; r < rows; r++ {
+			s.x[r] = p[i+r-1]
+			lo[r], hi[r] = max(1, i+r-w), min(m, i+r+w)
+		}
+		// Skewed, row r is at column t-r at step t; for t in [from, to]
+		// every row is inside its band.
+		from, to := lo[dtwRows-1]+dtwRows-1, hi[0]
+		together := rows == dtwRows && from <= to
+		for r := 0; r < rows; r++ {
+			// Left of the band is +Inf; so is column 0, once the
+			// matrix's first row has read the origin's 0 from it.
+			s.left[r], s.diag[r], s.min[r] = infBits, row[lo[r]-1], infBits
+			row[0] = infBits
+			end := hi[r]
+			if together {
+				end = from - r - 1
 			}
-		} else if w < d {
-			w = d
+			s.run(r, row, q, lo[r], end)
+		}
+		if together {
+			s.skewed(row[from-dtwRows+1:to+1], q[from-dtwRows:to])
+			for r := 1; r < rows; r++ {
+				s.run(r, row, q, to-r+1, hi[r])
+			}
+		}
+		for r := 0; r < rows; r++ {
+			if rowMin := math.Float64frombits(s.min[r]); rowMin > abandon {
+				return rowMin, false
+			}
 		}
 	}
-	// Two rolling rows of the cumulative-cost matrix.
-	prev, cur := sc.rows(m)
-	for j := range prev {
-		prev[j] = math.Inf(1)
-	}
-	prev[0] = 0
-	for i := 1; i <= n; i++ {
-		for j := range cur {
-			cur[j] = math.Inf(1)
-		}
-		lo, hi := 1, m
-		if w >= 0 {
-			if lo < i-w {
-				lo = i - w
-			}
-			if hi > i+w {
-				hi = i + w
-			}
-		}
-		rowMin := math.Inf(1)
-		for j := lo; j <= hi; j++ {
-			d := p[i-1] - q[j-1]
-			d *= d
-			best := prev[j-1] // match
-			if prev[j] < best {
-				best = prev[j] // insertion
-			}
-			if cur[j-1] < best {
-				best = cur[j-1] // deletion
-			}
-			c := d + best
-			cur[j] = c
-			if c < rowMin {
-				rowMin = c
-			}
-		}
-		if rowMin > abandon {
-			return rowMin, false
-		}
-		prev, cur = cur, prev
-	}
-	return prev[m], true
+	return math.Float64frombits(row[m]), true
 }
 
 // envScratch holds the monotonic deques of envelope computations,
@@ -346,18 +459,32 @@ func WithEnvelopeBank(b *EnvelopeBank) MatrixOption {
 	return func(c *matrixConfig) { c.bank = b }
 }
 
-// normalized validates and z-normalizes the input series for a pairwise
-// matrix: every series must be non-empty and all the same length.
-func normalized(series []timeseries.Series) ([]timeseries.Series, error) {
-	norm := make([]timeseries.Series, len(series))
+// validate checks the input of a pairwise matrix: every series must be
+// non-empty, all the same length, and hold only finite samples.
+func validate(series []timeseries.Series) error {
 	for i, s := range series {
 		if len(s) == 0 {
-			return nil, fmt.Errorf("series %d: %w", i, timeseries.ErrEmpty)
+			return fmt.Errorf("series %d: %w", i, timeseries.ErrEmpty)
 		}
 		if len(s) != len(series[0]) {
-			return nil, fmt.Errorf("series %d has %d samples, series 0 has %d: %w",
+			return fmt.Errorf("series %d has %d samples, series 0 has %d: %w",
 				i, len(s), len(series[0]), ErrSeriesLength)
 		}
+		if err := checkFinite(s); err != nil {
+			return fmt.Errorf("series %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// normalized validates and z-normalizes the input series for a pairwise
+// matrix.
+func normalized(series []timeseries.Series) ([]timeseries.Series, error) {
+	if err := validate(series); err != nil {
+		return nil, err
+	}
+	norm := make([]timeseries.Series, len(series))
+	for i, s := range series {
 		norm[i] = s.Normalize()
 	}
 	return norm, nil
@@ -387,7 +514,8 @@ func pairAt(n, t int) (i, j int) {
 // pool; each worker reuses its own scratch rows, so the inner loop
 // allocates nothing per pair. Results are bit-identical to the
 // sequential computation regardless of worker count. All series must
-// share one length (ErrSeriesLength otherwise).
+// share one length (ErrSeriesLength otherwise) and be finite throughout
+// (ErrNonFinite otherwise).
 func DTWMatrix(series []timeseries.Series, window int, opts ...MatrixOption) (*DistMatrix, error) {
 	var mc matrixConfig
 	for _, o := range opts {
@@ -437,31 +565,22 @@ func DTWMatrixApprox(series []timeseries.Series, window int, cutoff float64, opt
 	if n == 0 {
 		return d, 0, nil
 	}
-	var (
-		norm         []timeseries.Series
-		lower, upper [][]float64
-		err          error
-	)
+	if err := validate(series); err != nil {
+		return nil, 0, err
+	}
 	sc := approxPool.Get().(*approxScratch)
 	defer approxPool.Put(sc)
+	// Per-series LB_Keogh envelopes, computed once: 2·n·m floats buy an
+	// O(m) bound per pair instead of the O(n·m) recurrence.
+	norm, lower, upper := sc.views(n, len(series[0]))
 	if mc.bank != nil {
-		// Incremental path: the bank normalizes and maintains
-		// envelopes across rolled windows, reusing its own buffers.
-		norm, lower, upper, err = mc.bank.update(series, window)
-		if err != nil {
-			return nil, 0, err
-		}
+		// Incremental path: the bank keeps raw envelopes across rolled
+		// windows and maps them through this window's normalization.
+		mc.bank.update(series, window, norm, lower, upper)
 	} else {
-		norm, err = sc.normalize(series)
-		if err != nil {
-			return nil, 0, err
-		}
-		m := len(norm[0])
-		// Per-series LB_Keogh envelopes, computed once: 2·n·m floats
-		// buy an O(m) bound per pair instead of the O(n·m) recurrence.
-		lower, upper = sc.envelopes(n, m)
-		for i, s := range norm {
-			envelope(s, window, lower[i], upper[i])
+		for i, s := range series {
+			normalizeInto(norm[i], s)
+			envelope(norm[i], window, lower[i], upper[i])
 		}
 	}
 	pairs := n * (n - 1) / 2

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"atm/internal/race"
 	"atm/internal/timeseries"
 )
 
@@ -334,5 +335,214 @@ func TestDTWZeroAllocSteadyState(t *testing.T) {
 	DTW(p, q) // warm the pool
 	if allocs := testing.AllocsPerRun(200, func() { DTW(p, q) }); allocs > 0 {
 		t.Errorf("DTW allocates %.1f objects per call, want 0", allocs)
+	}
+}
+
+// dtwKernelRef is the row-by-row recurrence dtwKernel replaced, kept
+// as the oracle: two rolling float rows, every out-of-band cell
+// refilled with +Inf per row, float min chain.
+func dtwKernelRef(p, q timeseries.Series, w int, abandon float64) (v float64, exact bool) {
+	n, m := len(p), len(q)
+	if n == 0 || m == 0 {
+		return math.Inf(1), true
+	}
+	if w >= 0 {
+		if d := n - m; d < 0 {
+			if w < -d {
+				w = -d
+			}
+		} else if w < d {
+			w = d
+		}
+	}
+	prev, cur := make([]float64, m+1), make([]float64, m+1)
+	for j := range prev {
+		prev[j] = math.Inf(1)
+	}
+	prev[0] = 0
+	for i := 1; i <= n; i++ {
+		for j := range cur {
+			cur[j] = math.Inf(1)
+		}
+		lo, hi := 1, m
+		if w >= 0 {
+			if lo < i-w {
+				lo = i - w
+			}
+			if hi > i+w {
+				hi = i + w
+			}
+		}
+		rowMin := math.Inf(1)
+		for j := lo; j <= hi; j++ {
+			d := p[i-1] - q[j-1]
+			d *= d
+			best := prev[j-1] // match
+			if prev[j] < best {
+				best = prev[j] // insertion
+			}
+			if cur[j-1] < best {
+				best = cur[j-1] // deletion
+			}
+			c := d + best
+			cur[j] = c
+			if c < rowMin {
+				rowMin = c
+			}
+		}
+		if rowMin > abandon {
+			return rowMin, false
+		}
+		prev, cur = cur, prev
+	}
+	return prev[m], true
+}
+
+// checkKernel fails unless dtwKernel and the oracle agree bit for bit
+// on both the value and the exact flag.
+func checkKernel(t *testing.T, p, q timeseries.Series, w int, abandon float64, sc *dtwScratch) {
+	t.Helper()
+	want, wantExact := dtwKernelRef(p, q, w, abandon)
+	got, gotExact := dtwKernel(p, q, w, abandon, sc)
+	if math.Float64bits(got) != math.Float64bits(want) || gotExact != wantExact {
+		t.Fatalf("n=%d m=%d w=%d abandon=%v: kernel (%v, %v), oracle (%v, %v)",
+			len(p), len(q), w, abandon, got, gotExact, want, wantExact)
+	}
+}
+
+func TestDTWKernelMatchesRef(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	sc := new(dtwScratch)
+	for it := 0; it < 4000; it++ {
+		// Lengths straddle the block height, so odd and even row
+		// counts, leftover blocks of 1-3 rows and n != m all occur.
+		n, m := 1+r.Intn(45), 1+r.Intn(45)
+		pair := randomSeriesSet(r, 2, max(n, m))
+		p, q := pair[0][:n].Normalize(), pair[1][:m].Normalize()
+		if it%5 == 0 {
+			q = p
+		}
+		w := []int{-1, 0, 1, 12, len(q), len(q) + 7}[r.Intn(6)]
+		full, _ := dtwKernelRef(p, q, w, math.Inf(1))
+		for _, abandon := range []float64{math.Inf(1), 0, r.Float64() * full, r.Float64() * 2 * full} {
+			checkKernel(t, p, q, w, abandon, sc)
+		}
+	}
+}
+
+// FuzzDTWKernel derives two series, a band and an abandon threshold
+// from the input bytes and holds the kernel to the oracle.
+func FuzzDTWKernel(f *testing.F) {
+	f.Add([]byte{3, 0, 0, 1, 2, 3, 4, 5, 6, 7}, 2)
+	f.Add([]byte{9, 12, 200, 255, 0, 17, 17, 17, 90, 3, 8, 41, 77, 1, 2, 250, 9, 9, 30}, -1)
+	f.Add([]byte{1, 1, 0, 128}, 0)
+
+	sc := new(dtwScratch)
+	f.Fuzz(func(t *testing.T, data []byte, w int) {
+		if len(data) < 4 || len(data) > 400 {
+			return
+		}
+		// Byte 0 splits the rest into p and q, byte 1 scales the
+		// abandon threshold; samples are bytes centred on zero.
+		body := data[2:]
+		n := 1 + int(data[0])%(len(body)-1)
+		series := make(timeseries.Series, len(body))
+		for i, b := range body {
+			series[i] = (float64(b) - 128) / 16
+		}
+		p, q := series[:n], series[n:]
+		if w > len(body) {
+			w = len(body)
+		} else if w < -1 {
+			w = -1
+		}
+		full, _ := dtwKernelRef(p, q, w, math.Inf(1))
+		for _, abandon := range []float64{math.Inf(1), full * float64(data[1]) / 128} {
+			checkKernel(t, p, q, w, abandon, sc)
+		}
+	})
+}
+
+// The kernel on a retained scratch allocates nothing, whatever the
+// band or the abandon threshold.
+func TestDTWKernelAllocFree(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	pair := randomSeriesSet(rand.New(rand.NewSource(17)), 2, 96)
+	p, q := pair[0].Normalize(), pair[1].Normalize()
+	sc := new(dtwScratch)
+	dtwKernel(p, q, -1, math.Inf(1), sc) // grow the scratch
+	for _, c := range []struct {
+		w       int
+		abandon float64
+	}{{-1, math.Inf(1)}, {12, math.Inf(1)}, {12, 5}} {
+		if allocs := testing.AllocsPerRun(100, func() { dtwKernel(p, q, c.w, c.abandon, sc) }); allocs > 0 {
+			t.Errorf("w=%d abandon=%v: %.1f allocs per call, want 0", c.w, c.abandon, allocs)
+		}
+	}
+}
+
+// A NaN (trace gap) or infinite sample is an error for every matrix
+// builder and NaN for the exported pairwise distances.
+func TestNonFiniteInput(t *testing.T) {
+	clean := randomSeriesSet(rand.New(rand.NewSource(5)), 4, 32)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		series := make([]timeseries.Series, len(clean))
+		for i, s := range clean {
+			series[i] = s.Clone()
+		}
+		series[2][7] = bad
+
+		if got := DTW(series[2], series[0]); !math.IsNaN(got) {
+			t.Errorf("DTW with a %v sample = %v, want NaN", bad, got)
+		}
+		if got := DTWWindow(series[0], series[2], 3); !math.IsNaN(got) {
+			t.Errorf("DTWWindow with a %v sample = %v, want NaN", bad, got)
+		}
+		if _, err := DTWMatrix(series, -1); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("DTWMatrix with a %v sample: err = %v, want ErrNonFinite", bad, err)
+		}
+		if _, _, err := DTWMatrixApprox(series, 4, 0); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("DTWMatrixApprox with a %v sample: err = %v, want ErrNonFinite", bad, err)
+		}
+		bank := NewEnvelopeBank(4)
+		if _, _, err := DTWMatrixApprox(series, 4, 0, WithEnvelopeBank(bank)); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("banked DTWMatrixApprox with a %v sample: err = %v, want ErrNonFinite", bad, err)
+		}
+		// The bank rejected the window before touching its state: the
+		// clean window that follows is a first, full update.
+		if _, _, err := DTWMatrixApprox(clean, 4, 0, WithEnvelopeBank(bank)); err != nil {
+			t.Errorf("clean window after a rejected one: %v", err)
+		}
+		if _, err := DTWSearch(series, -1); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("DTWSearch with a %v sample: err = %v, want ErrNonFinite", bad, err)
+		}
+	}
+}
+
+// BenchmarkDTWKernel times one pair at the serving path's three
+// shapes: the paper's unconstrained 480x480 matrix, the tuned search's
+// band of 12, and a banded pair that abandons early.
+func BenchmarkDTWKernel(b *testing.B) {
+	pair := randomSeriesSet(rand.New(rand.NewSource(3)), 2, 480)
+	p, q := pair[0].Normalize(), pair[1].Normalize()
+	sc := new(dtwScratch)
+	full, _ := dtwKernel(p, q, 12, math.Inf(1), sc)
+	for _, c := range []struct {
+		name    string
+		w       int
+		abandon float64
+	}{
+		{"exact480", -1, math.Inf(1)},
+		{"band12", 12, math.Inf(1)},
+		{"abandon", 12, full / 4},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dtwKernel(p, q, c.w, c.abandon, sc)
+			}
+		})
 	}
 }

@@ -20,46 +20,34 @@ var envelopeWindows = obs.Default().CounterVec("atm_envelope_windows_total",
 // repeated matrix builds — every research step of a rolling run —
 // stop allocating fresh slices per call.
 type approxScratch struct {
-	norm     []timeseries.Series
-	normBack []float64
-	lower    [][]float64
-	upper    [][]float64
-	env      []float64
-	lbs      []float64
-	sorted   []float64
+	norm         []timeseries.Series
+	lower, upper [][]float64
+	back         []float64
+	lbs          []float64
+	sorted       []float64
 }
 
 var approxPool = sync.Pool{New: func() any { return new(approxScratch) }}
 
-// normalize replays normalized()'s validation and z-normalization,
-// writing into pooled backing instead of fresh allocations. Values
-// are bit-identical to Series.Normalize.
-func (sc *approxScratch) normalize(series []timeseries.Series) ([]timeseries.Series, error) {
-	n := len(series)
-	m := len(series[0])
-	for i, s := range series {
-		if len(s) == 0 {
-			return nil, fmt.Errorf("series %d: %w", i, timeseries.ErrEmpty)
-		}
-		if len(s) != m {
-			return nil, fmt.Errorf("series %d has %d samples, series 0 has %d: %w",
-				i, len(s), m, ErrSeriesLength)
-		}
-	}
+// views returns n normalized-series, lower-envelope and upper-envelope
+// slices of length m, backed by one pooled array.
+func (sc *approxScratch) views(n, m int) (norm []timeseries.Series, lower, upper [][]float64) {
 	if cap(sc.norm) < n {
 		sc.norm = make([]timeseries.Series, n)
+		sc.lower = make([][]float64, n)
+		sc.upper = make([][]float64, n)
 	}
-	norm := sc.norm[:n]
-	if cap(sc.normBack) < n*m {
-		sc.normBack = make([]float64, n*m)
+	norm, lower, upper = sc.norm[:n], sc.lower[:n], sc.upper[:n]
+	if cap(sc.back) < 3*n*m {
+		sc.back = make([]float64, 3*n*m)
 	}
-	back := sc.normBack[:n*m]
-	for i, s := range series {
-		dst := back[i*m : (i+1)*m]
-		normalizeInto(dst, s)
-		norm[i] = dst
+	back := sc.back[:3*n*m]
+	for i := 0; i < n; i++ {
+		norm[i], back = back[:m:m], back[m:]
+		lower[i], back = back[:m:m], back[m:]
+		upper[i], back = back[:m:m], back[m:]
 	}
-	return norm, nil
+	return norm, lower, upper
 }
 
 // normalizeInto writes s.Normalize() into dst (same arithmetic, same
@@ -67,31 +55,8 @@ func (sc *approxScratch) normalize(series []timeseries.Series) ([]timeseries.Ser
 func normalizeInto(dst []float64, s timeseries.Series) {
 	m, sd := s.Mean(), s.Std()
 	for i, v := range s {
-		if sd > 0 {
-			dst[i] = (v - m) / sd
-		} else {
-			dst[i] = v - m
-		}
+		dst[i] = zscore(v, m, sd)
 	}
-}
-
-// envelopes returns n lower/upper envelope slices of length m backed
-// by one pooled array.
-func (sc *approxScratch) envelopes(n, m int) (lower, upper [][]float64) {
-	if cap(sc.lower) < n {
-		sc.lower = make([][]float64, n)
-		sc.upper = make([][]float64, n)
-	}
-	lower, upper = sc.lower[:n], sc.upper[:n]
-	if cap(sc.env) < 2*n*m {
-		sc.env = make([]float64, 2*n*m)
-	}
-	env := sc.env[:2*n*m]
-	for i := 0; i < n; i++ {
-		lower[i] = env[2*i*m : (2*i+1)*m]
-		upper[i] = env[(2*i+1)*m : (2*i+2)*m]
-	}
-	return lower, upper
 }
 
 // bounds returns a pooled slice for the per-pair lower bounds.
@@ -104,12 +69,9 @@ func (sc *approxScratch) bounds(pairs int) []float64 {
 
 // envSeriesState is one series' incremental envelope state.
 type envSeriesState struct {
-	raw       []float64 // private copy of the current raw window
-	lowerRaw  []float64 // envelope of the raw window
-	upperRaw  []float64
-	norm      timeseries.Series // z-normalized window
-	lowerNorm []float64         // envelope of the normalized window
-	upperNorm []float64
+	raw      []float64 // private copy of the current raw window
+	lowerRaw []float64 // envelope of the raw window
+	upperRaw []float64
 
 	// Stream-position monotonic deques for the unconstrained (global
 	// min/max) envelope: positions of candidate extrema within the
@@ -143,11 +105,6 @@ type EnvelopeBank struct {
 	ready  bool
 	states []*envSeriesState
 
-	// Reused output headers handed to DTWMatrixApprox.
-	normOut  []timeseries.Series
-	lowerOut [][]float64
-	upperOut [][]float64
-
 	rolled, full int
 }
 
@@ -168,22 +125,13 @@ func (b *EnvelopeBank) Reset() { b.ready = false }
 // incrementally vs fully recomputed.
 func (b *EnvelopeBank) Stats() (rolled, full int) { return b.rolled, b.full }
 
-// update normalizes the series set and returns per-series normalized
-// envelopes, incrementally when the windows rolled by the configured
-// shift. Returned slices are bank-owned and valid until the next
-// update.
-func (b *EnvelopeBank) update(series []timeseries.Series, window int) (norm []timeseries.Series, lower, upper [][]float64, err error) {
+// update writes each series' normalization and normalized envelope
+// into norm, lower and upper, rolling the raw envelopes it retains
+// forward when the windows moved by the configured shift. The series
+// must have passed validate.
+func (b *EnvelopeBank) update(series []timeseries.Series, window int, norm []timeseries.Series, lower, upper [][]float64) {
 	n := len(series)
 	m := len(series[0])
-	for i, s := range series {
-		if len(s) == 0 {
-			return nil, nil, nil, fmt.Errorf("series %d: %w", i, timeseries.ErrEmpty)
-		}
-		if len(s) != m {
-			return nil, nil, nil, fmt.Errorf("series %d has %d samples, series 0 has %d: %w",
-				i, len(s), m, ErrSeriesLength)
-		}
-	}
 	w := window
 	if w < 0 || w >= m {
 		w = -1 // global min/max envelope
@@ -193,10 +141,8 @@ func (b *EnvelopeBank) update(series []timeseries.Series, window int) (norm []ti
 		b.ready = false
 		b.n, b.m, b.window = n, m, w
 	}
-	if len(b.states) < n {
-		for len(b.states) < n {
-			b.states = append(b.states, &envSeriesState{})
-		}
+	for len(b.states) < n {
+		b.states = append(b.states, &envSeriesState{})
 	}
 
 	var rolledCount, fullCount int
@@ -211,15 +157,13 @@ func (b *EnvelopeBank) update(series []timeseries.Series, window int) (norm []ti
 			fullCount++
 		}
 		copy(st.raw, s)
-		// Normalize raw window and map the raw envelope through the
-		// same (strictly monotone) transform.
+		// Normalize the raw window and map the raw envelope through
+		// the same (strictly monotone) transform.
 		mean, sd := s.Mean(), s.Std()
 		for j, v := range s {
-			st.norm[j] = zscore(v, mean, sd)
-		}
-		for j := 0; j < m; j++ {
-			st.lowerNorm[j] = zscore(st.lowerRaw[j], mean, sd)
-			st.upperNorm[j] = zscore(st.upperRaw[j], mean, sd)
+			norm[i][j] = zscore(v, mean, sd)
+			lower[i][j] = zscore(st.lowerRaw[j], mean, sd)
+			upper[i][j] = zscore(st.upperRaw[j], mean, sd)
 		}
 	}
 	b.rolled += rolledCount
@@ -227,19 +171,6 @@ func (b *EnvelopeBank) update(series []timeseries.Series, window int) (norm []ti
 	envelopeWindows.With("rolled").Add(float64(rolledCount))
 	envelopeWindows.With("full").Add(float64(fullCount))
 	b.ready = true
-
-	if cap(b.normOut) < n {
-		b.normOut = make([]timeseries.Series, n)
-		b.lowerOut = make([][]float64, n)
-		b.upperOut = make([][]float64, n)
-	}
-	norm, lower, upper = b.normOut[:n], b.lowerOut[:n], b.upperOut[:n]
-	for i := 0; i < n; i++ {
-		norm[i] = b.states[i].norm
-		lower[i] = b.states[i].lowerNorm
-		upper[i] = b.states[i].upperNorm
-	}
-	return norm, lower, upper, nil
 }
 
 // zscore applies the Normalize transform for precomputed moments.
@@ -256,16 +187,10 @@ func (st *envSeriesState) grow(m int) {
 		st.raw = make([]float64, m)
 		st.lowerRaw = make([]float64, m)
 		st.upperRaw = make([]float64, m)
-		st.norm = make(timeseries.Series, m)
-		st.lowerNorm = make([]float64, m)
-		st.upperNorm = make([]float64, m)
 	}
 	st.raw = st.raw[:m]
 	st.lowerRaw = st.lowerRaw[:m]
 	st.upperRaw = st.upperRaw[:m]
-	st.norm = st.norm[:m]
-	st.lowerNorm = st.lowerNorm[:m]
-	st.upperNorm = st.upperNorm[:m]
 }
 
 // overlapEq reports whether cur is prev rolled forward by shift.

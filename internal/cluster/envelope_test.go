@@ -44,10 +44,8 @@ func TestEnvelopeBankBitIdentical(t *testing.T) {
 		bank := NewEnvelopeBank(shift)
 		for off := 0; off+m <= total; off += shift {
 			win := windowAll(series, off, off+m)
-			norm, lower, upper, err := bank.update(win, window)
-			if err != nil {
-				t.Fatalf("window %d offset %d: update: %v", window, off, err)
-			}
+			norm, lower, upper := new(approxScratch).views(n, m)
+			bank.update(win, window, norm, lower, upper)
 			wantNorm, err := normalized(win)
 			if err != nil {
 				t.Fatalf("window %d offset %d: normalized: %v", window, off, err)
@@ -89,10 +87,8 @@ func TestEnvelopeBankFallsBackOnNonRoll(t *testing.T) {
 	bank := NewEnvelopeBank(shift)
 	check := func(off int) {
 		win := windowAll(series, off, off+m)
-		norm, lower, upper, err := bank.update(win, window)
-		if err != nil {
-			t.Fatalf("offset %d: %v", off, err)
-		}
+		norm, lower, upper := new(approxScratch).views(n, m)
+		bank.update(win, window, norm, lower, upper)
 		wantNorm, _ := normalized(win)
 		wl := make([]float64, m)
 		wu := make([]float64, m)

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
 
+	"atm/internal/cluster"
+	"atm/internal/spatial"
 	"atm/internal/trace"
 )
 
@@ -222,6 +225,39 @@ func TestStingyFallbackEvictedWindow(t *testing.T) {
 	for v, s := range StingySizesInto(&empty, trace.CPU, cfg, nil) {
 		if s != minLimit {
 			t.Errorf("empty history vm %d: size %v, want minLimit %v", v, s, minLimit)
+		}
+	}
+}
+
+// TestDegradedOnGapWindow covers a monitoring gap inside the training
+// window: the DTW search must refuse the NaN sample, and the box must
+// fall back to the stingy plan rather than cluster on NaN distances —
+// on the exact and the pruned search, through both step paths.
+func TestDegradedOnGapWindow(t *testing.T) {
+	b, spd := testBox(t, 11)
+	b.VMs[0].CPU[spd/2] = math.NaN()
+	for _, approx := range []bool{false, true} {
+		cfg := fastConfig(spd)
+		cfg.Degraded = true
+		cfg.Spatial = spatial.Config{Method: spatial.MethodDTW, DTWApprox: approx}
+		p, err := NewPipeline(spd, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, step := range map[string]func() (*BoxResult, error){
+			"Step":     func() (*BoxResult, error) { return p.Step(b) },
+			"StepInto": func() (*BoxResult, error) { return p.StepInto(context.Background(), b) },
+		} {
+			res, err := step()
+			if !errors.Is(err, cluster.ErrNonFinite) {
+				t.Fatalf("approx=%v %s: err = %v, want ErrNonFinite", approx, name, err)
+			}
+			if res == nil || !res.Degraded || !errors.Is(res.FallbackErr, cluster.ErrNonFinite) {
+				t.Fatalf("approx=%v %s: res = %+v, want the degraded fallback", approx, name, res)
+			}
+			if res.Prediction != nil {
+				t.Errorf("approx=%v %s: gap window carries a prediction", approx, name)
+			}
 		}
 	}
 }

@@ -3,7 +3,6 @@ package predict
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"atm/internal/timeseries"
 )
@@ -22,7 +21,8 @@ import (
 // autoregressor.
 //
 // The zero value is not usable; fill in the exported fields or use
-// DefaultMLP.
+// DefaultMLP. A model keeps its weights and one normalized copy of the
+// fitted history; refitting a retained model reuses both.
 type MLP struct {
 	// Lags is the number of lagged samples used as inputs. Must be
 	// positive.
@@ -41,10 +41,10 @@ type MLP struct {
 	// Seed makes training deterministic.
 	Seed int64
 
-	net     *network
-	history timeseries.Series
-	mean    float64
-	std     float64
+	net  flatNet
+	norm []float64 // the fitted history, normalized
+	mean float64
+	std  float64
 }
 
 // DefaultMLP returns an MLP configured for the paper's 15-minute
@@ -85,21 +85,6 @@ func (m *MLP) lagStart(t int) int {
 	return t - 1
 }
 
-// features builds the input vector for predicting position t of series
-// buf. Values are normalized by the fitted mean/std.
-func (m *MLP) features(buf timeseries.Series, t int) []float64 {
-	x := make([]float64, 0, m.featureLen())
-	start := m.lagStart(t)
-	for k := 0; k < m.Lags; k++ {
-		x = append(x, m.normalize(buf[start-k]))
-	}
-	if m.Period > 0 {
-		ang := 2 * math.Pi * float64(t%m.Period) / float64(m.Period)
-		x = append(x, math.Sin(ang), math.Cos(ang))
-	}
-	return x
-}
-
 // minHistory returns the first trainable position.
 func (m *MLP) minHistory() int {
 	if m.Period > 0 {
@@ -132,26 +117,59 @@ func (m *MLP) Fit(history timeseries.Series) error {
 	if m.Epochs <= 0 || m.LearningRate <= 0 {
 		return fmt.Errorf("predict: mlp epochs %d / lr %v: must be positive", m.Epochs, m.LearningRate)
 	}
-	if len(history) < m.minHistory()+2 {
+	first := m.minHistory()
+	if len(history) < first+2 {
 		return fmt.Errorf("predict: %d samples for %d lags (period %d): %w",
 			len(history), m.Lags, m.Period, ErrShortHistory)
 	}
-	m.history = history.Clone()
 	m.mean = history.Mean()
 	m.std = history.Std()
-
-	var xs, ys [][]float64
-	for t := m.minHistory(); t < len(history); t++ {
-		xs = append(xs, m.features(history, t))
-		ys = append(ys, []float64{m.normalize(history[t])})
+	m.norm = grow(m.norm, len(history))
+	for t, v := range history {
+		m.norm[t] = m.normalize(v)
 	}
-	sizes := []int{m.featureLen()}
-	sizes = append(sizes, m.Hidden...)
-	sizes = append(sizes, 1)
-	rng := rand.New(rand.NewSource(m.Seed))
-	m.net = newNetwork(sizes, rng)
-	m.net.train(xs, ys, m.Epochs, m.LearningRate, m.Momentum, rng)
+
+	s := trainPool.Get().(*trainScratch)
+	defer trainPool.Put(s)
+	s.rng.Seed(m.Seed)
+	m.net.reset(m.featureLen(), m.Hidden, s.rng)
+	s.vel = grow(s.vel, len(m.net.params))
+	clear(s.vel)
+	s.act = grow(s.act, m.net.units())
+	s.delta = grow(s.delta, m.net.units())
+	s.wave = grow(s.wave, 2*m.Period)
+	for slot := 0; slot < m.Period; slot++ {
+		s.wave[2*slot], s.wave[2*slot+1] = m.timeOfDay(slot)
+	}
+	// One sample per position from first on, read off m.norm and s.wave.
+	order := grow(s.order, len(history)-first)
+	for i := range order {
+		order[i] = i
+	}
+	s.order = order
+	swap := func(i, j int) { order[i], order[j] = order[j], order[i] }
+	for e := 0; e < m.Epochs; e++ {
+		s.rng.Shuffle(len(order), swap)
+		for _, i := range order {
+			t := first + i
+			start := m.lagStart(t)
+			for k := 0; k < m.Lags; k++ {
+				s.act[k] = m.norm[start-k]
+			}
+			if m.Period > 0 {
+				slot := t % m.Period
+				s.act[m.Lags], s.act[m.Lags+1] = s.wave[2*slot], s.wave[2*slot+1]
+			}
+			m.net.step(s, m.norm[t], m.LearningRate, m.Momentum)
+		}
+	}
 	return nil
+}
+
+// timeOfDay returns the sinusoidal encoding of a within-season slot.
+func (m *MLP) timeOfDay(slot int) (sin, cos float64) {
+	ang := 2 * math.Pi * float64(slot) / float64(m.Period)
+	return math.Sin(ang), math.Cos(ang)
 }
 
 // Forecast implements Model. The seasonal model (Period > 0) reads its
@@ -159,15 +177,33 @@ func (m *MLP) Fit(history timeseries.Series) error {
 // from its own forecasts beyond; the recursive model always feeds
 // forecasts back.
 func (m *MLP) Forecast(horizon int) (timeseries.Series, error) {
-	if m.net == nil {
+	return m.ForecastInto(nil, horizon)
+}
+
+// ForecastInto implements IntoForecaster. It reads the fitted state
+// and writes only dst, so the result stays valid across later Fits.
+func (m *MLP) ForecastInto(dst timeseries.Series, horizon int) (timeseries.Series, error) {
+	if m.norm == nil {
 		return nil, ErrNotFitted
 	}
-	buf := make(timeseries.Series, len(m.history), len(m.history)+horizon)
-	copy(buf, m.history)
-	for t := 0; t < horizon; t++ {
-		pos := len(buf)
-		out := m.net.predict(m.features(buf, pos))
-		buf = append(buf, m.denormalize(out[0]))
+	out := grow(dst, horizon)
+	s := trainPool.Get().(*trainScratch)
+	defer trainPool.Put(s)
+	s.act = grow(s.act, m.net.units())
+	n := len(m.norm)
+	for t := range out {
+		start := m.lagStart(n + t)
+		for k := 0; k < m.Lags; k++ {
+			if idx := start - k; idx < n {
+				s.act[k] = m.norm[idx]
+			} else {
+				s.act[k] = m.normalize(out[idx-n])
+			}
+		}
+		if m.Period > 0 {
+			s.act[m.Lags], s.act[m.Lags+1] = m.timeOfDay((n + t) % m.Period)
+		}
+		out[t] = m.denormalize(m.net.forward(s.act))
 	}
-	return buf[len(m.history):], nil
+	return out, nil
 }

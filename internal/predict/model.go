@@ -48,15 +48,6 @@ type IntoForecaster interface {
 	ForecastInto(dst timeseries.Series, horizon int) (timeseries.Series, error)
 }
 
-// growInto returns dst resized to n, reusing its backing array when
-// the capacity suffices.
-func growInto(dst timeseries.Series, n int) timeseries.Series {
-	if cap(dst) < n {
-		return make(timeseries.Series, n)
-	}
-	return dst[:n]
-}
-
 // SeasonalNaive forecasts each step as the value one season earlier:
 // the simplest model that exploits the strong daily periodicity of data
 // center usage (96 fifteen-minute windows per day in the paper's
@@ -96,7 +87,7 @@ func (s *SeasonalNaive) ForecastInto(dst timeseries.Series, horizon int) (timese
 	if s.history == nil {
 		return nil, ErrNotFitted
 	}
-	out := growInto(dst, horizon)
+	out := grow(dst, horizon)
 	n := len(s.history)
 	for t := 0; t < horizon; t++ {
 		// Index of the same within-season slot in the last full season.
@@ -129,7 +120,7 @@ func (s *SeasonalMean) Fit(history timeseries.Series) error {
 	if len(history) < s.Period {
 		return fmt.Errorf("predict: %d samples for period %d: %w", len(history), s.Period, ErrShortHistory)
 	}
-	sums := growInto(s.slots, s.Period)
+	sums := grow(s.slots, s.Period)
 	for i := range sums {
 		sums[i] = 0
 	}
@@ -165,7 +156,7 @@ func (s *SeasonalMean) ForecastInto(dst timeseries.Series, horizon int) (timeser
 	if s.slots == nil {
 		return nil, ErrNotFitted
 	}
-	out := growInto(dst, horizon)
+	out := grow(dst, horizon)
 	for t := 0; t < horizon; t++ {
 		out[t] = s.slots[(s.phase+t)%s.Period]
 	}

@@ -1,144 +1,143 @@
 package predict
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 )
 
-// network is a small feed-forward neural network with tanh hidden
-// layers and a linear output, trained by stochastic gradient descent
+// flatNet is a small feed-forward neural network with tanh hidden
+// layers and one linear output, trained by stochastic gradient descent
 // with momentum on squared error. It is deliberately minimal: the paper
 // only needs "a neural network temporal model" as the expensive, high
 // accuracy member of the model family.
-type network struct {
-	sizes   []int       // layer widths, input first
-	weights [][]float64 // weights[l][j*in+i]: layer l, unit j, input i
-	biases  [][]float64
-	velW    [][]float64 // momentum buffers
-	velB    [][]float64
+//
+// It holds the parameters only, in one allocation; whatever else a
+// pass writes lives in a pooled trainScratch, so a retained model
+// costs its weights and nothing more.
+type flatNet struct {
+	sizes []int // layer widths: input first, the single output last
+	// params is every layer's weights in layer order (within a layer
+	// unit j's input weights are contiguous at [j*in, (j+1)*in)),
+	// followed from index nw by every layer's biases.
+	params []float64
+	nw     int
 }
 
-// newNetwork builds a network with the given layer sizes (input size
-// first, output size last) and Xavier-style initial weights drawn from
-// rng.
-func newNetwork(sizes []int, rng *rand.Rand) *network {
-	if len(sizes) < 2 {
-		panic(fmt.Sprintf("predict: network needs >= 2 layers, got %v", sizes))
+// trainScratch is the working memory of one training or forward pass.
+type trainScratch struct {
+	rng   *rand.Rand
+	vel   []float64 // momentum buffers, laid out like flatNet.params
+	act   []float64 // activations of every layer in order, input first
+	delta []float64 // dE/dz per unit, laid out like act
+	order []int     // sample visiting order of the current epoch
+	wave  []float64 // sin, cos of each slot of the season, interleaved
+}
+
+var trainPool = sync.Pool{New: func() any {
+	return &trainScratch{rng: rand.New(rand.NewSource(0))}
+}}
+
+// grow returns buf resized to n, reusing its backing array when the
+// capacity suffices. The contents are unspecified.
+func grow[S ~[]E, E any](buf S, n int) S {
+	if cap(buf) < n {
+		return make(S, n)
 	}
-	n := &network{sizes: sizes}
-	for l := 0; l < len(sizes)-1; l++ {
-		in, out := sizes[l], sizes[l+1]
-		w := make([]float64, in*out)
+	return buf[:n]
+}
+
+// reset shapes the network as in -> hidden... -> 1 and draws
+// Xavier-style initial weights from rng, layer by layer; biases start
+// at zero. A network already of that shape reuses its buffers.
+func (n *flatNet) reset(in int, hidden []int, rng *rand.Rand) {
+	n.sizes = append(append(append(n.sizes[:0], in), hidden...), 1)
+	n.nw = 0
+	units := 0
+	for l, out := range n.sizes[1:] {
+		n.nw += n.sizes[l] * out
+		units += out
+	}
+	n.params = grow(n.params, n.nw+units)
+	w := n.params[:n.nw]
+	for l, out := range n.sizes[1:] {
+		in := n.sizes[l]
 		scale := math.Sqrt(2.0 / float64(in+out))
-		for i := range w {
+		for i := range w[:in*out] {
 			w[i] = rng.NormFloat64() * scale
 		}
-		n.weights = append(n.weights, w)
-		n.biases = append(n.biases, make([]float64, out))
-		n.velW = append(n.velW, make([]float64, in*out))
-		n.velB = append(n.velB, make([]float64, out))
+		w = w[in*out:]
 	}
-	return n
+	clear(n.params[n.nw:])
 }
 
-// forward runs the network, returning the activations of every layer
-// (activations[0] is the input itself).
-func (n *network) forward(x []float64) [][]float64 {
-	acts := make([][]float64, len(n.sizes))
-	acts[0] = x
-	for l := 0; l < len(n.weights); l++ {
+// units returns the number of activations a pass over the network
+// produces, the input layer included.
+func (n *flatNet) units() int { return len(n.params) - n.nw + n.sizes[0] }
+
+// forward runs the network on the input in act[:sizes[0]], leaving
+// every layer's activations behind it in act, and returns the output.
+func (n *flatNet) forward(act []float64) float64 {
+	w, b := n.params[:n.nw], n.params[n.nw:]
+	for l, out := range n.sizes[1:] {
+		in := n.sizes[l]
+		x, y := act[:in], act[in:in+out]
+		hidden := l+2 < len(n.sizes) // the output unit is linear
+		for j := range y {
+			sum := b[j]
+			for i, wv := range w[j*in : (j+1)*in] {
+				sum += wv * x[i]
+			}
+			if hidden {
+				sum = math.Tanh(sum)
+			}
+			y[j] = sum
+		}
+		w, b, act = w[in*out:], b[out:], act[in:]
+	}
+	return act[0]
+}
+
+// step performs one SGD-with-momentum update towards target on the
+// input in s.act[:sizes[0]]. s.vel must match the network's shape.
+func (n *flatNet) step(s *trainScratch, target, lr, momentum float64) {
+	act, delta := s.act, s.delta
+	// dE/dz at the output, for a linear unit under squared error.
+	aEnd := n.units()
+	delta[aEnd-1] = n.forward(act) - target
+	// Backpropagate layer by layer, walking the flat buffers backwards.
+	wEnd, bEnd := n.nw, len(n.params)
+	for l := len(n.sizes) - 2; l >= 0; l-- {
 		in, out := n.sizes[l], n.sizes[l+1]
-		a := make([]float64, out)
-		for j := 0; j < out; j++ {
-			sum := n.biases[l][j]
-			row := n.weights[l][j*in : (j+1)*in]
-			for i, w := range row {
-				sum += w * acts[l][i]
-			}
-			if l < len(n.weights)-1 {
-				a[j] = math.Tanh(sum) // hidden: tanh
-			} else {
-				a[j] = sum // output: linear
-			}
-		}
-		acts[l+1] = a
-	}
-	return acts
-}
-
-// predict returns the network output for input x.
-func (n *network) predict(x []float64) []float64 {
-	acts := n.forward(x)
-	return acts[len(acts)-1]
-}
-
-// step performs one SGD-with-momentum update on a single (x, target)
-// pair and returns the squared error before the update.
-func (n *network) step(x, target []float64, lr, momentum float64) float64 {
-	acts := n.forward(x)
-	out := acts[len(acts)-1]
-	// delta at output: dE/dz = (out - target) for linear output + MSE.
-	delta := make([]float64, len(out))
-	var loss float64
-	for j := range out {
-		e := out[j] - target[j]
-		delta[j] = e
-		loss += e * e
-	}
-	// Backpropagate layer by layer.
-	for l := len(n.weights) - 1; l >= 0; l-- {
-		in, outSz := n.sizes[l], n.sizes[l+1]
-		var prevDelta []float64
+		aOut := aEnd - out
+		x, dIn, dOut := act[aOut-in:aOut], delta[aOut-in:aOut], delta[aOut:aEnd]
+		w, vw := n.params[wEnd-in*out:wEnd], s.vel[wEnd-in*out:wEnd]
+		b, vb := n.params[bEnd-out:bEnd], s.vel[bEnd-out:bEnd]
 		if l > 0 {
-			prevDelta = make([]float64, in)
+			clear(dIn)
 		}
-		for j := 0; j < outSz; j++ {
-			d := delta[j]
-			row := n.weights[l][j*in : (j+1)*in]
-			velRow := n.velW[l][j*in : (j+1)*in]
-			for i := 0; i < in; i++ {
-				if prevDelta != nil {
-					prevDelta[i] += row[i] * d
+		for j, d := range dOut {
+			row, vrow := w[j*in:(j+1)*in], vw[j*in:(j+1)*in]
+			if l > 0 {
+				for i, wv := range row {
+					dIn[i] += wv * d
 				}
-				g := d * acts[l][i]
-				velRow[i] = momentum*velRow[i] - lr*g
-				row[i] += velRow[i]
 			}
-			n.velB[l][j] = momentum*n.velB[l][j] - lr*d
-			n.biases[l][j] += n.velB[l][j]
+			x, vrow := x[:len(row)], vrow[:len(row)]
+			for i, a := range x {
+				g := d * a
+				vrow[i] = momentum*vrow[i] - lr*g
+				row[i] += vrow[i]
+			}
+			vb[j] = momentum*vb[j] - lr*d
+			b[j] += vb[j]
 		}
 		if l > 0 {
-			// Apply tanh derivative of the hidden activation.
-			for i := 0; i < in; i++ {
-				a := acts[l][i]
-				prevDelta[i] *= 1 - a*a
+			// Apply tanh's derivative at the hidden activations.
+			for i, a := range x {
+				dIn[i] *= 1 - a*a
 			}
-			delta = prevDelta
 		}
+		aEnd, wEnd, bEnd = aOut, wEnd-in*out, bEnd-out
 	}
-	return loss
-}
-
-// train runs epochs passes of SGD over the sample set in a shuffled
-// order and returns the final mean squared error. The rng drives the
-// shuffles so training is deterministic for a fixed seed.
-func (n *network) train(xs, ys [][]float64, epochs int, lr, momentum float64, rng *rand.Rand) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	order := make([]int, len(xs))
-	for i := range order {
-		order[i] = i
-	}
-	var last float64
-	for e := 0; e < epochs; e++ {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		var sum float64
-		for _, i := range order {
-			sum += n.step(xs[i], ys[i], lr, momentum)
-		}
-		last = sum / float64(len(xs))
-	}
-	return last
 }
