@@ -358,17 +358,14 @@ func main() {
 		if !r.WithinBudget {
 			fails = append(fails, fmt.Sprintf("reuse searched %d windows, budget %d", r.ReuseSearches, r.ReuseBudget))
 		}
-		if !r.TicketsMatch {
-			fails = append(fails, "incremental reuse tickets diverged from the reference reuse run")
-		}
-		if r.ReuseMAPEDelta > 1e-9 {
-			fails = append(fails, fmt.Sprintf("reuse MAPE delta %g past 1e-9", r.ReuseMAPEDelta))
-		}
 		// The workload is seeded, so result numbers (not wall times)
-		// must reproduce the record exactly.
-		if r.Steps != floor.Steps || r.BaselineTickets != floor.BaselineTickets || r.ReuseTickets != floor.ReuseTickets {
-			fails = append(fails, fmt.Sprintf("results moved off the record: steps %d/%d, baseline tickets %d/%d, reuse tickets %d/%d",
-				r.Steps, floor.Steps, r.BaselineTickets, floor.BaselineTickets, r.ReuseTickets, floor.ReuseTickets))
+		// must reproduce the record exactly — the fidelity check: the
+		// incremental refit's 1e-9 agreement with the reference refit
+		// is core's test, here it must not move an integer ticket.
+		if r.Steps != floor.Steps || r.TicketsBefore != floor.TicketsBefore ||
+			r.BaselineTickets != floor.BaselineTickets || r.ReuseTickets != floor.ReuseTickets {
+			fails = append(fails, fmt.Sprintf("results moved off the record: steps %d/%d, tickets before %d/%d, baseline tickets %d/%d, reuse tickets %d/%d",
+				r.Steps, floor.Steps, r.TicketsBefore, floor.TicketsBefore, r.BaselineTickets, floor.BaselineTickets, r.ReuseTickets, floor.ReuseTickets))
 		}
 		if len(fails) > 0 {
 			for _, f := range fails {

@@ -1,7 +1,7 @@
 package control
 
 import (
-	"fmt"
+	"context"
 	"math"
 
 	"atm/internal/core"
@@ -56,15 +56,6 @@ func RunRolling(b *trace.Box, samplesPerDay int, ccfg core.Config, cfg Config) (
 	if err != nil {
 		return RollingSummary{}, err
 	}
-	total := 0
-	if len(b.VMs) > 0 {
-		total = len(b.VMs[0].CPU)
-	}
-	steps := (total - ccfg.TrainWindows) / ccfg.Horizon
-	if steps <= 0 {
-		return RollingSummary{}, fmt.Errorf("control: %d samples for train %d + horizon %d: %w",
-			total, ccfg.TrainWindows, ccfg.Horizon, core.ErrShortTrace)
-	}
 	board := score.NewBoard(1, ccfg)
 	var ctl *Controller
 	if cfg.Enabled {
@@ -74,29 +65,10 @@ func RunRolling(b *trace.Box, samplesPerDay int, ccfg core.Config, cfg Config) (
 	var s RollingSummary
 	var mapeSum, lambdaSum float64
 	scored := 0
-	wb := &trace.Box{ID: b.ID, CPUCapGHz: b.CPUCapGHz, RAMCapGB: b.RAMCapGB,
-		VMs: make([]trace.VM, len(b.VMs))}
-	for step := 0; step < steps; step++ {
-		from := step * ccfg.Horizon
-		to := ccfg.TrainWindows + (step+1)*ccfg.Horizon
-		for i := range b.VMs {
-			vm := &b.VMs[i]
-			if to > len(vm.CPU) {
-				return RollingSummary{}, fmt.Errorf("control: window [%d,%d) out of range [0,%d)", from, to, len(vm.CPU))
-			}
-			wb.VMs[i] = trace.VM{
-				ID:        vm.ID,
-				CPUCapGHz: vm.CPUCapGHz,
-				RAMCapGB:  vm.RAMCapGB,
-				CPU:       vm.CPU.Slice(from, to),
-				RAM:       vm.RAM.Slice(from, to),
-			}
+	err = p.Roll(context.TODO(), b, func(_ int, wb *trace.Box, res *core.BoxResult, err error) error {
+		if res == nil {
+			return err
 		}
-		res, err := p.Step(wb)
-		if err != nil && res == nil {
-			return RollingSummary{}, fmt.Errorf("control: rolling step %d: %w", step, err)
-		}
-
 		lambda := 1.0
 		if ctl != nil {
 			// The rolling error the engine would see at this point: the
@@ -139,6 +111,10 @@ func RunRolling(b *trace.Box, samplesPerDay int, ccfg core.Config, cfg Config) (
 			s.TicketsBefore += res.RAM.TicketsBefore
 			s.TicketsAfter += res.RAM.TicketsAfter
 		}
+		return nil
+	})
+	if err != nil {
+		return RollingSummary{}, err
 	}
 	if scored > 0 {
 		s.MeanMAPE = mapeSum / float64(scored)

@@ -78,8 +78,8 @@ func growFloats(dst []float64, n int) []float64 {
 	return dst[:n]
 }
 
-// searchConfig is the spatial config StepInto and StepContext hand to
-// full searches: when the method is approximate DTW, a pipeline-owned
+// searchConfig is the spatial config handed to full searches: when the
+// method is approximate DTW, a pipeline-owned
 // envelope bank carries normalizations and LB_Keogh envelopes across
 // successive searches over rolled windows (bit-identical results; see
 // cluster.EnvelopeBank). A caller-provided bank is respected.
@@ -101,7 +101,7 @@ func (p *Pipeline) searchConfig() spatial.Config {
 // window or a numerical breakdown drops the roller; the caller falls
 // back to the reference refit and rebuilds it.
 func (p *Pipeline) rollModel(train []timeseries.Series) *spatial.Model {
-	if p.cfg.Reuse.ExactRefit || p.roller == nil {
+	if p.roller == nil {
 		return nil
 	}
 	if err := p.roller.Roll(train, p.cfg.Horizon); err != nil {
@@ -118,7 +118,7 @@ func (p *Pipeline) rollModel(train []timeseries.Series) *spatial.Model {
 // leaves the roller nil, keeping later reuse steps on the reference
 // refit path.
 func (p *Pipeline) adoptRoller(train []timeseries.Series, model *spatial.Model) {
-	if !p.cfg.Reuse.Enabled || p.cfg.Reuse.ExactRefit {
+	if !p.cfg.Reuse.Enabled {
 		p.roller = nil
 		return
 	}
@@ -130,10 +130,14 @@ func (p *Pipeline) adoptRoller(train []timeseries.Series, model *spatial.Model) 
 	p.roller = r
 }
 
-// searchInto is stageSearch for the arena step: same research/refit
-// policy and drift bookkeeping, but reuse steps first try the
-// incremental roller and only fall back to the allocating reference
-// refit when the window did not roll.
+// searchInto produces the spatial model for the training window: a
+// full signature search when reuse is off, no set is retained yet,
+// drift was flagged, or the retained set aged out; otherwise a cheap
+// refit of the retained signature set — by the incremental roller when
+// the window rolled the previous one, by the allocating reference
+// refit (spatial.RefitContext) when it did not. A refit that fails
+// (e.g. the retained indices no longer span the window) falls back to
+// a full search rather than surfacing the error.
 func (p *Pipeline) searchInto(ctx context.Context, train []timeseries.Series) (*spatial.Model, error) {
 	reuse := p.cfg.Reuse
 	research, reason := p.planDecision()
@@ -175,6 +179,8 @@ func (p *Pipeline) searchInto(ctx context.Context, train []timeseries.Series) (*
 	} else {
 		refitTotal.Inc()
 		p.age++
+		// R²-based drift check: dependents the retained signature set
+		// can no longer explain flag the next step for a re-search.
 		if reuse.MinR2 > 0 && meanDependentR2(model) < reuse.MinR2 {
 			p.researchNext = true
 			p.researchCause = ReasonLowR2
@@ -220,7 +226,11 @@ func (p *Pipeline) fitSig(model *spatial.Model, train, fc []timeseries.Series, i
 	return nil
 }
 
-// temporalInto is stageTemporal writing forecasts into arena buffers.
+// temporalInto fits one temporal model per signature series on the
+// training window and forecasts Horizon steps ahead into arena
+// buffers. Each signature gets its own model instance (models are
+// stateful), so the fits are independent and run on the worker pool —
+// the temporal fit dominates per-box latency with the paper's MLP.
 // With Workers == 1 the fits run inline (the worker-pool fan-out
 // allocates its coordination state even for one worker).
 func (p *Pipeline) temporalInto(ctx context.Context, model *spatial.Model, train []timeseries.Series) ([]timeseries.Series, error) {
@@ -258,8 +268,10 @@ func (p *Pipeline) temporalInto(ctx context.Context, model *spatial.Model, train
 	return fc, nil
 }
 
-// reconstructInto is stageReconstruct writing into arena-owned series,
-// clamping in place with the same arithmetic as Series.Clamp.
+// reconstructInto turns the signature forecasts into forecasts for
+// every series on the box via the dependents' linear spatial models,
+// written into arena-owned series and clamped at zero in place
+// (demands are physical quantities).
 func (p *Pipeline) reconstructInto(ctx context.Context, model *spatial.Model, sigFC []timeseries.Series) ([]timeseries.Series, error) {
 	_, rspan := obs.StartSpan(ctx, "core.reconstruct")
 	defer rspan.End()
@@ -284,8 +296,10 @@ func (p *Pipeline) reconstructInto(ctx context.Context, model *spatial.Model, si
 	return out, nil
 }
 
-// predictInto composes the arena search, temporal and reconstruction
-// stages; the returned prediction is arena-owned.
+// predictInto composes the search, temporal and reconstruction stages
+// on the first TrainWindows samples of the demand series, forecasting
+// the next Horizon samples for every series; the returned prediction
+// is arena-owned.
 func (p *Pipeline) predictInto(ctx context.Context, demands []timeseries.Series) (*BoxPrediction, error) {
 	if len(demands) == 0 {
 		return nil, spatial.ErrNoSeries
@@ -327,11 +341,14 @@ func (p *Pipeline) predictInto(ctx context.Context, demands []timeseries.Series)
 	return pred, nil
 }
 
-// resizeBoxInto is ResizeBoxContext on arena state: candidate sets,
-// hull paths, the descent heap and the result all live in the
-// per-resource resize scratch. slot is 0 for CPU, 1 for RAM, so the
-// two resources can still solve concurrently.
-func (p *Pipeline) resizeBoxInto(ctx context.Context, slot int, b *trace.Box, pred *BoxPrediction, r trace.Resource) (*BoxRun, error) {
+// resizeBoxInto solves the resizing problem for one resource of a box,
+// using predicted demands to choose sizes and actual demands (the
+// arena's, filled by demandsInto) to evaluate them; the box's total
+// capacity for the resource is the constraint C. Candidate sets, hull
+// paths, the descent heap and the result all live in the per-resource
+// resize scratch. slot is 0 for CPU, 1 for RAM, so the two resources
+// can still solve concurrently.
+func (a *stepArena) resizeBoxInto(ctx context.Context, cfg Config, slot int, b *trace.Box, pred *BoxPrediction, r trace.Resource) (*BoxRun, error) {
 	_, span := obs.StartSpan(ctx, "core.resize")
 	defer span.End()
 	if span != nil {
@@ -342,7 +359,6 @@ func (p *Pipeline) resizeBoxInto(ctx context.Context, slot int, b *trace.Box, pr
 	defer func() {
 		resizeSeconds.Observe(time.Since(resizeStart).Seconds())
 	}()
-	a := &p.arena
 	m := len(b.VMs)
 	capacity := b.CPUCapGHz
 	if r == trace.RAM {
@@ -356,14 +372,19 @@ func (p *Pipeline) resizeBoxInto(ctx context.Context, slot int, b *trace.Box, pr
 	for v := 0; v < m; v++ {
 		predicted := pred.Demand[trace.SeriesIndex(v, r)]
 		lb := 0.0
-		if p.cfg.UseLowerBounds {
-			hist := a.demands[trace.SeriesIndex(v, r)].Slice(0, p.cfg.TrainWindows)
+		if cfg.UseLowerBounds {
+			// Peak demand over the training history: satisfied usage
+			// cannot spill into the resizing window.
+			hist := a.demands[trace.SeriesIndex(v, r)].Slice(0, cfg.TrainWindows)
 			lb = hist.Max()
 		}
 		lbSum += lb
 		vms[v] = resize.VM{Demand: predicted, LowerBound: lb}
 	}
 	if lbSum > capacity {
+		// Burst peaks on an overcommitted box can sum past the box
+		// capacity; insisting on them would make every allocation
+		// infeasible. Scale the floors into the budget instead.
 		f := capacity / lbSum * (1 - 1e-9)
 		for v := range vms {
 			vms[v].LowerBound *= f
@@ -373,16 +394,18 @@ func (p *Pipeline) resizeBoxInto(ctx context.Context, slot int, b *trace.Box, pr
 	*prob = resize.Problem{
 		VMs:       vms,
 		Capacity:  capacity,
-		Threshold: p.cfg.Threshold,
-		Epsilon:   p.cfg.Epsilon,
+		Threshold: cfg.Threshold,
+		Epsilon:   cfg.Epsilon,
 	}
 	alloc, err := prob.GreedyInto(&a.rs[slot])
 	if err != nil {
 		return nil, fmt.Errorf("core: resize %s of %s: %w", r, b.ID, err)
 	}
 
-	// Do no harm, exactly as ResizeBoxContext: keep the current
-	// allocation when it fits and tickets no more than the optimum.
+	// Do no harm: if the current allocation already fits the box and
+	// is predicted to ticket no more than the optimized one, keep it.
+	// Prediction error can otherwise talk the optimizer into shrinking
+	// a perfectly healthy box.
 	current := growFloats(a.caps[slot], m)
 	a.caps[slot] = current
 	var curSum float64
@@ -400,9 +423,9 @@ func (p *Pipeline) resizeBoxInto(ctx context.Context, slot int, b *trace.Box, pr
 	run := &a.runs[slot]
 	*run = BoxRun{Resource: r, Sizes: alloc.Sizes}
 	for v := 0; v < m; v++ {
-		actual := a.demands[trace.SeriesIndex(v, r)].Slice(p.cfg.TrainWindows, p.cfg.TrainWindows+p.cfg.Horizon)
-		run.TicketsBefore += ticket.Count(actual, b.VMs[v].Capacity(r), p.cfg.Threshold)
-		run.TicketsAfter += ticket.Count(actual, alloc.Sizes[v], p.cfg.Threshold)
+		actual := a.demands[trace.SeriesIndex(v, r)].Slice(cfg.TrainWindows, cfg.TrainWindows+cfg.Horizon)
+		run.TicketsBefore += ticket.Count(actual, b.VMs[v].Capacity(r), cfg.Threshold)
+		run.TicketsAfter += ticket.Count(actual, alloc.Sizes[v], cfg.Threshold)
 	}
 	ticketsBefore.Add(float64(run.TicketsBefore))
 	ticketsAfter.Add(float64(run.TicketsAfter))
@@ -413,19 +436,27 @@ func (p *Pipeline) resizeBoxInto(ctx context.Context, slot int, b *trace.Box, pr
 	return run, nil
 }
 
-// StepInto is StepContext on pipeline-owned buffers: a steady-state
-// call performs zero heap allocations (Workers == 1, a temporal factory
+// StepInto runs the whole pipeline (predict + evaluate + resize CPU
+// and RAM) on one window of the box, updating the retained model state
+// for the next window. Under an obs.Tracer the window nests beneath a
+// "core.box" span — signature search or refit, temporal fits,
+// reconstruction, evaluation and both resource resizes. In degraded
+// mode model failures yield the stingy fallback result alongside the
+// causing error (see Config.Degraded).
+//
+// Every stage writes into pipeline-owned buffers: a steady-state call
+// performs zero heap allocations (Workers == 1, a temporal factory
 // producing predict.IntoForecaster models, and a window that rolls the
 // previous one). The returned result — its prediction, model, demand
 // and size slices — is arena-owned and valid only until the next
-// StepInto call; callers that retain results must deep-copy them (the
-// engine does so only when asked to keep results).
+// StepInto call; callers that retain results Clone them.
 //
 // Reuse steps go through the incremental window-roll path (rank-1
 // Cholesky up/downdates on the dependent fits' normal equations),
-// which agrees with the reference refit within 1e-9; set
-// ReusePolicy.ExactRefit to pin the reference. Research steps run the
-// full search with envelope reuse (bit-identical to StepContext).
+// which agrees with the reference refit within 1e-9; a window that
+// does not roll the previous one takes the reference refit itself.
+// Research steps run the full search, with envelope reuse when the
+// method is approximate DTW (bit-identical to a search without it).
 func (p *Pipeline) StepInto(ctx context.Context, b *trace.Box) (*BoxResult, error) {
 	ctx, span := obs.StartSpan(ctx, "core.box")
 	defer span.End()
@@ -433,6 +464,9 @@ func (p *Pipeline) StepInto(ctx context.Context, b *trace.Box) (*BoxResult, erro
 		span.SetAttr("box", b.ID)
 		span.SetAttr("vms", len(b.VMs))
 	}
+	// fail routes pipeline errors: in degraded mode model failures
+	// (not config mistakes) yield the stingy fallback result alongside
+	// the causing error, so the fleet run keeps going.
 	fail := func(err error) (*BoxResult, error) {
 		if p.cfg.Degraded && !errors.Is(err, ErrBadConfig) {
 			if span != nil {
@@ -449,6 +483,8 @@ func (p *Pipeline) StepInto(ctx context.Context, b *trace.Box) (*BoxResult, erro
 	if err != nil {
 		return fail(fmt.Errorf("core: %s: %w", b.ID, err))
 	}
+	// Peak level for series i: ticket threshold times allocated
+	// capacity of the owning VM.
 	peaks := growFloats(a.peaks, len(demands))
 	a.peaks = peaks
 	for i := range peaks {
@@ -466,19 +502,22 @@ func (p *Pipeline) StepInto(ctx context.Context, b *trace.Box) (*BoxResult, erro
 	p.observe(pred)
 	res := &a.result
 	*res = BoxResult{Box: b, Prediction: pred}
+	// CPU and RAM resizing are independent MCKP solves: inline for one
+	// worker (RunContext and the engine pin per-box Workers to 1 and fan
+	// out over boxes instead), on the shared pool otherwise.
 	if p.cfg.Workers == 1 {
-		cpu, err := p.resizeBoxInto(ctx, 0, b, pred, trace.CPU)
+		cpu, err := a.resizeBoxInto(ctx, p.cfg, 0, b, pred, trace.CPU)
 		if err != nil {
 			return fail(err)
 		}
-		ram, err := p.resizeBoxInto(ctx, 1, b, pred, trace.RAM)
+		ram, err := a.resizeBoxInto(ctx, p.cfg, 1, b, pred, trace.RAM)
 		if err != nil {
 			return fail(err)
 		}
 		res.CPU, res.RAM = cpu, ram
 	} else {
 		runs, err := parallel.Map(2, func(i int) (*BoxRun, error) {
-			return p.resizeBoxInto(ctx, i, b, pred, [...]trace.Resource{trace.CPU, trace.RAM}[i])
+			return a.resizeBoxInto(ctx, p.cfg, i, b, pred, [...]trace.Resource{trace.CPU, trace.RAM}[i])
 		}, parallel.WithWorkers(p.cfg.Workers))
 		if err != nil {
 			return fail(err)

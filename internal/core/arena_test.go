@@ -9,8 +9,18 @@ import (
 	"atm/internal/trace"
 )
 
+// windowBox returns a fresh box viewing samples [from, to) of b.
+func windowBox(t *testing.T, b *trace.Box, from, to int) *trace.Box {
+	t.Helper()
+	wb := new(trace.Box)
+	if err := windowInto(wb, b, from, to); err != nil {
+		t.Fatalf("window [%d,%d): %v", from, to, err)
+	}
+	return wb
+}
+
 // rollingWindows pre-builds the windowed boxes of a rolling run so
-// step loops (and allocation gates) don't pay the windowBox cost.
+// step loops (and allocation gates) don't pay the windowing cost.
 func rollingWindows(t *testing.T, b *trace.Box, cfg Config) []*trace.Box {
 	t.Helper()
 	total := len(b.VMs[0].CPU)
@@ -20,11 +30,7 @@ func rollingWindows(t *testing.T, b *trace.Box, cfg Config) []*trace.Box {
 	}
 	out := make([]*trace.Box, steps)
 	for step := 0; step < steps; step++ {
-		wb, err := windowBox(b, step*cfg.Horizon, cfg.TrainWindows+(step+1)*cfg.Horizon)
-		if err != nil {
-			t.Fatalf("window %d: %v", step, err)
-		}
-		out[step] = wb
+		out[step] = windowBox(t, b, step*cfg.Horizon, cfg.TrainWindows+(step+1)*cfg.Horizon)
 	}
 	return out
 }
@@ -69,35 +75,11 @@ func compareResults(t *testing.T, step int, want, got *BoxResult, tol float64) {
 	}
 }
 
-// TestStepIntoExactRefitMatchesStepContext pins the arena step to the
-// reference: with ExactRefit (reference refit instead of the
-// incremental roll) every stage of StepInto is bit-identical to
-// StepContext, so a full rolling run must agree exactly.
-func TestStepIntoExactRefitMatchesStepContext(t *testing.T) {
-	b, spd := stationaryBox(t, 12)
-	cfg := fastConfig(spd)
-	cfg.Workers = 1
-	cfg.Reuse = ReusePolicy{Enabled: true, MaxAge: 4, ExactRefit: true}
-	ref, fast := stepPair(t, cfg, spd)
-	ctx := context.Background()
-	for step, wb := range rollingWindows(t, b, cfg) {
-		want, err := ref.StepContext(ctx, wb)
-		if err != nil {
-			t.Fatalf("step %d: reference: %v", step, err)
-		}
-		got, err := fast.StepInto(ctx, wb)
-		if err != nil {
-			t.Fatalf("step %d: arena: %v", step, err)
-		}
-		if ref.LastResearch() != fast.LastResearch() {
-			t.Fatalf("step %d: research %v vs %v", step, ref.LastResearch(), fast.LastResearch())
-		}
-		compareResults(t, step, want, got, 0)
-	}
-}
-
 // TestStepIntoIncrementalMatchesReference runs the incremental
-// window-roll path against the reference pipeline: identical ticket
+// window-roll path against the reference refit: a second pipeline
+// whose roller is dropped before every step, so each of its reuse
+// steps takes spatial.RefitContext — the fallback a non-roll window
+// gets in production. Same research decisions, identical ticket
 // counts, predictions and sizes within 1e-9, and the roller must
 // actually roll (not silently fall back to the reference refit).
 func TestStepIntoIncrementalMatchesReference(t *testing.T) {
@@ -109,13 +91,21 @@ func TestStepIntoIncrementalMatchesReference(t *testing.T) {
 	ctx := context.Background()
 	beforeRolls := rollerRolls.Value()
 	for step, wb := range rollingWindows(t, b, cfg) {
-		want, err := ref.StepContext(ctx, wb)
+		ref.roller = nil
+		want, err := ref.StepInto(ctx, wb)
 		if err != nil {
 			t.Fatalf("step %d: reference: %v", step, err)
 		}
+		rolls := rollerRolls.Value()
 		got, err := fast.StepInto(ctx, wb)
 		if err != nil {
-			t.Fatalf("step %d: arena: %v", step, err)
+			t.Fatalf("step %d: incremental: %v", step, err)
+		}
+		if ref.LastResearch() != fast.LastResearch() {
+			t.Fatalf("step %d: research %v vs %v", step, ref.LastResearch(), fast.LastResearch())
+		}
+		if step > 0 && !fast.LastResearch() && rollerRolls.Value() == rolls {
+			t.Fatalf("step %d: reuse step on a rolled window did not roll", step)
 		}
 		compareResults(t, step, want, got, 1e-9)
 	}
@@ -208,9 +198,79 @@ func TestResetModelClearsIncrementalState(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fresh pipeline: %v", err)
 	}
-	want, err := fresh.StepContext(ctx, windows[3])
+	want, err := fresh.StepInto(ctx, windows[3])
 	if err != nil {
 		t.Fatalf("fresh step: %v", err)
 	}
 	compareResults(t, 3, want, got, 0)
+}
+
+// TestRunRollingResultsOwnTheirMemory: RunRolling's retained results
+// are clones, not views of the pipeline's arena — scribbling over step
+// k's sizes, model and prediction changes neither step k+1 nor a
+// second run. Reuse is on, where the roller rewrites the live model's
+// fits in place on every rolled window.
+func TestRunRollingResultsOwnTheirMemory(t *testing.T) {
+	b, spd := stationaryBox(t, 12)
+	cfg := fastConfig(spd)
+	cfg.Reuse = ReusePolicy{Enabled: true, MaxAge: 6}
+	want, err := RunRolling(b, spd, cfg)
+	if err != nil {
+		t.Fatalf("RunRolling: %v", err)
+	}
+
+	// The same run step by step, vandalizing every clone before the
+	// pipeline takes its next step.
+	p, err := NewPipeline(spd, cfg)
+	if err != nil {
+		t.Fatalf("pipeline: %v", err)
+	}
+	refits := 0
+	err = p.Roll(context.Background(), b, func(step int, _ *trace.Box, res *BoxResult, err error) error {
+		if err != nil {
+			return err
+		}
+		compareResults(t, step, want[step].Result, res, 0)
+		if !p.LastResearch() {
+			refits++
+		}
+		c := res.Clone()
+		for _, s := range [][]float64{c.CPU.Sizes, c.RAM.Sizes, c.Prediction.MAPE, c.Prediction.PeakMAPE} {
+			for i := range s {
+				s[i] = math.NaN()
+			}
+		}
+		for _, d := range c.Prediction.Demand {
+			for i := range d {
+				d[i] = math.NaN()
+			}
+		}
+		c.Prediction.Model.Signatures[0] = -1
+		for _, fit := range c.Prediction.Model.Dependents {
+			fit.Intercept = math.NaN()
+			for j := range fit.Coef {
+				fit.Coef[j] = math.NaN()
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("Roll: %v", err)
+	}
+	if refits == 0 {
+		t.Fatal("no reuse step ran — the live model was never at risk")
+	}
+
+	// And the retained slice itself: every step still holds what it
+	// held when it was taken, not the last step's arena contents.
+	again, err := RunRolling(b, spd, cfg)
+	if err != nil {
+		t.Fatalf("RunRolling: %v", err)
+	}
+	for step := range want {
+		compareResults(t, step, want[step].Result, again[step].Result, 0)
+		if step > 0 && &want[step].Result.CPU.Sizes[0] == &want[step-1].Result.CPU.Sizes[0] {
+			t.Fatalf("steps %d and %d share a size slice", step-1, step)
+		}
+	}
 }

@@ -18,12 +18,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"atm/internal/obs"
 	"atm/internal/parallel"
 	"atm/internal/predict"
-	"atm/internal/resize"
 	"atm/internal/spatial"
 	"atm/internal/ticket"
 	"atm/internal/timeseries"
@@ -133,25 +131,21 @@ type BoxPrediction struct {
 	PeakMAPE []float64
 }
 
-// PredictBox fits spatial + temporal models on the first TrainWindows
-// samples of the box's demand series and forecasts the next Horizon
-// samples for every series. The period passed to the default temporal
-// model is samplesPerDay.
-func PredictBox(demands []timeseries.Series, samplesPerDay int, cfg Config) (*BoxPrediction, error) {
-	return PredictBoxContext(context.Background(), demands, samplesPerDay, cfg)
-}
-
-// PredictBoxContext is PredictBox with tracing: under an obs.Tracer it
+// PredictBoxContext fits spatial + temporal models on the first
+// TrainWindows samples of the box's demand series and forecasts the
+// next Horizon samples for every series. The period passed to the
+// default temporal model is samplesPerDay. Under an obs.Tracer it
 // emits a "core.predict" span with children for the signature search,
-// the temporal fits and the spatial reconstruction. Stage latencies
-// feed the atm_stage_seconds histogram either way. It is a one-shot
-// adapter over the staged Pipeline (fresh model state, no reuse).
+// the temporal fits and the spatial reconstruction; stage latencies
+// feed the atm_stage_seconds histogram either way. It runs the
+// prediction stages of a fresh Pipeline (no retained model state, no
+// reuse), which the returned prediction then owns.
 func PredictBoxContext(ctx context.Context, demands []timeseries.Series, samplesPerDay int, cfg Config) (*BoxPrediction, error) {
 	p, err := NewPipeline(samplesPerDay, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return p.predict(ctx, demands)
+	return p.predictInto(ctx, demands)
 }
 
 const maxFloat = 1e300
@@ -165,8 +159,8 @@ func (p *BoxPrediction) Evaluate(demands []timeseries.Series, cfg Config, peakOf
 		return fmt.Errorf("core: evaluate with %d series, predicted %d: %w",
 			len(demands), len(p.Demand), timeseries.ErrLengthMismatch)
 	}
-	// Buffers are reused when a retained prediction is re-evaluated
-	// (the arena step path); fresh predictions allocate as before.
+	// Buffers are reused when the pipeline re-evaluates its retained
+	// prediction step after step; a fresh prediction allocates.
 	p.MAPE = growFloats(p.MAPE, len(demands))
 	p.PeakMAPE = growFloats(p.PeakMAPE, len(demands))
 	for i, d := range demands {
@@ -206,95 +200,19 @@ type BoxRun struct {
 // Reduction returns the relative ticket reduction of the run.
 func (r *BoxRun) Reduction() float64 { return ticket.Reduction(r.TicketsBefore, r.TicketsAfter) }
 
-// ResizeBox solves the resizing problem for one resource of a box,
-// using predicted demands to choose sizes and actual demands to
-// evaluate them. The box's total capacity for the resource is the
-// constraint C.
-func ResizeBox(b *trace.Box, pred *BoxPrediction, r trace.Resource, cfg Config) (*BoxRun, error) {
-	return ResizeBoxContext(context.Background(), b, pred, r, cfg)
-}
-
-// ResizeBoxContext is ResizeBox with tracing: under an obs.Tracer it
-// emits a "core.resize" span carrying the resource, the solver
-// outcome and the ticket delta.
+// ResizeBoxContext solves the resizing problem for one resource of a
+// box, using predicted demands to choose sizes and actual demands to
+// evaluate them. Under an obs.Tracer it emits a "core.resize" span
+// carrying the resource, the solver outcome and the ticket delta. It
+// runs the pipeline's resize stage on an arena of its own, which the
+// returned run then owns.
 func ResizeBoxContext(ctx context.Context, b *trace.Box, pred *BoxPrediction, r trace.Resource, cfg Config) (*BoxRun, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	_, span := obs.StartSpan(ctx, "core.resize")
-	defer span.End()
-	span.SetAttr("resource", r.String())
-	span.SetAttr("box", b.ID)
-	resizeStart := time.Now()
-	defer func() {
-		resizeSeconds.Observe(time.Since(resizeStart).Seconds())
-	}()
-	m := len(b.VMs)
-	capacity := b.CPUCapGHz
-	if r == trace.RAM {
-		capacity = b.RAMCapGB
-	}
-	vms := make([]resize.VM, m)
-	var lbSum float64
-	for v := 0; v < m; v++ {
-		predicted := pred.Demand[trace.SeriesIndex(v, r)]
-		lb := 0.0
-		if cfg.UseLowerBounds {
-			// Peak demand over the training history: satisfied usage
-			// cannot spill into the resizing window.
-			hist := b.VMs[v].Demand(r).Slice(0, cfg.TrainWindows)
-			lb = hist.Max()
-		}
-		lbSum += lb
-		vms[v] = resize.VM{Demand: predicted, LowerBound: lb}
-	}
-	if lbSum > capacity {
-		// Burst peaks on an overcommitted box can sum past the box
-		// capacity; insisting on them would make every allocation
-		// infeasible. Scale the floors into the budget instead.
-		f := capacity / lbSum * (1 - 1e-9)
-		for v := range vms {
-			vms[v].LowerBound *= f
-		}
-	}
-	prob := &resize.Problem{
-		VMs:       vms,
-		Capacity:  capacity,
-		Threshold: cfg.Threshold,
-		Epsilon:   cfg.Epsilon,
-	}
-	alloc, err := prob.Greedy()
-	if err != nil {
-		return nil, fmt.Errorf("core: resize %s of %s: %w", r, b.ID, err)
-	}
-
-	// Do no harm: if the current allocation already fits the box and
-	// is predicted to ticket no more than the optimized one, keep it.
-	// Prediction error can otherwise talk the optimizer into shrinking
-	// a perfectly healthy box.
-	current := b.Capacities(r)
-	var curSum float64
-	for _, c := range current {
-		curSum += c
-	}
-	if curSum <= capacity {
-		curTickets, err := prob.Tickets(current)
-		if err == nil && curTickets <= alloc.Tickets {
-			alloc = resize.Allocation{Sizes: current, Tickets: curTickets}
-		}
-	}
-
-	run := &BoxRun{Resource: r, Sizes: alloc.Sizes}
-	for v := 0; v < m; v++ {
-		actual := b.VMs[v].Demand(r).Slice(cfg.TrainWindows, cfg.TrainWindows+cfg.Horizon)
-		run.TicketsBefore += ticket.Count(actual, b.VMs[v].Capacity(r), cfg.Threshold)
-		run.TicketsAfter += ticket.Count(actual, alloc.Sizes[v], cfg.Threshold)
-	}
-	ticketsBefore.Add(float64(run.TicketsBefore))
-	ticketsAfter.Add(float64(run.TicketsAfter))
-	span.SetAttr("tickets_before", run.TicketsBefore)
-	span.SetAttr("tickets_after", run.TicketsAfter)
-	return run, nil
+	var a stepArena
+	a.demandsInto(b)
+	return a.resizeBoxInto(ctx, cfg, 0, b, pred, r)
 }
 
 // BoxResult bundles everything ATM produced for one box.
@@ -343,6 +261,33 @@ func (r *BoxResult) MeanPeakMAPE() float64 {
 	return m
 }
 
+// Clone returns a deep copy of everything the pipeline produced.
+// StepInto's results live in the pipeline's arena, so whoever keeps
+// one past the next step keeps a clone: its own prediction, model and
+// size slices. Box is the caller's input and stays shared.
+func (r *BoxResult) Clone() *BoxResult {
+	out := *r
+	if r.Prediction != nil {
+		pred := *r.Prediction
+		pred.Model = pred.Model.Clone()
+		pred.Demand = make([]timeseries.Series, len(r.Prediction.Demand))
+		for i, d := range r.Prediction.Demand {
+			pred.Demand[i] = d.Clone()
+		}
+		pred.MAPE = append([]float64(nil), pred.MAPE...)
+		pred.PeakMAPE = append([]float64(nil), pred.PeakMAPE...)
+		out.Prediction = &pred
+	}
+	out.CPU, out.RAM = r.CPU.clone(), r.RAM.clone()
+	return &out
+}
+
+func (r *BoxRun) clone() *BoxRun {
+	out := *r
+	out.Sizes = append([]float64(nil), r.Sizes...)
+	return &out
+}
+
 // RunBox executes the full ATM pipeline (predict + resize CPU and RAM)
 // on one box.
 func RunBox(b *trace.Box, samplesPerDay int, cfg Config) (*BoxResult, error) {
@@ -352,15 +297,21 @@ func RunBox(b *trace.Box, samplesPerDay int, cfg Config) (*BoxResult, error) {
 // RunBoxContext is RunBox with tracing: under an obs.Tracer the whole
 // box run nests beneath a "core.box" span — signature search, temporal
 // fits, reconstruction, evaluation and both resource resizes — so a
-// single exported trace shows where one box's latency went. It is a
-// one-shot adapter over the staged Pipeline: a fresh pipeline with no
-// retained model state runs exactly one step.
+// single exported trace shows where one box's latency went. A fresh
+// pipeline with no retained model state runs exactly one step; the
+// result is cloned out so the pipeline's arena (a copy of the whole
+// window, the fitted temporal models) does not live as long as a
+// fleet's worth of results.
 func RunBoxContext(ctx context.Context, b *trace.Box, samplesPerDay int, cfg Config) (*BoxResult, error) {
 	p, err := NewPipeline(samplesPerDay, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", b.ID, err)
 	}
-	return p.StepContext(ctx, b)
+	res, err := p.StepInto(ctx, b)
+	if res == nil {
+		return nil, err
+	}
+	return res.Clone(), err
 }
 
 // Run executes ATM over many boxes concurrently on the shared worker

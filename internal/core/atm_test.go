@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -34,7 +35,7 @@ func testBox(t *testing.T, seed int64) (*trace.Box, int) {
 func TestPredictBoxShapes(t *testing.T) {
 	b, spd := testBox(t, 3)
 	cfg := fastConfig(spd)
-	pred, err := PredictBox(b.DemandSeries(), spd, cfg)
+	pred, err := PredictBoxContext(context.Background(), b.DemandSeries(), spd, cfg)
 	if err != nil {
 		t.Fatalf("PredictBox: %v", err)
 	}
@@ -64,7 +65,7 @@ func TestPredictBoxAccuracy(t *testing.T) {
 	b, spd := testBox(t, 5)
 	cfg := fastConfig(spd)
 	demands := b.DemandSeries()
-	pred, err := PredictBox(demands, spd, cfg)
+	pred, err := PredictBoxContext(context.Background(), demands, spd, cfg)
 	if err != nil {
 		t.Fatalf("PredictBox: %v", err)
 	}
@@ -84,22 +85,22 @@ func TestPredictBoxAccuracy(t *testing.T) {
 func TestPredictBoxErrors(t *testing.T) {
 	b, spd := testBox(t, 7)
 	cfg := fastConfig(spd)
-	if _, err := PredictBox(nil, spd, cfg); !errors.Is(err, spatial.ErrNoSeries) {
+	if _, err := PredictBoxContext(context.Background(), nil, spd, cfg); !errors.Is(err, spatial.ErrNoSeries) {
 		t.Errorf("err = %v, want ErrNoSeries", err)
 	}
 	short := cfg
 	short.TrainWindows = 10 * spd
-	if _, err := PredictBox(b.DemandSeries(), spd, short); !errors.Is(err, ErrShortTrace) {
+	if _, err := PredictBoxContext(context.Background(), b.DemandSeries(), spd, short); !errors.Is(err, ErrShortTrace) {
 		t.Errorf("err = %v, want ErrShortTrace", err)
 	}
 	bad := cfg
 	bad.Horizon = 0
-	if _, err := PredictBox(b.DemandSeries(), spd, bad); !errors.Is(err, ErrBadConfig) {
+	if _, err := PredictBoxContext(context.Background(), b.DemandSeries(), spd, bad); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("err = %v, want ErrBadConfig", err)
 	}
 	bad = cfg
 	bad.Threshold = 2
-	if _, err := PredictBox(b.DemandSeries(), spd, bad); !errors.Is(err, ErrBadConfig) {
+	if _, err := PredictBoxContext(context.Background(), b.DemandSeries(), spd, bad); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("err = %v, want ErrBadConfig", err)
 	}
 }
@@ -111,11 +112,11 @@ func TestResizeBoxReducesTickets(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		b, spd := testBox(t, seed)
 		cfg := fastConfig(spd)
-		pred, err := PredictBox(b.DemandSeries(), spd, cfg)
+		pred, err := PredictBoxContext(context.Background(), b.DemandSeries(), spd, cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		run, err := ResizeBox(b, pred, trace.CPU, cfg)
+		run, err := ResizeBoxContext(context.Background(), b, pred, trace.CPU, cfg)
 		if err != nil {
 			t.Fatalf("seed %d resize: %v", seed, err)
 		}
@@ -201,11 +202,11 @@ func TestUseLowerBounds(t *testing.T) {
 	b, spd := testBox(t, 4)
 	cfg := fastConfig(spd)
 	cfg.UseLowerBounds = true
-	pred, err := PredictBox(b.DemandSeries(), spd, cfg)
+	pred, err := PredictBoxContext(context.Background(), b.DemandSeries(), spd, cfg)
 	if err != nil {
 		t.Fatalf("PredictBox: %v", err)
 	}
-	run, err := ResizeBox(b, pred, trace.CPU, cfg)
+	run, err := ResizeBoxContext(context.Background(), b, pred, trace.CPU, cfg)
 	if err != nil {
 		// Lower bounds can make tight boxes infeasible; that is a
 		// legitimate outcome, not a test failure — but our generator
@@ -232,7 +233,7 @@ func TestDefaultTemporalIsMLP(t *testing.T) {
 		Horizon:      8,
 		Threshold:    0.6,
 	}
-	pred, err := PredictBox(b.DemandSeries(), tr.SamplesPerDay, cfg)
+	pred, err := PredictBoxContext(context.Background(), b.DemandSeries(), tr.SamplesPerDay, cfg)
 	if err != nil {
 		t.Fatalf("PredictBox with default temporal: %v", err)
 	}
@@ -291,7 +292,7 @@ func TestEvaluateAndPeakMAPE(t *testing.T) {
 	b, spd := testBox(t, 6)
 	cfg := fastConfig(spd)
 	demands := b.DemandSeries()
-	pred, err := PredictBox(demands, spd, cfg)
+	pred, err := PredictBoxContext(context.Background(), demands, spd, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,13 +324,13 @@ func TestEvaluateAndPeakMAPE(t *testing.T) {
 func TestResizeBoxValidatesConfig(t *testing.T) {
 	b, spd := testBox(t, 8)
 	cfg := fastConfig(spd)
-	pred, err := PredictBox(b.DemandSeries(), spd, cfg)
+	pred, err := PredictBoxContext(context.Background(), b.DemandSeries(), spd, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad := cfg
 	bad.Threshold = 0
-	if _, err := ResizeBox(b, pred, trace.CPU, bad); !errors.Is(err, ErrBadConfig) {
+	if _, err := ResizeBoxContext(context.Background(), b, pred, trace.CPU, bad); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("err = %v, want ErrBadConfig", err)
 	}
 }
@@ -339,11 +340,11 @@ func TestDoNoHarmGuard(t *testing.T) {
 	// must keep its sizes when the optimizer cannot do better.
 	b, spd := testBox(t, 16)
 	cfg := fastConfig(spd)
-	pred, err := PredictBox(b.DemandSeries(), spd, cfg)
+	pred, err := PredictBoxContext(context.Background(), b.DemandSeries(), spd, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := ResizeBox(b, pred, trace.RAM, cfg)
+	run, err := ResizeBoxContext(context.Background(), b, pred, trace.RAM, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

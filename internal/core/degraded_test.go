@@ -176,7 +176,7 @@ func TestStingyFallbackEvictedWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Step(b)
+	res, err := p.StepInto(context.Background(), b)
 	if !errors.Is(err, ErrShortTrace) {
 		t.Fatalf("err = %v, want ErrShortTrace", err)
 	}
@@ -232,7 +232,7 @@ func TestStingyFallbackEvictedWindow(t *testing.T) {
 // TestDegradedOnGapWindow covers a monitoring gap inside the training
 // window: the DTW search must refuse the NaN sample, and the box must
 // fall back to the stingy plan rather than cluster on NaN distances —
-// on the exact and the pruned search, through both step paths.
+// on the exact and the pruned search.
 func TestDegradedOnGapWindow(t *testing.T) {
 	b, spd := testBox(t, 11)
 	b.VMs[0].CPU[spd/2] = math.NaN()
@@ -244,20 +244,61 @@ func TestDegradedOnGapWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, step := range map[string]func() (*BoxResult, error){
-			"Step":     func() (*BoxResult, error) { return p.Step(b) },
-			"StepInto": func() (*BoxResult, error) { return p.StepInto(context.Background(), b) },
-		} {
-			res, err := step()
-			if !errors.Is(err, cluster.ErrNonFinite) {
-				t.Fatalf("approx=%v %s: err = %v, want ErrNonFinite", approx, name, err)
-			}
-			if res == nil || !res.Degraded || !errors.Is(res.FallbackErr, cluster.ErrNonFinite) {
-				t.Fatalf("approx=%v %s: res = %+v, want the degraded fallback", approx, name, res)
-			}
-			if res.Prediction != nil {
-				t.Errorf("approx=%v %s: gap window carries a prediction", approx, name)
-			}
+		res, err := p.StepInto(context.Background(), b)
+		if !errors.Is(err, cluster.ErrNonFinite) {
+			t.Fatalf("approx=%v: err = %v, want ErrNonFinite", approx, err)
 		}
+		if res == nil || !res.Degraded || !errors.Is(res.FallbackErr, cluster.ErrNonFinite) {
+			t.Fatalf("approx=%v: res = %+v, want the degraded fallback", approx, res)
+		}
+		if res.Prediction != nil {
+			t.Errorf("approx=%v: gap window carries a prediction", approx)
+		}
+	}
+}
+
+// TestRunRollingDegradedGap: a monitoring gap that sits inside some
+// windows' training history must not end a degraded rolling run.
+// Exactly the steps whose training window covers the gap ship the
+// flagged stingy fallback, every other step carries a forecast, and
+// the causes come back joined; with Degraded off the first such step
+// still aborts the run.
+func TestRunRollingDegradedGap(t *testing.T) {
+	b, spd := stationaryBox(t, 8) // 128 samples: T=32, H=16 → 6 steps
+	const gap = 40
+	b.VMs[0].CPU[gap] = math.NaN()
+	cfg := fastConfig(spd)
+	cfg.Spatial = spatial.Config{Method: spatial.MethodDTW}
+
+	if res, err := RunRolling(b, spd, cfg); res != nil || !errors.Is(err, cluster.ErrNonFinite) {
+		t.Fatalf("strict run: %d results, err = %v; want an ErrNonFinite abort", len(res), err)
+	}
+
+	cfg.Degraded = true
+	results, err := RunRolling(b, spd, cfg)
+	if !errors.Is(err, cluster.ErrNonFinite) {
+		t.Fatalf("err = %v, want the joined ErrNonFinite causes", err)
+	}
+	if len(results) != 6 {
+		t.Fatalf("steps = %d, want 6", len(results))
+	}
+	degraded := 0
+	for k, r := range results {
+		from := k * cfg.Horizon
+		covers := from <= gap && gap < from+cfg.TrainWindows
+		if r.Result.Degraded != covers {
+			t.Errorf("step %d: degraded = %v, training window covers the gap = %v", k, r.Result.Degraded, covers)
+		}
+		if covers {
+			degraded++
+			if !errors.Is(r.Result.FallbackErr, cluster.ErrNonFinite) {
+				t.Errorf("step %d: FallbackErr = %v, want ErrNonFinite", k, r.Result.FallbackErr)
+			}
+		} else if r.Result.Prediction == nil {
+			t.Errorf("step %d: clean training window carries no forecast", k)
+		}
+	}
+	if degraded != 2 {
+		t.Fatalf("%d degraded steps, want 2 (the gap sits in two training windows)", degraded)
 	}
 }

@@ -1,19 +1,13 @@
 package core
 
 import (
-	"context"
-	"errors"
-	"fmt"
 	"math"
-	"time"
 
 	"atm/internal/cluster"
 	"atm/internal/obs"
-	"atm/internal/parallel"
 	"atm/internal/predict"
 	"atm/internal/spatial"
 	"atm/internal/timeseries"
-	"atm/internal/trace"
 )
 
 // Staged-engine metrics: every step either re-runs the full signature
@@ -71,13 +65,6 @@ type ReusePolicy struct {
 	// MinR2 triggers a re-search when the mean R² of the refitted
 	// dependent models drops below it; 0 disables the check.
 	MinR2 float64
-	// ExactRefit forces StepInto's reuse steps through the reference
-	// from-scratch refit (spatial.Refit) instead of the incremental
-	// O(p²) window-roll path. The incremental path agrees with the
-	// reference within 1e-9; this escape hatch pins the reference for
-	// debugging or certification runs. StepContext always uses the
-	// reference path.
-	ExactRefit bool
 }
 
 func (r ReusePolicy) maxAge() int {
@@ -96,16 +83,17 @@ func (r ReusePolicy) mapeGrowth() float64 {
 
 // Pipeline is the staged ATM engine for one box: signature search →
 // temporal fit/predict → dependent OLS reconstruction → per-resource
-// resize, with optional model reuse across successive windows. The
-// batch entry points (Run, RunBox, PredictBox) and the rolling/
-// streaming drivers (RunRolling, the engine package) are all thin
-// adapters over the same stages, so batch and streaming share one
-// code path.
+// resize, with optional model reuse across successive windows. StepInto
+// is the only implementation of that sequence: the batch entry points
+// (Run, RunBox, PredictBoxContext) step a fresh pipeline once, and the
+// rolling/streaming drivers (RunRolling, control.RunRolling, the engine
+// package) step one pipeline per box window after window.
 //
-// A Pipeline retains per-box model state between Step calls (the
-// signature set, its age, and the drift baseline); use one Pipeline
-// per box. It is not safe for concurrent use — callers that fan out
-// over boxes give each box its own Pipeline.
+// A Pipeline retains per-box model state between StepInto calls (the
+// signature set, its age, the drift baseline, the incremental roller
+// and the buffers every stage writes into); use one Pipeline per box.
+// It is not safe for concurrent use — callers that fan out over boxes
+// give each box its own Pipeline.
 type Pipeline struct {
 	cfg           Config
 	samplesPerDay int
@@ -117,17 +105,17 @@ type Pipeline struct {
 	baseMAPE      float64 // mean MAPE recorded right after the last research
 	haveBase      bool
 	driftStreak   int    // consecutive windows breaching the MAPE growth bound
-	researchNext  bool   // drift detected; next stageSearch must re-search
+	researchNext  bool   // drift detected; the next step must re-search
 	researchCause string // Reason* constant behind researchNext ("" when unset)
 	severeDrift   bool   // last observation breached twice the growth bound
 
 	lastResearch bool     // whether the most recent step ran a full search
 	lastDecision Decision // typed record of the most recent step's choice
 
-	// Incremental step state (StepInto): the roller maintains the
-	// dependent fits' normal equations across rolled windows, the bank
-	// carries DTW envelopes across searches, and the arena owns every
-	// buffer a steady-state step touches.
+	// Incremental step state: the roller maintains the dependent fits'
+	// normal equations across rolled windows, the bank carries DTW
+	// envelopes across searches, and the arena owns every buffer a
+	// steady-state step touches.
 	roller *spatial.Roller
 	bank   *cluster.EnvelopeBank
 	arena  stepArena
@@ -168,56 +156,6 @@ func (p *Pipeline) SevereDrift() bool { return p.severeDrift }
 // mutate it.
 func (p *Pipeline) Signatures() []int { return p.sigs }
 
-// stageSearch produces the spatial model for the training window:
-// a full signature search when reuse is off, no set is retained yet,
-// drift was flagged, or the retained set aged out; otherwise a cheap
-// refit of the retained signature set. A refit that fails (e.g. the
-// retained indices no longer span the window) falls back to a full
-// search rather than surfacing the error.
-func (p *Pipeline) stageSearch(ctx context.Context, train []timeseries.Series) (*spatial.Model, error) {
-	reuse := p.cfg.Reuse
-	research, reason := p.planDecision()
-	age := p.age
-	searchStart := time.Now()
-	var model *spatial.Model
-	var err error
-	if !research {
-		model, err = spatial.RefitContext(ctx, train, p.sigs)
-		if err != nil {
-			research = true
-			reason = ReasonRefitFailed
-		}
-	}
-	if research {
-		model, err = spatial.SearchContext(ctx, train, p.searchConfig())
-	}
-	searchSeconds.Observe(time.Since(searchStart).Seconds())
-	if err != nil {
-		return nil, fmt.Errorf("core: signature search: %w", err)
-	}
-	if research {
-		researchTotal.Inc()
-		p.sigs = append([]int(nil), model.Signatures...)
-		p.age = 0
-		p.haveBase = false
-		p.driftStreak = 0
-		p.researchNext = false
-		p.researchCause = ""
-	} else {
-		refitTotal.Inc()
-		p.age++
-		// R²-based drift check: dependents the retained signature set
-		// can no longer explain flag the next step for a re-search.
-		if reuse.MinR2 > 0 && meanDependentR2(model) < reuse.MinR2 {
-			p.researchNext = true
-			p.researchCause = ReasonLowR2
-		}
-	}
-	p.lastResearch = research
-	p.lastDecision = Decision{Research: research, Reason: reason, Age: age}
-	return model, nil
-}
-
 // meanDependentR2 averages the training R² of the model's dependent
 // fits; a model whose every series is a signature scores 1.
 func meanDependentR2(m *spatial.Model) float64 {
@@ -229,91 +167,6 @@ func meanDependentR2(m *spatial.Model) float64 {
 		sum += fit.R2
 	}
 	return sum / float64(len(m.Dependents))
-}
-
-// stageTemporal fits one temporal model per signature series on the
-// training window and forecasts Horizon steps ahead. Each signature
-// gets its own model instance (models are stateful), so the fits are
-// independent and run on the worker pool — the temporal fit dominates
-// per-box latency with the paper's MLP.
-func (p *Pipeline) stageTemporal(ctx context.Context, model *spatial.Model, train []timeseries.Series) ([]timeseries.Series, error) {
-	_, tspan := obs.StartSpan(ctx, "core.temporal_fit")
-	tspan.SetAttr("signatures", len(model.Signatures))
-	fitStart := time.Now()
-	sigForecasts := make([]timeseries.Series, len(model.Signatures))
-	err := parallel.ForEach(len(model.Signatures), func(i int) error {
-		idx := model.Signatures[i]
-		m := p.factory()
-		if err := m.Fit(train[idx]); err != nil {
-			return fmt.Errorf("core: fit temporal model for series %d: %w", idx, err)
-		}
-		fc, err := m.Forecast(p.cfg.Horizon)
-		if err != nil {
-			return fmt.Errorf("core: forecast series %d: %w", idx, err)
-		}
-		sigForecasts[i] = fc
-		return nil
-	}, parallel.WithWorkers(p.cfg.Workers))
-	temporalFitSeconds.Observe(time.Since(fitStart).Seconds())
-	tspan.End()
-	if err != nil {
-		return nil, err
-	}
-	return sigForecasts, nil
-}
-
-// stageReconstruct turns the signature forecasts into forecasts for
-// every series on the box via the dependents' linear spatial models,
-// clamping at zero (demands are physical quantities).
-func (p *Pipeline) stageReconstruct(ctx context.Context, model *spatial.Model, sigForecasts []timeseries.Series) ([]timeseries.Series, error) {
-	_, rspan := obs.StartSpan(ctx, "core.reconstruct")
-	defer rspan.End()
-	all, err := model.Reconstruct(sigForecasts)
-	if err != nil {
-		return nil, fmt.Errorf("core: reconstruct dependents: %w", err)
-	}
-	for i := range all {
-		all[i] = all[i].Clamp(0, maxFloat)
-	}
-	return all, nil
-}
-
-// predict composes the search, temporal and reconstruction stages on
-// the first TrainWindows samples of the demand series, forecasting
-// the next Horizon samples for every series.
-func (p *Pipeline) predict(ctx context.Context, demands []timeseries.Series) (*BoxPrediction, error) {
-	if len(demands) == 0 {
-		return nil, spatial.ErrNoSeries
-	}
-	need := p.cfg.TrainWindows + p.cfg.Horizon
-	for i, d := range demands {
-		if len(d) < need {
-			return nil, fmt.Errorf("series %d has %d samples, need %d: %w", i, len(d), need, ErrShortTrace)
-		}
-	}
-
-	ctx, span := obs.StartSpan(ctx, "core.predict")
-	defer span.End()
-	span.SetAttr("series", len(demands))
-
-	train := make([]timeseries.Series, len(demands))
-	for i, d := range demands {
-		train[i] = d.Slice(0, p.cfg.TrainWindows)
-	}
-
-	model, err := p.stageSearch(ctx, train)
-	if err != nil {
-		return nil, err
-	}
-	sigForecasts, err := p.stageTemporal(ctx, model, train)
-	if err != nil {
-		return nil, err
-	}
-	all, err := p.stageReconstruct(ctx, model, sigForecasts)
-	if err != nil {
-		return nil, err
-	}
-	return &BoxPrediction{Model: model, Demand: all}, nil
 }
 
 // observe feeds a step's evaluated prediction error back into the
@@ -353,71 +206,6 @@ func (p *Pipeline) observe(pred *BoxPrediction) {
 	default:
 		p.driftStreak = 0
 	}
-}
-
-// Step runs the full staged pipeline (predict + evaluate + resize CPU
-// and RAM) on one window of the box, updating the retained model
-// state for the next window.
-func (p *Pipeline) Step(b *trace.Box) (*BoxResult, error) {
-	return p.StepContext(context.Background(), b)
-}
-
-// StepContext is Step with tracing: under an obs.Tracer the whole
-// window nests beneath a "core.box" span — signature search or refit,
-// temporal fits, reconstruction, evaluation and both resource resizes.
-// In degraded mode model failures yield the stingy fallback result
-// alongside the causing error (see Config.Degraded).
-func (p *Pipeline) StepContext(ctx context.Context, b *trace.Box) (*BoxResult, error) {
-	ctx, span := obs.StartSpan(ctx, "core.box")
-	defer span.End()
-	span.SetAttr("box", b.ID)
-	span.SetAttr("vms", len(b.VMs))
-
-	// fail routes pipeline errors: in degraded mode model failures
-	// (not config mistakes) yield the stingy fallback result alongside
-	// the causing error, so the fleet run keeps going.
-	fail := func(err error) (*BoxResult, error) {
-		if p.cfg.Degraded && !errors.Is(err, ErrBadConfig) {
-			span.SetAttr("degraded", true)
-			return degradedResult(b, p.cfg, err), err
-		}
-		return nil, err
-	}
-
-	demands := b.DemandSeries()
-	pred, err := p.predict(ctx, demands)
-	if err != nil {
-		return fail(fmt.Errorf("core: %s: %w", b.ID, err))
-	}
-	// Peak level for series i: ticket threshold times allocated
-	// capacity of the owning VM.
-	peaks := make([]float64, len(demands))
-	for i := range peaks {
-		vm := &b.VMs[trace.SeriesVM(i)]
-		peaks[i] = p.cfg.Threshold * vm.Capacity(trace.SeriesResource(i))
-	}
-	_, espan := obs.StartSpan(ctx, "core.evaluate")
-	evalStart := time.Now()
-	err = pred.Evaluate(demands, p.cfg, peaks)
-	evaluateSeconds.Observe(time.Since(evalStart).Seconds())
-	espan.End()
-	if err != nil {
-		return fail(fmt.Errorf("core: %s: evaluate: %w", b.ID, err))
-	}
-	p.observe(pred)
-	res := &BoxResult{Box: b, Prediction: pred}
-	// CPU and RAM resizing are independent MCKP solves; fan them out on
-	// the shared pool (Run pins per-box Workers to 1, so nested calls
-	// stay inline and the box-level fan-out keeps the cores saturated).
-	runs, err := parallel.Map(2, func(i int) (*BoxRun, error) {
-		return ResizeBoxContext(ctx, b, pred, [...]trace.Resource{trace.CPU, trace.RAM}[i], p.cfg)
-	}, parallel.WithWorkers(p.cfg.Workers))
-	if err != nil {
-		return fail(err)
-	}
-	res.CPU, res.RAM = runs[0], runs[1]
-	boxesRun.Inc()
-	return res, nil
 }
 
 // ResetModel drops the retained signature set and drift state, forcing

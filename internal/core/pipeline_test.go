@@ -97,10 +97,7 @@ func TestRollingContextCancellation(t *testing.T) {
 // every VM series per step.
 func TestWindowBoxAliasing(t *testing.T) {
 	b, _ := stationaryBox(t, 3)
-	wb, err := windowBox(b, 8, 24)
-	if err != nil {
-		t.Fatalf("windowBox: %v", err)
-	}
+	wb := windowBox(t, b, 8, 24)
 	for v := range wb.VMs {
 		if wb.VMs[v].CPU.Len() != 16 {
 			t.Fatalf("vm %d window len = %d", v, wb.VMs[v].CPU.Len())
@@ -109,13 +106,13 @@ func TestWindowBoxAliasing(t *testing.T) {
 			t.Errorf("vm %d window does not alias parent storage", v)
 		}
 	}
-	if _, err := windowBox(b, -1, 4); err == nil {
+	if err := windowInto(wb, b, -1, 4); err == nil {
 		t.Error("negative from accepted")
 	}
-	if _, err := windowBox(b, 0, len(b.VMs[0].CPU)+1); err == nil {
+	if err := windowInto(wb, b, 0, len(b.VMs[0].CPU)+1); err == nil {
 		t.Error("past-end to accepted")
 	}
-	if _, err := windowBox(b, 4, 4); err == nil {
+	if err := windowInto(wb, b, 4, 4); err == nil {
 		t.Error("empty window accepted")
 	}
 }
@@ -130,21 +127,16 @@ func TestPipelineResetModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wb, err := windowBox(b, 0, cfg.TrainWindows+cfg.Horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Step(wb); err != nil {
+	ctx := context.Background()
+	wb := windowBox(t, b, 0, cfg.TrainWindows+cfg.Horizon)
+	if _, err := p.StepInto(ctx, wb); err != nil {
 		t.Fatalf("step 1: %v", err)
 	}
 	if !p.LastResearch() || p.Signatures() == nil {
 		t.Fatal("cold step did not research")
 	}
-	wb2, err := windowBox(b, cfg.Horizon, cfg.TrainWindows+2*cfg.Horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Step(wb2); err != nil {
+	wb2 := windowBox(t, b, cfg.Horizon, cfg.TrainWindows+2*cfg.Horizon)
+	if _, err := p.StepInto(ctx, wb2); err != nil {
 		t.Fatalf("step 2: %v", err)
 	}
 	if p.LastResearch() {
@@ -154,7 +146,7 @@ func TestPipelineResetModel(t *testing.T) {
 	if p.Signatures() != nil {
 		t.Error("ResetModel kept signatures")
 	}
-	if _, err := p.Step(wb2); err != nil {
+	if _, err := p.StepInto(ctx, wb2); err != nil {
 		t.Fatalf("step 3: %v", err)
 	}
 	if !p.LastResearch() {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"atm/internal/obs"
@@ -41,71 +42,109 @@ func RunRolling(b *trace.Box, samplesPerDay int, cfg Config) ([]RollingResult, e
 	return RunRollingContext(context.Background(), b, samplesPerDay, cfg)
 }
 
-// RunRollingContext is RunRolling with tracing and cancellation,
-// matching the RunContext/RunBoxContext pattern: under an obs.Tracer
-// each resizing window nests beneath a per-step "core.rolling_step"
-// span inside one "core.rolling" root, and a context cancelled
-// between steps aborts the run with the context's error.
+// RunRollingContext is RunRolling with tracing and cancellation (see
+// Pipeline.Roll). It is the rolling driver plus retention: every
+// step's arena-owned result is cloned into the returned slice, with a
+// window box of its own. A step that fails aborts the run; with
+// Config.Degraded a failed step keeps its flagged stingy-fallback
+// result instead and the causes come back joined, like RunContext.
 func RunRollingContext(ctx context.Context, b *trace.Box, samplesPerDay int, cfg Config) ([]RollingResult, error) {
 	p, err := NewPipeline(samplesPerDay, cfg)
 	if err != nil {
 		return nil, err
 	}
+	var out []RollingResult
+	var errs []error
+	err = p.Roll(ctx, b, func(step int, wb *trace.Box, res *BoxResult, err error) error {
+		if res == nil {
+			return err
+		}
+		errs = append(errs, err)
+		kept := res.Clone()
+		box := *wb
+		box.VMs = append([]trace.VM(nil), wb.VMs...)
+		kept.Box = &box
+		out = append(out, RollingResult{Step: step, Result: kept, Research: p.LastResearch()})
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, errors.Join(errs...)
+}
+
+// Roll drives the pipeline online over the box's whole trace: one
+// StepInto per successive Horizon-sized window, each on the most
+// recent TrainWindows samples, floor((samples - TrainWindows) /
+// Horizon) steps in all. visit receives every step's window, result
+// and error (naming the step) before the next step runs; both the
+// window box and the result are reused by the next step, so a visitor
+// that keeps either clones it. A non-nil return from visit aborts the
+// run with that error.
+//
+// Under an obs.Tracer each window nests beneath a per-step
+// "core.rolling_step" span inside one "core.rolling" root, and a
+// context cancelled between steps aborts the run with the context's
+// error.
+func (p *Pipeline) Roll(ctx context.Context, b *trace.Box, visit func(step int, wb *trace.Box, res *BoxResult, err error) error) error {
+	cfg := p.cfg
 	total := 0
 	if len(b.VMs) > 0 {
 		total = len(b.VMs[0].CPU)
 	}
 	steps := (total - cfg.TrainWindows) / cfg.Horizon
 	if steps <= 0 {
-		return nil, fmt.Errorf("core: %d samples for train %d + horizon %d: %w",
+		return fmt.Errorf("core: %d samples for train %d + horizon %d: %w",
 			total, cfg.TrainWindows, cfg.Horizon, ErrShortTrace)
 	}
 	ctx, span := obs.StartSpan(ctx, "core.rolling")
 	defer span.End()
 	span.SetAttr("box", b.ID)
 	span.SetAttr("steps", steps)
-	out := make([]RollingResult, 0, steps)
+	var wb trace.Box
 	for step := 0; step < steps; step++ {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: rolling step %d: %w", step, err)
+			return fmt.Errorf("core: rolling step %d: %w", step, err)
 		}
-		from := step * cfg.Horizon
-		to := cfg.TrainWindows + (step+1)*cfg.Horizon
-		wb, err := windowBox(b, from, to)
-		if err != nil {
-			return nil, fmt.Errorf("core: rolling step %d: %w", step, err)
+		if err := windowInto(&wb, b, step*cfg.Horizon, cfg.TrainWindows+(step+1)*cfg.Horizon); err != nil {
+			return fmt.Errorf("core: rolling step %d: %w", step, err)
 		}
 		stepCtx, sspan := obs.StartSpan(ctx, "core.rolling_step")
 		sspan.SetAttr("step", step)
-		res, err := p.StepContext(stepCtx, wb)
+		res, err := p.StepInto(stepCtx, &wb)
 		sspan.End()
 		if err != nil {
-			return nil, fmt.Errorf("core: rolling step %d: %w", step, err)
+			err = fmt.Errorf("core: rolling step %d: %w", step, err)
 		}
-		out = append(out, RollingResult{Step: step, Result: res, Research: p.LastResearch()})
+		if err := visit(step, &wb, res, err); err != nil {
+			return err
+		}
 	}
-	return out, nil
+	return nil
 }
 
-// windowBox returns a view of the box restricted to sample range
-// [from, to). The returned box's usage series alias b's backing
-// arrays (timeseries.Series.Slice is zero-copy) — no per-step cloning
-// of every VM series.
+// windowInto makes wb a view of the box restricted to sample range
+// [from, to), reusing wb's VM slice. The view's usage series alias b's
+// backing arrays (timeseries.Series.Slice is zero-copy) — no per-step
+// cloning of every VM series.
 //
 // Aliasing contract: every downstream pipeline stage treats usage
-// series as read-only. Demand() allocates a fresh series (Scale),
+// series as read-only. The step copies demands into its arena,
 // clustering/regression/resize read their inputs, and evaluation only
 // slices — nothing mutates the shared storage. Callers that need to
 // mutate the windowed series must Clone them first.
-func windowBox(b *trace.Box, from, to int) (*trace.Box, error) {
-	out := &trace.Box{ID: b.ID, CPUCapGHz: b.CPUCapGHz, RAMCapGB: b.RAMCapGB}
-	out.VMs = make([]trace.VM, len(b.VMs))
+func windowInto(wb, b *trace.Box, from, to int) error {
+	wb.ID, wb.CPUCapGHz, wb.RAMCapGB = b.ID, b.CPUCapGHz, b.RAMCapGB
+	if cap(wb.VMs) < len(b.VMs) {
+		wb.VMs = make([]trace.VM, len(b.VMs))
+	}
+	wb.VMs = wb.VMs[:len(b.VMs)]
 	for i := range b.VMs {
 		vm := &b.VMs[i]
 		if from < 0 || to > len(vm.CPU) || from >= to {
-			return nil, fmt.Errorf("core: window [%d,%d) out of range [0,%d)", from, to, len(vm.CPU))
+			return fmt.Errorf("core: window [%d,%d) out of range [0,%d)", from, to, len(vm.CPU))
 		}
-		out.VMs[i] = trace.VM{
+		wb.VMs[i] = trace.VM{
 			ID:        vm.ID,
 			CPUCapGHz: vm.CPUCapGHz,
 			RAMCapGB:  vm.RAMCapGB,
@@ -113,72 +152,7 @@ func windowBox(b *trace.Box, from, to int) (*trace.Box, error) {
 			RAM:       vm.RAM.Slice(from, to),
 		}
 	}
-	return out, nil
-}
-
-// RunRollingFast is the arena counterpart of RunRolling: every step
-// runs through Pipeline.StepInto, so reuse steps refit by rolling the
-// retained factorizations (rank-1 Cholesky up/downdates, incremental
-// LB_Keogh envelopes) instead of recomputing them, and the steady
-// state allocates nothing. Per-step results live in the pipeline's
-// arena and are overwritten by the next step, so only the aggregate
-// summary is returned; callers that need per-step results (or
-// bit-exact parity with the batch run) use RunRolling. Ticket counts
-// are integer and match RunRolling's on the same trace; sizes and
-// errors track it within the incremental kernels' asserted 1e-9.
-func RunRollingFast(b *trace.Box, samplesPerDay int, cfg Config) (RollingSummary, error) {
-	return RunRollingFastContext(context.Background(), b, samplesPerDay, cfg)
-}
-
-// RunRollingFastContext is RunRollingFast with tracing and
-// cancellation.
-func RunRollingFastContext(ctx context.Context, b *trace.Box, samplesPerDay int, cfg Config) (RollingSummary, error) {
-	p, err := NewPipeline(samplesPerDay, cfg)
-	if err != nil {
-		return RollingSummary{}, err
-	}
-	total := 0
-	if len(b.VMs) > 0 {
-		total = len(b.VMs[0].CPU)
-	}
-	steps := (total - cfg.TrainWindows) / cfg.Horizon
-	if steps <= 0 {
-		return RollingSummary{}, fmt.Errorf("core: %d samples for train %d + horizon %d: %w",
-			total, cfg.TrainWindows, cfg.Horizon, ErrShortTrace)
-	}
-	ctx, span := obs.StartSpan(ctx, "core.rolling_fast")
-	defer span.End()
-	span.SetAttr("box", b.ID)
-	span.SetAttr("steps", steps)
-	var acc rollingAcc
-	wb := &trace.Box{ID: b.ID, CPUCapGHz: b.CPUCapGHz, RAMCapGB: b.RAMCapGB,
-		VMs: make([]trace.VM, len(b.VMs))}
-	for step := 0; step < steps; step++ {
-		if err := ctx.Err(); err != nil {
-			return RollingSummary{}, fmt.Errorf("core: rolling step %d: %w", step, err)
-		}
-		from := step * cfg.Horizon
-		to := cfg.TrainWindows + (step+1)*cfg.Horizon
-		for i := range b.VMs {
-			vm := &b.VMs[i]
-			if from < 0 || to > len(vm.CPU) || from >= to {
-				return RollingSummary{}, fmt.Errorf("core: window [%d,%d) out of range [0,%d)", from, to, len(vm.CPU))
-			}
-			wb.VMs[i] = trace.VM{
-				ID:        vm.ID,
-				CPUCapGHz: vm.CPUCapGHz,
-				RAMCapGB:  vm.RAMCapGB,
-				CPU:       vm.CPU.Slice(from, to),
-				RAM:       vm.RAM.Slice(from, to),
-			}
-		}
-		res, err := p.StepInto(ctx, wb)
-		if err != nil {
-			return RollingSummary{}, fmt.Errorf("core: rolling step %d: %w", step, err)
-		}
-		acc.observe(res, p.LastResearch())
-	}
-	return acc.summary(), nil
+	return nil
 }
 
 // RollingSummary aggregates an online run.
@@ -201,48 +175,30 @@ type RollingSummary struct {
 
 // SummarizeRolling aggregates the per-step results.
 func SummarizeRolling(results []RollingResult) RollingSummary {
-	var acc rollingAcc
-	for _, r := range results {
-		acc.observe(r.Result, r.Research)
-	}
-	return acc.summary()
-}
-
-// rollingAcc accumulates the per-step observations behind a
-// RollingSummary — shared by SummarizeRolling (over retained results)
-// and RunRollingFast (whose arena results are consumed step by step).
-type rollingAcc struct {
-	steps, researches   int
-	mape                float64
-	cpuBefore, cpuAfter int
-	ramBefore, ramAfter int
-}
-
-func (a *rollingAcc) observe(res *BoxResult, research bool) {
-	a.steps++
-	if research {
-		a.researches++
-	}
-	a.mape += res.MeanMAPE()
-	a.cpuBefore += res.CPU.TicketsBefore
-	a.cpuAfter += res.CPU.TicketsAfter
-	a.ramBefore += res.RAM.TicketsBefore
-	a.ramAfter += res.RAM.TicketsAfter
-}
-
-func (a *rollingAcc) summary() RollingSummary {
-	s := RollingSummary{Steps: a.steps, Researches: a.researches}
-	if a.steps == 0 {
+	s := RollingSummary{Steps: len(results)}
+	if s.Steps == 0 {
 		return s
 	}
-	s.MeanMAPE = a.mape / float64(a.steps)
-	if a.cpuBefore > 0 {
-		s.CPUReduction = float64(a.cpuBefore-a.cpuAfter) / float64(a.cpuBefore)
+	var mape float64
+	var cpuBefore, cpuAfter, ramBefore, ramAfter int
+	for _, r := range results {
+		if r.Research {
+			s.Researches++
+		}
+		mape += r.Result.MeanMAPE()
+		cpuBefore += r.Result.CPU.TicketsBefore
+		cpuAfter += r.Result.CPU.TicketsAfter
+		ramBefore += r.Result.RAM.TicketsBefore
+		ramAfter += r.Result.RAM.TicketsAfter
 	}
-	if a.ramBefore > 0 {
-		s.RAMReduction = float64(a.ramBefore-a.ramAfter) / float64(a.ramBefore)
+	s.MeanMAPE = mape / float64(s.Steps)
+	if cpuBefore > 0 {
+		s.CPUReduction = float64(cpuBefore-cpuAfter) / float64(cpuBefore)
 	}
-	s.TicketsBefore = a.cpuBefore + a.ramBefore
-	s.TicketsAfter = a.cpuAfter + a.ramAfter
+	if ramBefore > 0 {
+		s.RAMReduction = float64(ramBefore-ramAfter) / float64(ramBefore)
+	}
+	s.TicketsBefore = cpuBefore + ramBefore
+	s.TicketsAfter = cpuAfter + ramAfter
 	return s
 }

@@ -92,82 +92,3 @@ func TestEngineSyncAllocFree(t *testing.T) {
 		t.Fatal("steady-state step researched mid-gate")
 	}
 }
-
-// TestEngineFastPathMatchesBatch replays a trace through the serving
-// path (KeepResults off → StepInto with incremental refits) and checks
-// every published plan against the batch rolling reference: identical
-// ticket counts and sizes within 1e-9.
-func TestEngineFastPathMatchesBatch(t *testing.T) {
-	b, spd := genBox(13)
-	cfg := fastConfig(spd, true)
-	batch, err := core.RunRolling(b, spd, cfg)
-	if err != nil {
-		t.Fatalf("RunRolling: %v", err)
-	}
-	st, err := state.NewStore(cfg.TrainWindows + 2*cfg.Horizon)
-	if err != nil {
-		t.Fatalf("NewStore: %v", err)
-	}
-	e, err := New(st, Config{Core: cfg, SamplesPerDay: spd})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-
-	if err := st.Register(state.MetaOf(b)); err != nil {
-		t.Fatalf("register: %v", err)
-	}
-	ctx := context.Background()
-	cpu := make([]float64, len(b.VMs))
-	ram := make([]float64, len(b.VMs))
-	next := 0
-	close := func(a, b float64) bool {
-		d := a - b
-		if d < 0 {
-			d = -d
-		}
-		m := 1.0
-		if a > m {
-			m = a
-		} else if -a > m {
-			m = -a
-		}
-		return d <= 1e-9*m
-	}
-	for tick := 0; tick < len(b.VMs[0].CPU); tick++ {
-		for v := range b.VMs {
-			cpu[v] = b.VMs[v].CPU[tick]
-			ram[v] = b.VMs[v].RAM[tick]
-		}
-		if _, err := st.Append(b.ID, cpu, ram); err != nil {
-			t.Fatalf("append tick %d: %v", tick, err)
-		}
-		e.Sync(ctx)
-		if got := e.Steps(b.ID); got > next {
-			plan, ok := e.Plan(b.ID)
-			if !ok || plan.Step != got-1 {
-				t.Fatalf("step %d: no current plan", got-1)
-			}
-			want := batch[plan.Step].Result
-			if plan.TicketsBefore != want.CPU.TicketsBefore+want.RAM.TicketsBefore ||
-				plan.TicketsAfter != want.CPU.TicketsAfter+want.RAM.TicketsAfter {
-				t.Fatalf("step %d: tickets (%d,%d), batch (%d,%d)", plan.Step,
-					plan.TicketsBefore, plan.TicketsAfter,
-					want.CPU.TicketsBefore+want.RAM.TicketsBefore,
-					want.CPU.TicketsAfter+want.RAM.TicketsAfter)
-			}
-			for v := range want.CPU.Sizes {
-				if !close(plan.CPUSizes[v], want.CPU.Sizes[v]) || !close(plan.RAMSizes[v], want.RAM.Sizes[v]) {
-					t.Fatalf("step %d vm %d: sizes (%g,%g), batch (%g,%g)", plan.Step, v,
-						plan.CPUSizes[v], plan.RAMSizes[v], want.CPU.Sizes[v], want.RAM.Sizes[v])
-				}
-			}
-			next = got
-		}
-	}
-	if next != len(batch) {
-		t.Fatalf("fast path fired %d steps, batch %d", next, len(batch))
-	}
-	if err := e.LastErr(b.ID); err != nil {
-		t.Fatalf("engine error after replay: %v", err)
-	}
-}

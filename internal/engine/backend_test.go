@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"context"
+	"errors"
+	"strings"
 	"testing"
 
 	"atm/internal/actuator"
@@ -123,5 +126,52 @@ func TestEngineBackendConfigValidation(t *testing.T) {
 	}
 	if _, err := New(st, Config{Core: core, SamplesPerDay: spd, Policy: &policy.Config{}}); err == nil {
 		t.Error("Policy without Backend accepted, want error")
+	}
+}
+
+// TestEngineApplyErrorInLastErr: when the backend refuses every write
+// the plan still publishes, and the box's last error — LastErr and the
+// debug snapshot behind `atmcli inspect` — carries the actuation
+// failure instead of the clean step's nil.
+func TestEngineApplyErrorInLastErr(t *testing.T) {
+	b, spd := genBox(29)
+	core := fastConfig(spd, false)
+	st, err := state.NewStore(core.TrainWindows + 2*core.Horizon)
+	if err != nil {
+		t.Fatalf("NewStore: %v", err)
+	}
+	failing := actuator.NewFlakyBackend(actuator.NewRegistry(), 1, 1)
+	e, err := New(st, Config{Core: core, SamplesPerDay: spd, Backend: failing})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := st.Register(state.MetaOf(b)); err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	cpu := make([]float64, len(b.VMs))
+	ram := make([]float64, len(b.VMs))
+	for tick := 0; tick < e.Need(0); tick++ {
+		for v := range b.VMs {
+			cpu[v] = b.VMs[v].CPU[tick]
+			ram[v] = b.VMs[v].RAM[tick]
+		}
+		if _, err := st.Append(b.ID, cpu, ram); err != nil {
+			t.Fatalf("append tick %d: %v", tick, err)
+		}
+	}
+	e.Sync(context.Background())
+
+	if plan, ok := e.Plan(b.ID); !ok || plan.Step != 0 {
+		t.Fatalf("plan = %+v, %v; want step 0 published despite the apply failure", plan, ok)
+	}
+	var aerr *actuator.Error
+	if err := e.LastErr(b.ID); !errors.As(err, &aerr) {
+		t.Fatalf("LastErr = %v, want the backend's *actuator.Error", err)
+	}
+	if dbg, ok := e.Debug(b.ID); !ok || !strings.Contains(dbg.LastErr, "injected failure") {
+		t.Fatalf("debug last_err = %q, want the apply failure", dbg.LastErr)
+	}
+	if _, failures := failing.Stats(); failures == 0 {
+		t.Fatal("backend never refused a write")
 	}
 }

@@ -11,28 +11,27 @@ import (
 
 // TestEngineControlParity is the tentpole's consistency guarantee at
 // the engine layer: a controller pinned at full trust (λ=1) publishes
-// bit-identical results to a controller-free engine — same sizes,
+// bit-identical plans to a controller-free engine — same sizes,
 // tickets and errors on every step. Blending is strictly opt-in.
 func TestEngineControlParity(t *testing.T) {
 	b, spd := genBox(13)
 	cfg := fastConfig(spd, true)
 
-	run := func(ctl control.Config) *Engine {
+	run := func(ctl control.Config) (*Engine, []Plan) {
 		st, err := state.NewStoreSharded(cfg.TrainWindows+2*cfg.Horizon, 2)
 		if err != nil {
 			t.Fatalf("NewStore: %v", err)
 		}
-		e, err := New(st, Config{Core: cfg, SamplesPerDay: spd, KeepResults: true, Control: ctl})
+		e, err := New(st, Config{Core: cfg, SamplesPerDay: spd, Control: ctl})
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		replay(t, e, st, b)
-		return e
+		return e, replay(t, e, st, b)
 	}
 
-	off := run(control.Config{})
-	pinned := run(control.Config{Enabled: true, Fixed: true, Lambda: 1})
-	checkParity(t, off.Results(b.ID), pinned.Results(b.ID))
+	off, offPlans := run(control.Config{})
+	pinned, pinnedPlans := run(control.Config{Enabled: true, Fixed: true, Lambda: 1})
+	checkParity(t, offPlans, pinnedPlans)
 
 	offPlan, _ := off.Plan(b.ID)
 	if offPlan.Lambda != 0 || offPlan.BlendReason != "" {

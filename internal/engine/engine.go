@@ -3,15 +3,11 @@
 // whenever Horizon new samples have landed, fans the ready boxes out
 // over the shared worker pool, and keeps the latest resize plan per
 // box for the service layer to expose. It is the online counterpart
-// of core.RunRolling — both drive the same staged core.Pipeline. With
-// Config.KeepResults the engine steps through core.Pipeline.StepContext
-// and a replayed trace produces bit-identical results to the batch
-// rolling run; without it (the production serving mode) steps run
-// through the arena fast path core.Pipeline.StepInto, whose incremental
-// window-roll refits track the reference within 1e-9 — and a
-// steady-state engine pass performs zero heap allocations. Set
-// Core.Reuse.ExactRefit to pin the fast path to the reference refit
-// when bit-exact parity matters more than the speedup.
+// of core.RunRolling — both drive core.Pipeline.StepInto over the same
+// windows, so a replayed trace publishes plans bit-identical to the
+// batch rolling run, and a steady-state engine pass performs zero heap
+// allocations. The engine keeps only each box's latest Plan; per-step
+// outcomes are the decision events (Config.Events).
 //
 // The engine is sharded to the state store's layout: each store shard
 // gets its own scheduler loop (its own goroutine under Run, draining
@@ -26,8 +22,9 @@
 // Degraded mode, resilient actuation and observability compose
 // through the layers built in earlier PRs: a box whose model fails
 // ships the stingy fallback (core.Config.Degraded), plans are pushed
-// through any core.LimitSetter (e.g. actuator.Resilient), and every
-// step lands in atm_engine_* metrics plus the usual span tree.
+// through Config.Backend — behind the policy rails when Config.Policy
+// is set — by the transactional core.ApplyBox, and every step lands in
+// atm_engine_* metrics plus the usual span tree.
 package engine
 
 import (
@@ -111,10 +108,6 @@ type Config struct {
 	// Poll is the fallback scan interval used when no ingest
 	// notification arrives; <= 0 selects one second.
 	Poll time.Duration
-	// KeepResults retains every step's full core.RollingResult per
-	// box (memory grows with steps) — used by replay/parity tests and
-	// offline analysis. The latest Plan is kept either way.
-	KeepResults bool
 	// ScanAll makes every scheduling pass rescan all registered boxes
 	// of the shard instead of draining its dirty set — the pre-sharding
 	// O(fleet) behavior, retained so the dirty-set win stays
@@ -193,10 +186,9 @@ type Plan struct {
 type boxRun struct {
 	pipe     *core.Pipeline
 	steps    int       // rolling steps fired so far
-	wb       trace.Box // reusable window box for the StepInto fast path
+	wb       trace.Box // window box, reused so a steady-state pass allocates nothing
 	plan     *Plan
 	decision core.Decision // research/refit choice of the last plan step
-	results  []core.RollingResult
 	lastErr  error
 }
 
@@ -481,18 +473,8 @@ func (e *Engine) stepBox(ctx context.Context, sh *engineShard, shard int, pass u
 		}
 		from := br.steps * e.cfg.Core.Horizon
 		to := e.need(br.steps)
-		var wb *trace.Box
-		if e.cfg.KeepResults {
-			// Reference path: retained results must not alias reused
-			// buffers, and replay parity wants StepContext bit-exactly.
-			wb, err = e.store.Window(id, from, to)
-		} else {
-			// Serving path: the window box is arena-reused, so a
-			// steady-state pass stays allocation-free.
-			err = e.store.WindowInto(id, from, to, &br.wb)
-			wb = &br.wb
-		}
-		if err != nil {
+		wb := &br.wb
+		if err := e.store.WindowInto(id, from, to, wb); err != nil {
 			span.End()
 			if errors.Is(err, timeseries.ErrEvicted) {
 				// Ingest outran the planner past retention: this window
@@ -517,12 +499,7 @@ func (e *Engine) stepBox(ctx context.Context, sh *engineShard, shard int, pass u
 			sh.mu.Unlock()
 			return
 		}
-		var res *core.BoxResult
-		if e.cfg.KeepResults {
-			res, err = br.pipe.StepContext(stepCtx, wb)
-		} else {
-			res, err = br.pipe.StepInto(stepCtx, wb)
-		}
+		res, err := br.pipe.StepInto(stepCtx, wb)
 		stepsTotal.Inc()
 		if err != nil {
 			stepErrors.Inc()
@@ -574,12 +551,7 @@ func (e *Engine) stepBox(ctx context.Context, sh *engineShard, shard int, pass u
 		step := br.steps
 		var applyErr error
 		if e.cfg.Setter != nil && !res.Degraded {
-			if aerr := core.ApplyBox(ctx, e.cfg.Setter, res); aerr != nil {
-				applyErr = aerr
-				sh.mu.Lock()
-				br.lastErr = aerr
-				sh.mu.Unlock()
-			}
+			applyErr = core.ApplyBox(ctx, e.cfg.Setter, res)
 		}
 		dec := br.pipe.LastDecision()
 		sh.mu.Lock()
@@ -594,10 +566,10 @@ func (e *Engine) stepBox(ctx context.Context, sh *engineShard, shard int, pass u
 		}
 		br.decision = dec
 		br.lastErr = err
-		if e.cfg.KeepResults {
-			br.results = append(br.results, core.RollingResult{
-				Step: step, Result: res, Research: br.pipe.LastResearch(),
-			})
+		if applyErr != nil {
+			// The plan still publishes; the box's last error carries
+			// the actuation failure beside the step's own.
+			br.lastErr = errors.Join(err, applyErr)
 		}
 		sh.mu.Unlock()
 		span.End()
@@ -744,19 +716,6 @@ func (e *Engine) Steps(id string) int {
 		return br.steps
 	}
 	return 0
-}
-
-// Results returns the box's accumulated step results (only populated
-// with Config.KeepResults). The slice is a copy; the results share
-// the pipeline's output structures.
-func (e *Engine) Results(id string) []core.RollingResult {
-	sh := e.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if br := sh.boxes[id]; br != nil {
-		return append([]core.RollingResult(nil), br.results...)
-	}
-	return nil
 }
 
 // LastErr returns the box's most recent step/apply error (nil when

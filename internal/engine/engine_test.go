@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 	"testing"
 	"time"
@@ -37,10 +36,27 @@ func genBox(seed int64) (*trace.Box, int) {
 	return &tr.Boxes[0], tr.SamplesPerDay
 }
 
+// collectPlan appends the plan of the step the last pass fired for the
+// box, if it fired one. Callers poll after every pass, so a box is at
+// most one step ahead of its log.
+func collectPlan(t *testing.T, e *Engine, id string, plans []Plan) []Plan {
+	t.Helper()
+	steps := e.Steps(id)
+	if steps == len(plans) {
+		return plans
+	}
+	p, ok := e.Plan(id)
+	if !ok || steps != len(plans)+1 || p.Step != len(plans) {
+		t.Fatalf("box %s: %d steps fired, %d plans seen, current plan %+v", id, steps, len(plans), p)
+	}
+	return append(plans, p)
+}
+
 // replay streams the box tick by tick into the store, running a
 // synchronous engine pass after every tick — the strictest interleaving
-// of ingest and planning.
-func replay(t *testing.T, e *Engine, st *state.Store, b *trace.Box) {
+// of ingest and planning — and returns every plan the engine published,
+// in step order.
+func replay(t *testing.T, e *Engine, st *state.Store, b *trace.Box) []Plan {
 	t.Helper()
 	if err := st.Register(state.MetaOf(b)); err != nil {
 		t.Fatalf("register: %v", err)
@@ -49,6 +65,7 @@ func replay(t *testing.T, e *Engine, st *state.Store, b *trace.Box) {
 	cpu := make([]float64, len(b.VMs))
 	ram := make([]float64, len(b.VMs))
 	ctx := context.Background()
+	var plans []Plan
 	for tick := 0; tick < total; tick++ {
 		for v := range b.VMs {
 			cpu[v] = b.VMs[v].CPU[tick]
@@ -58,69 +75,79 @@ func replay(t *testing.T, e *Engine, st *state.Store, b *trace.Box) {
 			t.Fatalf("append tick %d: %v", tick, err)
 		}
 		e.Sync(ctx)
+		plans = collectPlan(t, e, b.ID, plans)
 	}
 	if err := e.LastErr(b.ID); err != nil {
 		t.Fatalf("engine error after replay: %v", err)
 	}
+	return plans
 }
 
-// checkParity requires the streamed results to be bit-identical to the
-// batch rolling results: same steps, same research decisions, same
-// sizes, tickets and errors. Float comparisons are exact (==) on
-// purpose — the engine replays the same windows through the same
-// pipeline, so any drift is a real divergence.
-func checkParity(t *testing.T, batch, stream []core.RollingResult) {
-	t.Helper()
-	if len(stream) != len(batch) {
-		t.Fatalf("stream steps = %d, batch = %d", len(stream), len(batch))
+// batchPlans flattens batch rolling results the way the engine
+// publishes them, so batch and stream compare plan against plan.
+func batchPlans(id string, batch []core.RollingResult) []Plan {
+	plans := make([]Plan, len(batch))
+	for i, r := range batch {
+		planInto(&plans[i], id, r.Step, r.Result, core.Decision{Research: r.Research}, 0, 0, "")
 	}
-	for i := range batch {
-		br, sr := batch[i], stream[i]
-		if sr.Step != br.Step || sr.Research != br.Research {
-			t.Fatalf("step %d: stream (step=%d research=%v) vs batch (step=%d research=%v)",
-				i, sr.Step, sr.Research, br.Step, br.Research)
+	return plans
+}
+
+// checkParity requires two per-step plan sequences to be bit-identical:
+// same steps, same research decisions, same sizes, tickets and errors.
+// Float comparisons are exact (==) on purpose — both sides run the same
+// windows through the same pipeline step, so any drift is a real
+// divergence.
+func checkParity(t *testing.T, want, got []Plan) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("steps = %d, want %d", len(got), len(want))
+	}
+	for i := range want {
+		w, g := want[i], got[i]
+		if g.Step != w.Step || g.Research != w.Research {
+			t.Fatalf("step %d: got (step=%d research=%v), want (step=%d research=%v)",
+				i, g.Step, g.Research, w.Step, w.Research)
 		}
-		if sr.Result.Degraded != br.Result.Degraded {
+		if g.Degraded != w.Degraded {
 			t.Fatalf("step %d: degraded mismatch", i)
 		}
-		for _, pair := range []struct {
-			name       string
-			bRun, sRun *core.BoxRun
-		}{{"cpu", br.Result.CPU, sr.Result.CPU}, {"ram", br.Result.RAM, sr.Result.RAM}} {
-			if pair.bRun.TicketsBefore != pair.sRun.TicketsBefore || pair.bRun.TicketsAfter != pair.sRun.TicketsAfter {
-				t.Fatalf("step %d %s: tickets stream (%d,%d) vs batch (%d,%d)", i, pair.name,
-					pair.sRun.TicketsBefore, pair.sRun.TicketsAfter, pair.bRun.TicketsBefore, pair.bRun.TicketsAfter)
+		if g.TicketsBefore != w.TicketsBefore || g.TicketsAfter != w.TicketsAfter {
+			t.Fatalf("step %d: tickets (%d,%d), want (%d,%d)", i,
+				g.TicketsBefore, g.TicketsAfter, w.TicketsBefore, w.TicketsAfter)
+		}
+		for _, sizes := range []struct {
+			name      string
+			want, got []float64
+		}{{"cpu", w.CPUSizes, g.CPUSizes}, {"ram", w.RAMSizes, g.RAMSizes}} {
+			if len(sizes.want) != len(sizes.got) {
+				t.Fatalf("step %d %s: size counts differ", i, sizes.name)
 			}
-			if len(pair.bRun.Sizes) != len(pair.sRun.Sizes) {
-				t.Fatalf("step %d %s: size counts differ", i, pair.name)
-			}
-			for v := range pair.bRun.Sizes {
-				if pair.bRun.Sizes[v] != pair.sRun.Sizes[v] {
-					t.Fatalf("step %d %s vm %d: size %v != %v", i, pair.name, v,
-						pair.sRun.Sizes[v], pair.bRun.Sizes[v])
+			for v := range sizes.want {
+				if sizes.want[v] != sizes.got[v] {
+					t.Fatalf("step %d %s vm %d: size %v != %v", i, sizes.name, v, sizes.got[v], sizes.want[v])
 				}
 			}
 		}
-		bm, sm := br.Result.MeanMAPE(), sr.Result.MeanMAPE()
-		if bm != sm && !(math.IsNaN(bm) && math.IsNaN(sm)) {
-			t.Fatalf("step %d: MAPE %v != %v", i, sm, bm)
+		if g.MeanMAPE != w.MeanMAPE {
+			t.Fatalf("step %d: MAPE %v != %v", i, g.MeanMAPE, w.MeanMAPE)
 		}
 	}
 }
 
 // TestEngineBatchParity replays a trace sample-by-sample through the
-// streaming engine and requires the per-step results to be
-// bit-identical to the batch core.RunRolling over the same trace, with
-// model reuse both disabled and enabled.
+// streaming engine and requires every published plan — sizes, tickets,
+// mean MAPE, research flag — to be bit-identical to the batch
+// core.RunRolling over the same trace, with model reuse both disabled
+// and enabled (where both sides roll the retained model incrementally).
 func TestEngineBatchParity(t *testing.T) {
 	for _, tc := range []struct {
 		reuse  bool
 		shards int
 	}{{false, 1}, {true, 1}, {false, 4}, {true, 4}} {
 		t.Run(fmt.Sprintf("reuse=%v/shards=%d", tc.reuse, tc.shards), func(t *testing.T) {
-			reuse := tc.reuse
 			b, spd := genBox(13)
-			cfg := fastConfig(spd, reuse)
+			cfg := fastConfig(spd, tc.reuse)
 			batch, err := core.RunRolling(b, spd, cfg)
 			if err != nil {
 				t.Fatalf("RunRolling: %v", err)
@@ -130,29 +157,11 @@ func TestEngineBatchParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewStore: %v", err)
 			}
-			e, err := New(st, Config{Core: cfg, SamplesPerDay: spd, KeepResults: true})
+			e, err := New(st, Config{Core: cfg, SamplesPerDay: spd})
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
-			replay(t, e, st, b)
-			checkParity(t, batch, e.Results(b.ID))
-
-			plan, ok := e.Plan(b.ID)
-			if !ok {
-				t.Fatal("no plan published")
-			}
-			last := batch[len(batch)-1]
-			if plan.Step != last.Step {
-				t.Errorf("plan step = %d, want %d", plan.Step, last.Step)
-			}
-			for v := range last.Result.CPU.Sizes {
-				if plan.CPUSizes[v] != last.Result.CPU.Sizes[v] {
-					t.Errorf("plan cpu size %d = %v, want %v", v, plan.CPUSizes[v], last.Result.CPU.Sizes[v])
-				}
-			}
-			if plan.TicketsBefore != last.Result.CPU.TicketsBefore+last.Result.RAM.TicketsBefore {
-				t.Errorf("plan tickets_before = %d", plan.TicketsBefore)
-			}
+			checkParity(t, batchPlans(b.ID, batch), replay(t, e, st, b))
 		})
 	}
 }
@@ -178,7 +187,7 @@ func TestEngineCatchUp(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e, err := New(st, Config{Core: cfg, SamplesPerDay: spd, KeepResults: true})
+	e, err := New(st, Config{Core: cfg, SamplesPerDay: spd})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,15 +14,15 @@ import (
 // full signature search per 10 windows, the rest rolled incrementally.
 const rollingBenchReuseMaxAge = 10
 
-// RollingBenchResult compares a rolling (online) ATM run with model
-// reuse off — every window re-runs the full signature search through
-// the reference pipeline, the batch-identical behavior — against the
-// same run with reuse on through the arena fast path
-// (core.RunRollingFast), where the retained signature set is rolled
+// RollingBenchResult compares a rolling (online) ATM run
+// (core.RunRolling) with model reuse off — every window re-runs the
+// full signature search, the batch-identical behavior — against the
+// same run with reuse on, where the retained signature set is rolled
 // forward with the incremental window-roll kernels (rank-1 Cholesky
-// up/downdates, incremental LB_Keogh envelopes, allocation-free engine
-// step) until drift or age forces a re-search. Researches/refits are
-// counted through the engine's atm_engine_research_total /
+// up/downdates, incremental LB_Keogh envelopes) until drift or age
+// forces a re-search. Both sides retain every step's result, so the
+// clone cost sits in numerator and denominator alike. Researches and
+// refits are counted through the engine's atm_engine_research_total /
 // atm_engine_refit_total metrics, so this record doubles as an
 // end-to-end check of the observability wiring. Wall-clock numbers are
 // the minimum over Reps repetitions, which rejects scheduler noise.
@@ -37,6 +37,10 @@ type RollingBenchResult struct {
 	Steps        int `json:"steps"`
 	// Reps is the repetition count behind each min-of-N timing.
 	Reps int `json:"reps"`
+	// TicketsBefore is the aggregate ticket count under the original
+	// capacities — the same for both runs, it does not depend on the
+	// model.
+	TicketsBefore int `json:"tickets_before"`
 
 	// Full-search baseline (reuse off).
 	BaselineMS        float64 `json:"baseline_ms"`
@@ -60,16 +64,6 @@ type RollingBenchResult struct {
 	// WithinBudget reports the acceptance bound: on the stationary
 	// trace the reuse run performed at most ReuseBudget searches.
 	WithinBudget bool `json:"within_budget"`
-	// TicketsMatch reports result fidelity: the incremental fast
-	// path's aggregate before/after ticket counts equal a reference
-	// run of the SAME reuse policy through the from-scratch pipeline
-	// (the full-search baseline legitimately differs — it re-searches
-	// every window).
-	TicketsMatch bool `json:"tickets_match"`
-	// ReuseMAPEDelta is |fast - reference| of the reuse runs' mean
-	// MAPE — the incremental kernels' asserted 1e-9 fidelity, observed
-	// end to end.
-	ReuseMAPEDelta float64 `json:"reuse_mape_delta"`
 }
 
 // rollingBenchConfig is the shared pipeline configuration; only Reuse
@@ -150,29 +144,23 @@ func RollingBench(opts Options) (*RollingBenchResult, error) {
 	res.BaselineSearches = int(research.Value()-r0) / reps
 	res.Steps = len(base)
 	bsum := core.SummarizeRolling(base)
+	res.TicketsBefore = bsum.TicketsBefore
 	res.BaselineTickets = bsum.TicketsAfter
 	res.BaselineMeanMAPE = bsum.MeanMAPE
 	if bsum.TicketsBefore > 0 {
 		res.BaselineReduction = float64(bsum.TicketsBefore-bsum.TicketsAfter) / float64(bsum.TicketsBefore)
 	}
 
-	// --- Reference reuse: same policy, from-scratch kernels. The
-	// fidelity yardstick for the incremental fast path. ---
-	rcfg := rollingBenchConfig(spd, true)
-	ref, err := core.RunRolling(b, spd, rcfg)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: rollingbench reference reuse: %w", err)
-	}
-	refSum := core.SummarizeRolling(ref)
-
 	// --- Reuse: roll the retained model incrementally until drift/age. ---
-	var rsum core.RollingSummary
+	rcfg := rollingBenchConfig(spd, true)
+	var reuse []core.RollingResult
 	var f0 float64
 	r0, f0 = research.Value(), refit.Value()
-	res.ReuseMS = minTimeMS(reps, func() { rsum, err = core.RunRollingFast(b, spd, rcfg) })
+	res.ReuseMS = minTimeMS(reps, func() { reuse, err = core.RunRolling(b, spd, rcfg) })
 	if err != nil {
 		return nil, fmt.Errorf("experiments: rollingbench reuse: %w", err)
 	}
+	rsum := core.SummarizeRolling(reuse)
 	res.ReuseSearches = int(research.Value()-r0) / reps
 	res.ReuseRefits = int(refit.Value()-f0) / reps
 	res.ReuseTickets = rsum.TicketsAfter
@@ -187,12 +175,6 @@ func RollingBench(opts Options) (*RollingBenchResult, error) {
 	}
 	res.ReuseBudget = (res.Steps + maxAge - 1) / maxAge
 	res.WithinBudget = res.ReuseSearches <= res.ReuseBudget
-	res.TicketsMatch = rsum.TicketsBefore == refSum.TicketsBefore &&
-		rsum.TicketsAfter == refSum.TicketsAfter
-	res.ReuseMAPEDelta = rsum.MeanMAPE - refSum.MeanMAPE
-	if res.ReuseMAPEDelta < 0 {
-		res.ReuseMAPEDelta = -res.ReuseMAPEDelta
-	}
 	if res.ReuseMS > 0 {
 		res.Speedup = res.BaselineMS / res.ReuseMS
 	}
@@ -215,12 +197,8 @@ func (r *RollingBenchResult) Render() *Table {
 	if !r.WithinBudget {
 		budget = "OVER BUDGET"
 	}
-	tickets := "tickets identical"
-	if !r.TicketsMatch {
-		tickets = "TICKET MISMATCH"
-	}
-	t.AddNote("%d VMs, %d samples, T=%d H=%d → %d steps; min of %d reps; speedup %.2fx (%s)",
-		r.VMs, r.Samples, r.TrainWindows, r.Horizon, r.Steps, r.Reps, r.Speedup, tickets)
+	t.AddNote("%d VMs, %d samples, T=%d H=%d → %d steps, %d tickets before; min of %d reps; speedup %.2fx",
+		r.VMs, r.Samples, r.TrainWindows, r.Horizon, r.Steps, r.TicketsBefore, r.Reps, r.Speedup)
 	t.AddNote("reuse searched %d of %d steps (budget ceil(steps/%d) = %d: %s)",
 		r.ReuseSearches, r.Steps, rollingBenchReuseMaxAge, r.ReuseBudget, budget)
 	return t

@@ -45,26 +45,11 @@ func OLS(y timeseries.Series, predictors []timeseries.Series) (*Fit, error) {
 // fitted predictor count; panics otherwise, as this is programmer
 // error).
 func (f *Fit) Apply(predictors []timeseries.Series) timeseries.Series {
-	if len(predictors) != len(f.Coef) {
-		panic(fmt.Sprintf("regress: apply with %d predictors, fitted %d", len(predictors), len(f.Coef)))
-	}
-	if len(predictors) == 0 {
-		return nil
-	}
-	n := len(predictors[0])
-	out := make(timeseries.Series, n)
-	for i := 0; i < n; i++ {
-		v := f.Intercept
-		for j, x := range predictors {
-			v += f.Coef[j] * x[i]
-		}
-		out[i] = v
-	}
-	return out
+	return f.ApplyInto(nil, predictors)
 }
 
-// ApplyInto is Apply writing into dst (grown as needed): same values,
-// zero allocations once dst has capacity for the predictors' length.
+// ApplyInto is Apply writing into dst (grown as needed): zero
+// allocations once dst has capacity for the predictors' length.
 func (f *Fit) ApplyInto(dst timeseries.Series, predictors []timeseries.Series) timeseries.Series {
 	if len(predictors) != len(f.Coef) {
 		panic(fmt.Sprintf("regress: apply with %d predictors, fitted %d", len(predictors), len(f.Coef)))

@@ -1,7 +1,6 @@
 package resize
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -23,97 +22,11 @@ var (
 )
 
 // Greedy solves the MCKP with the paper's minimal-algorithm-style
-// heuristic. Every VM starts at its largest candidate (fewest
-// tickets); while the total exceeds the box capacity, each VM offers
-// its best multi-step move — the candidate k below its current
-// position o minimizing the marginal ticket reduction value
-//
-//	MTRV = (P[k] - P[o]) / (D'[o] - D'[k])
-//
-// (the hull edge from the current position; a plain one-step MTRV is
-// blind to a cheap large capacity release hidden behind an expensive
-// small one) — and the VM with the lowest MTRV jumps. Ties break
-// toward the VM freeing more capacity, then by index, keeping the
-// algorithm deterministic. Promotion/exchange repair passes then
-// reinvest leftover slack.
-//
-// The descent's best moves always land on vertices of the lower convex
-// hull of the VM's (size, tickets) candidates: from a hull vertex, the
-// MTRV-minimizing candidate (ties toward more freed capacity) is the
-// next hull vertex. Greedy therefore precomputes each VM's hull path
-// once — using the exact same slope arithmetic and comparisons as the
-// per-step scan, so the path is bit-identical — and races the per-VM
-// hull edges in a min-heap keyed (MTRV asc, freed capacity desc, VM
-// index asc): O(log n) per descent step instead of an O(n·K) rescan.
-// GreedyNaive retains the rescan loop as the equality reference.
+// heuristic (see GreedyInto, which it runs on a scratch of its own, so
+// the returned sizes belong to the caller).
 func (p *Problem) Greedy() (Allocation, error) {
-	if err := p.validate(); err != nil {
-		return Allocation{}, err
-	}
-	n := len(p.VMs)
-	if n == 0 {
-		return Allocation{Sizes: []float64{}}, nil
-	}
-	cand := make([][]float64, n)
-	pen := make([][]int, n)
-	pos := make([]int, n)
-	var total float64
-	for i := 0; i < n; i++ {
-		cand[i], pen[i] = p.candidates(i)
-		total += cand[i][0]
-	}
-	capTol := p.Capacity + 1e-9*math.Max(1, p.Capacity)
-
-	var minTotal float64
-	for i := 0; i < n; i++ {
-		minTotal += cand[i][len(cand[i])-1]
-	}
-	if minTotal > capTol {
-		return Allocation{}, fmt.Errorf("need %v, have %v: %w", minTotal, p.Capacity, ErrInfeasible)
-	}
-
-	// Precompute each VM's hull path from candidate 0 and seed the heap
-	// with the first edge of every VM that has one.
-	paths := make([][]hullEdge, n)
-	h := make(edgeHeap, 0, n)
-	for i := 0; i < n; i++ {
-		paths[i] = hullPath(cand[i], pen[i])
-		if len(paths[i]) > 0 {
-			e := paths[i][0]
-			e.vm, e.next = i, 1
-			h = append(h, e)
-		}
-	}
-	heap.Init(&h)
-
-	pops := 0
-	for total > capTol {
-		if h.Len() == 0 {
-			// No VM can step down; feasibility was checked, so this
-			// cannot happen — defend anyway.
-			return Allocation{}, fmt.Errorf("stuck at total %v: %w", total, ErrInfeasible)
-		}
-		e := heap.Pop(&h).(hullEdge)
-		pops++
-		i := e.vm
-		total -= cand[i][pos[i]] - cand[i][e.target]
-		pos[i] = e.target
-		if e.next < len(paths[i]) {
-			ne := paths[i][e.next]
-			ne.vm, ne.next = i, e.next+1
-			heap.Push(&h, ne)
-		}
-	}
-
-	p.repair(cand, pen, pos, total)
-	greedySolves.Inc()
-	greedyHeapPops.Add(float64(pops))
-
-	sizes := make([]float64, n)
-	for i := 0; i < n; i++ {
-		sizes[i] = cand[i][pos[i]]
-	}
-	return Allocation{Sizes: sizes, Tickets: p.tickets(sizes)}, nil
+	var sc Scratch
+	return p.GreedyInto(&sc)
 }
 
 // hullEdge is one step of a VM's precomputed descent path: jump to
@@ -124,62 +37,6 @@ type hullEdge struct {
 	target int
 	vm     int // set when the edge enters the heap
 	next   int // index of the VM's next path edge
-}
-
-// hullPath walks the lower convex hull of one VM's (size, tickets)
-// candidates starting from candidate 0, replaying the naive per-step
-// scan's slope arithmetic and tie-breaking verbatim so the visited
-// vertices — and the (mtrv, free) values the cross-VM race is keyed
-// on — are bit-identical to GreedyNaive's.
-func hullPath(cand []float64, pen []int) []hullEdge {
-	var path []hullEdge
-	o := 0
-	for {
-		target := -1
-		mtrv := math.Inf(1)
-		free := 0.0
-		for k := o + 1; k < len(cand); k++ {
-			f := cand[o] - cand[k]
-			if f <= 0 {
-				continue
-			}
-			m := float64(pen[k]-pen[o]) / f
-			if m < mtrv || (m == mtrv && f > free) {
-				target, mtrv, free = k, m, f
-			}
-		}
-		if target == -1 {
-			return path
-		}
-		path = append(path, hullEdge{mtrv: mtrv, free: free, target: target})
-		o = target
-	}
-}
-
-// edgeHeap orders hull edges the way the naive cross-VM scan resolves
-// them: lowest MTRV first, then most freed capacity, then lowest VM
-// index (the naive scan's first-wins behavior under strict
-// comparisons).
-type edgeHeap []hullEdge
-
-func (h edgeHeap) Len() int { return len(h) }
-func (h edgeHeap) Less(a, b int) bool {
-	if h[a].mtrv != h[b].mtrv {
-		return h[a].mtrv < h[b].mtrv
-	}
-	if h[a].free != h[b].free {
-		return h[a].free > h[b].free
-	}
-	return h[a].vm < h[b].vm
-}
-func (h edgeHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
-func (h *edgeHeap) Push(x any)   { *h = append(*h, x.(hullEdge)) }
-func (h *edgeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
 }
 
 // repair is the shared post-descent pass ("shuffling capacity across

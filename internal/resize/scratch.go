@@ -35,13 +35,34 @@ func (sc *Scratch) grow(n int) {
 	}
 }
 
-// GreedyInto is Greedy writing all intermediate and result state into
-// the scratch: the returned Allocation's Sizes slice aliases scratch
-// memory and stays valid only until the next GreedyInto call with the
-// same scratch. Results are identical to Greedy — same candidates,
-// same hull paths, same descent order (the heap key (mtrv, free, vm)
-// is a total order, each VM holding at most one live edge), same
-// repair moves.
+// GreedyInto solves the MCKP with the paper's minimal-algorithm-style
+// heuristic. Every VM starts at its largest candidate (fewest
+// tickets); while the total exceeds the box capacity, each VM offers
+// its best multi-step move — the candidate k below its current
+// position o minimizing the marginal ticket reduction value
+//
+//	MTRV = (P[k] - P[o]) / (D'[o] - D'[k])
+//
+// (the hull edge from the current position; a plain one-step MTRV is
+// blind to a cheap large capacity release hidden behind an expensive
+// small one) — and the VM with the lowest MTRV jumps. Ties break
+// toward the VM freeing more capacity, then by index, keeping the
+// algorithm deterministic. Promotion/exchange repair passes then
+// reinvest leftover slack.
+//
+// The descent's best moves always land on vertices of the lower convex
+// hull of the VM's (size, tickets) candidates: from a hull vertex, the
+// MTRV-minimizing candidate (ties toward more freed capacity) is the
+// next hull vertex. GreedyInto therefore precomputes each VM's hull
+// path once — using the exact same slope arithmetic and comparisons as
+// the per-step scan, so the path is bit-identical — and races the
+// per-VM hull edges in a min-heap keyed (MTRV asc, freed capacity desc,
+// VM index asc): O(log n) per descent step instead of an O(n·K) rescan.
+// GreedyNaive retains the rescan loop as the equality reference.
+//
+// All intermediate and result state lives in the scratch: the returned
+// Allocation's Sizes slice aliases scratch memory and stays valid only
+// until the next GreedyInto call with the same scratch.
 func (p *Problem) GreedyInto(sc *Scratch) (Allocation, error) {
 	if err := p.validate(); err != nil {
 		return Allocation{}, err
@@ -49,7 +70,7 @@ func (p *Problem) GreedyInto(sc *Scratch) (Allocation, error) {
 	n := len(p.VMs)
 	sc.grow(n)
 	if n == 0 {
-		return Allocation{Sizes: sc.sizes[:0]}, nil
+		return Allocation{Sizes: []float64{}}, nil
 	}
 	cand, pen := sc.cand[:n], sc.pen[:n]
 	pos := sc.pos[:n]
@@ -117,7 +138,12 @@ func (p *Problem) GreedyInto(sc *Scratch) (Allocation, error) {
 	return Allocation{Sizes: sizes, Tickets: p.tickets(sizes)}, nil
 }
 
-// hullPathInto is hullPath appending into a caller-owned slice.
+// hullPathInto walks the lower convex hull of one VM's (size, tickets)
+// candidates starting from candidate 0, appending the edges to a
+// caller-owned slice. It replays the naive per-step scan's slope
+// arithmetic and tie-breaking verbatim so the visited vertices — and
+// the (mtrv, free) values the cross-VM race is keyed on — are
+// bit-identical to GreedyNaive's.
 func hullPathInto(cand []float64, pen []int, path []hullEdge) []hullEdge {
 	o := 0
 	for {
@@ -142,12 +168,14 @@ func hullPathInto(cand []float64, pen []int, path []hullEdge) []hullEdge {
 	}
 }
 
-// The manual min-heap below replaces container/heap for the scratch
-// path: heap.Push/Pop box every hullEdge through an interface value,
-// which is one allocation per descent step. Ordering matches
-// edgeHeap.Less exactly; since (mtrv, free, vm) is a total order and
-// each VM contributes at most one live edge, the pop sequence — and
-// therefore the allocation — is identical to Greedy's.
+// The manual min-heap below stands in for container/heap, whose
+// Push/Pop box every hullEdge through an interface value — one
+// allocation per descent step. It orders hull edges the way the naive
+// cross-VM scan resolves them: lowest MTRV first, then most freed
+// capacity, then lowest VM index (the naive scan's first-wins behavior
+// under strict comparisons). (mtrv, free, vm) is a total order and each
+// VM contributes at most one live edge, so the pop sequence is fully
+// determined.
 
 func edgeLess(a, b hullEdge) bool {
 	if a.mtrv != b.mtrv {

@@ -10,8 +10,8 @@ import (
 
 // TestGreedyIntoMatchesGreedy reuses one Scratch across 200 random
 // problems of varying shape and checks the allocation is identical to
-// the allocating solver — buffer reuse must not leak state between
-// solves.
+// Greedy's, which solves each on a scratch of its own — buffer reuse
+// must not leak state between solves.
 func TestGreedyIntoMatchesGreedy(t *testing.T) {
 	var sc Scratch
 	for seed := int64(0); seed < 200; seed++ {

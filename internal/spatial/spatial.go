@@ -349,33 +349,12 @@ func (m *Model) IsSignature(i int) bool {
 // how ATM turns temporal forecasts of the few signatures into
 // forecasts for every series on the box.
 func (m *Model) Reconstruct(sigValues []timeseries.Series) ([]timeseries.Series, error) {
-	if len(sigValues) != len(m.Signatures) {
-		return nil, fmt.Errorf("spatial: %d signature series given, model has %d",
-			len(sigValues), len(m.Signatures))
-	}
-	horizon := 0
-	for i, s := range sigValues {
-		if i == 0 {
-			horizon = len(s)
-		} else if len(s) != horizon {
-			return nil, fmt.Errorf("spatial: signature %d has %d samples, want %d: %w",
-				i, len(s), horizon, timeseries.ErrLengthMismatch)
-		}
-	}
-	out := make([]timeseries.Series, m.N)
-	for i, idx := range m.Signatures {
-		out[idx] = sigValues[i].Clone()
-	}
-	for idx, fit := range m.Dependents {
-		out[idx] = fit.Apply(sigValues)
-	}
-	return out, nil
+	return m.ReconstructInto(make([]timeseries.Series, m.N), sigValues)
 }
 
 // ReconstructInto is Reconstruct writing into dst, which must hold
 // m.N series headers; each is length-adjusted via append, so callers
-// providing headers with enough capacity get the same values as
-// Reconstruct with zero heap allocations.
+// providing headers with enough capacity pay zero heap allocations.
 func (m *Model) ReconstructInto(dst, sigValues []timeseries.Series) ([]timeseries.Series, error) {
 	if len(sigValues) != len(m.Signatures) {
 		return nil, fmt.Errorf("spatial: %d signature series given, model has %d",
