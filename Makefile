@@ -20,6 +20,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/parallel/... ./internal/cluster/... ./internal/predict/... ./internal/resize/... ./internal/regress/... ./internal/experiments/... ./internal/core/... ./internal/obs/... ./internal/score/... ./internal/control/... ./internal/resilience/... ./internal/actuator/... ./internal/timeseries/... ./internal/state/... ./internal/engine/... ./internal/serve/... ./cmd/atmd/... ./cmd/atmcli/... ./cmd/atmload/...
+	$(GO) test -race -count=10 -timeout 5m -run 'TestGate|TestEngineBurst|TestEngineLargeStepNotStarved|TestEngineBlockedBackend' ./internal/engine/
 
 verify: build vet test race
 
@@ -88,11 +89,14 @@ resizebench:
 # shapes (unconstrained 480x480, band 12, early abandon) and MLPFit one
 # fit of the paper's model on a five-day window. IngestDecode times the
 # wire decoder beside the encoding/json path it replaced; AppendBatch
-# is the store's series-major bulk append.
+# is the store's series-major bulk append. EngineBurst makes 32
+# mixed-size boxes due at once and reports the median ready-to-published
+# time beside the burst's makespan.
 microbench:
 	$(GO) test -run NONE -bench 'BenchmarkDTW|BenchmarkEnvelopeAllocs|BenchmarkOptimalCut' -benchmem ./internal/cluster/ .
 	$(GO) test -run NONE -bench 'BenchmarkMLPFit' -benchmem ./internal/predict/
 	$(GO) test -run NONE -bench 'BenchmarkIngestDecode|BenchmarkAppendBatch' -benchmem ./internal/serve/ ./internal/state/
+	$(GO) test -run NONE -bench 'BenchmarkEngineBurst' ./internal/engine/
 
 # Rolling model-reuse benchmark: core.RunRolling with a full search
 # per window vs the same run rolling the retained model incrementally;

@@ -133,7 +133,7 @@ func main() {
 	flag.BoolVar(&sc.actuate, "actuate", false, "serve: push plans into this daemon's cgroup registry")
 	flag.BoolVar(&sc.dryRun, "dry-run", false, "serve: plan-only — publish plans and answer whatif, never write limits")
 	flag.StringVar(&sc.policyFile, "policy", "", "serve: JSON policy file with min/max/step clamps and write rate limits (requires -actuate or -dry-run)")
-	flag.IntVar(&sc.workers, "workers", 0, "serve: engine worker-pool size (0 = one per core)")
+	flag.IntVar(&sc.workers, "workers", 0, "serve: engine-wide bound on concurrent step computations, across all shards (0 = one per core)")
 	flag.IntVar(&sc.history, "history", 0, "serve: samples retained per series (0 = 2*(train+horizon))")
 	flag.IntVar(&sc.shards, "shards", 0, "serve: state-store shard count (0 = default)")
 	flag.Int64Var(&sc.maxBody, "max-body", 0, "serve: ingest body cap in bytes (0 = default, <0 = unlimited)")

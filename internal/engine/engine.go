@@ -1,13 +1,15 @@
 // Package engine is ATM's long-running scheduler: it watches a
 // streaming state store, fires one rolling pipeline step per box
-// whenever Horizon new samples have landed, fans the ready boxes out
-// over the shared worker pool, and keeps the latest resize plan per
-// box for the service layer to expose. It is the online counterpart
-// of core.RunRolling — both drive core.Pipeline.StepInto over the same
-// windows, so a replayed trace publishes plans bit-identical to the
-// batch rolling run, and a steady-state engine pass performs zero heap
-// allocations. The engine keeps only each box's latest Plan; per-step
-// outcomes are the decision events (Config.Events).
+// whenever Horizon new samples have landed, runs the ready steps
+// through one engine-wide scheduler (at most Workers step computations
+// at a time, cheapest first; see gate), and keeps the latest resize
+// plan per box for the service layer to expose. It is the online
+// counterpart of core.RunRolling — both drive core.Pipeline.StepInto
+// over the same windows, so a replayed trace publishes plans
+// bit-identical to the batch rolling run, and a steady-state engine
+// pass performs zero heap allocations. The engine keeps only each box's
+// latest Plan; per-step outcomes are the decision events
+// (Config.Events).
 //
 // The engine is sharded to the state store's layout: each store shard
 // gets its own scheduler loop (its own goroutine under Run, draining
@@ -28,10 +30,12 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -54,20 +58,25 @@ import (
 // lag is the streaming backlog signal, evictions mark boxes whose
 // ingest outran the retention window, inspections count the boxes a
 // scheduling pass actually looked at (the dirty-set O(k) contract),
-// and pass timings are recorded per shard.
+// pass timings are recorded per shard, and the step scheduler reports
+// its occupancy and how long ready steps waited for a slot.
 var (
 	stepsTotal = obs.Default().Counter("atm_engine_steps_total",
 		"Rolling pipeline steps executed by the streaming engine.")
 	stepErrors = obs.Default().Counter("atm_engine_step_errors_total",
 		"Engine steps that returned an error (degraded steps included).")
 	lagGauge = obs.Default().Gauge("atm_engine_ingest_lag_samples",
-		"Largest per-box backlog of ingested samples not yet consumed by a step, among boxes visited by the latest scheduling pass.")
+		"Largest per-box backlog of ingested samples not yet consumed by a step, among boxes visited by each shard's latest scheduling pass.")
 	evictedSteps = obs.Default().Counter("atm_engine_evicted_steps_total",
 		"Steps skipped because their window aged out of the state store's retention.")
 	inspectedBoxes = obs.Default().Counter("atm_engine_boxes_inspected_total",
 		"Boxes inspected by scheduling passes (dirty-set drains keep this O(appends), not O(fleet x passes)).")
 	passSeconds = obs.Default().HistogramVec("atm_engine_pass_seconds",
 		"Scheduling-pass latency per engine shard (drain + ready checks + fired steps).", nil, "shard")
+	stepsInflight = obs.Default().Gauge("atm_engine_steps_inflight",
+		"Step computations holding a scheduler slot (bounded by the engine's Workers).")
+	stepWaitSeconds = obs.Default().Histogram("atm_engine_step_wait_seconds",
+		"Time a ready step waited for a scheduler slot (ready to dispatched).", nil)
 )
 
 // Config parameterizes the engine.
@@ -78,9 +87,10 @@ type Config struct {
 	// SamplesPerDay seeds the default temporal model's seasonal
 	// period.
 	SamplesPerDay int
-	// Workers bounds the box fan-out within one shard pass; <= 0 uses
-	// one worker per core. Per-box pipeline work stays inline (Workers
-	// pinned to 1), like core.Run's fleet fan-out.
+	// Workers is the engine-wide bound on concurrent step computations,
+	// across all shards; <= 0 uses one per core. Per-box pipeline work
+	// stays inline (Core.Workers pinned to 1), like core.Run's fleet
+	// fan-out.
 	Workers int
 	// Setter, when non-nil, receives each completed plan through the
 	// transactional core.ApplyBox push (snapshot, apply, rollback on
@@ -190,6 +200,8 @@ type boxRun struct {
 	plan     *Plan
 	decision core.Decision // research/refit choice of the last plan step
 	lastErr  error
+	compute  time.Duration // slot time of the last completed step: the next step's estimate
+	wait     waiter        // the box's seat on the scheduler's wait list
 }
 
 // engineShard is one scheduler loop's private state: the boxes owned
@@ -204,7 +216,16 @@ type engineShard struct {
 	passMu   sync.Mutex
 	pass     uint64 // scheduling passes completed on this shard (under passMu)
 	ids      []string
-	readyBuf []string
+	readyBuf []readyBox
+
+	lag int // largest backlog among the boxes of the last pass (under Engine.lagMu)
+}
+
+// readyBox is a box a pass found due, with its step's estimated
+// compute time.
+type readyBox struct {
+	id  string
+	est time.Duration
 }
 
 // Engine schedules rolling pipeline steps over a state store.
@@ -214,6 +235,16 @@ type Engine struct {
 
 	shards   []engineShard
 	passHist []*obs.Histogram // per-shard pass timer, resolved once (With allocates)
+
+	// gate is the step scheduler every shard's steps go through; workers
+	// is its slot count. computeNs over computeSeries is the running mean
+	// compute time per series, the estimate for a box's first step.
+	gate          gate
+	workers       int
+	computeNs     atomic.Int64
+	computeSeries atomic.Int64
+
+	lagMu sync.Mutex // guards every shard's lag and the gauge derived from them
 
 	// board scores every published plan against realized demand; always
 	// on — the scorecard is part of the engine's contract, not optional
@@ -267,13 +298,16 @@ func New(store *state.Store, cfg Config) (*Engine, error) {
 	if cfg.DryRun {
 		cfg.Setter = nil
 	}
-	// Fleet fan-out owns the parallelism; per-box work stays inline.
+	// The step scheduler owns the parallelism; per-box work stays inline.
 	cfg.Core.Workers = 1
+	workers := parallel.ResolveWorkers(math.MaxInt, cfg.Workers)
 	e := &Engine{
 		store:    store,
 		cfg:      cfg,
 		shards:   make([]engineShard, store.Shards()),
 		passHist: make([]*obs.Histogram, store.Shards()),
+		gate:     gate{free: workers},
+		workers:  workers,
 		board:    score.NewBoard(store.Shards(), cfg.Core),
 	}
 	if cfg.Control.Enabled {
@@ -332,9 +366,10 @@ func (e *Engine) Sync(ctx context.Context) {
 // SyncShard performs one scheduling pass over shard i: it drains the
 // shard's dirty set (or, with ScanAll, lists every registered box),
 // checks which of those boxes are ready, and steps the ready ones to
-// completion — fanned out on the shared worker pool when more than one
-// is ready. Passes on the same shard are serialized; passes on
-// distinct shards run concurrently under Run.
+// completion, cheapest first, each step computing only while it holds
+// a slot of the engine-wide scheduler. Passes on the same shard are
+// serialized; passes on distinct shards run concurrently under Run and
+// share the scheduler's Workers slots.
 func (e *Engine) SyncShard(ctx context.Context, i int) {
 	sh := &e.shards[i]
 	sh.passMu.Lock()
@@ -353,31 +388,56 @@ func (e *Engine) SyncShard(ctx context.Context, i int) {
 		if ctx.Err() != nil {
 			break
 		}
-		if e.ready(sh, id) {
-			ready = append(ready, id)
+		if est, ok := e.ready(sh, id); ok {
+			ready = append(ready, readyBox{id, est})
 		}
 	}
 	inspectedBoxes.Add(float64(len(ids)))
 	sh.readyBuf = ready
-	switch {
-	case len(ready) == 0:
-	case e.cfg.Workers == 1 || len(ready) == 1:
-		// Inline: the pool (and its closure) costs allocations the
-		// zero-alloc steady state can't afford, and buys nothing for a
-		// single worker or a single ready box.
-		for _, id := range ready {
-			e.stepBox(ctx, sh, i, pass, id)
-		}
-	default:
-		// Worker fn never errors: per-box failures are recorded on the
-		// boxRun so sibling boxes keep stepping.
-		_ = parallel.ForEach(len(ready), func(k int) error {
-			e.stepBox(ctx, sh, i, pass, ready[k])
-			return nil
-		}, parallel.WithWorkers(e.cfg.Workers))
+	if len(ready) > 0 {
+		e.stepReady(ctx, sh, i, pass, ready)
 	}
 	e.updateLag(sh, ids)
 	e.passHist[i].Observe(obs.Since(start))
+}
+
+// stepReady steps the boxes a pass found ready to completion, cheapest
+// first. Per-box failures are recorded on the boxRun; sibling boxes
+// keep stepping.
+func (e *Engine) stepReady(ctx context.Context, sh *engineShard, shard int, pass uint64, ready []readyBox) {
+	// The steps count as ready from here: no earlier than the appends
+	// that completed their windows.
+	now := time.Now()
+	if len(ready) > 1 {
+		// One ready time, so estimate order is due order: the shard
+		// offers the scheduler its cheapest box first.
+		slices.SortStableFunc(ready, func(a, b readyBox) int { return cmp.Compare(a.est, b.est) })
+	}
+	workers := min(e.workers, len(ready))
+	if workers == 1 {
+		// Inline: goroutines (and their closure) cost allocations the
+		// zero-alloc steady state can't afford, and buy nothing for a
+		// single slot or a single ready box.
+		for _, rb := range ready {
+			e.stepBox(ctx, sh, shard, pass, rb.id, now)
+		}
+		return
+	}
+	// As many of the shard's boxes as there are slots wait at the
+	// scheduler at once, so it can fill every slot from this shard when
+	// the others are idle.
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for ; workers > 0; workers-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := next.Add(1) - 1; int(k) < len(ready); k = next.Add(1) - 1 {
+				e.stepBox(ctx, sh, shard, pass, ready[k].id, now)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // need returns the total sample count required before step k can fire:
@@ -397,10 +457,12 @@ func (e *Engine) shardOf(id string) *engineShard {
 	return &e.shards[e.store.ShardOf(id)]
 }
 
-func (e *Engine) ready(sh *engineShard, id string) bool {
+// ready reports whether the box's next step is due and, if so, the
+// compute time the scheduler should expect of it.
+func (e *Engine) ready(sh *engineShard, id string) (time.Duration, bool) {
 	total, err := e.store.Total(id)
 	if err != nil {
-		return false
+		return 0, false
 	}
 	sh.mu.Lock()
 	br := sh.boxes[id]
@@ -409,7 +471,30 @@ func (e *Engine) ready(sh *engineShard, id string) bool {
 		steps = br.steps
 	}
 	sh.mu.Unlock()
-	return total >= e.need(steps)
+	if total < e.need(steps) {
+		return 0, false
+	}
+	return e.estimate(br, id), true
+}
+
+// estimate is the compute time the scheduler expects of the box's next
+// step: what its previous step took, or before its first step the
+// engine's mean compute time per series times the box's series count —
+// zero, and so arrival order, until some step has finished. br may be
+// nil; its compute field is the pass's to read (see stepBox).
+func (e *Engine) estimate(br *boxRun, id string) time.Duration {
+	if br != nil && br.compute > 0 {
+		return br.compute
+	}
+	series := e.computeSeries.Load()
+	if series == 0 {
+		return 0
+	}
+	meta, err := e.store.Meta(id)
+	if err != nil {
+		return 0
+	}
+	return time.Duration(e.computeNs.Load() / series * int64(2*len(meta.VMs)))
 }
 
 // boxRun fetches or creates the per-box state.
@@ -423,19 +508,26 @@ func (e *Engine) boxRun(sh *engineShard, id string) *boxRun {
 		if err != nil {
 			panic(fmt.Sprintf("engine: pipeline for validated config: %v", err))
 		}
-		br = &boxRun{pipe: pipe}
+		br = &boxRun{pipe: pipe, wait: newWaiter()}
 		sh.boxes[id] = br
 	}
 	return br
 }
 
 // stepBox catches one box up: it fires rolling steps while full
-// windows are available. Only one pass runs a given box at a time
-// (ready lists are deduplicated, a box belongs to exactly one shard,
-// and passes on a shard are serialized by passMu), so br's fields are
-// accessed without the shard lock held during the step itself;
-// publication of the plan takes the lock.
-func (e *Engine) stepBox(ctx context.Context, sh *engineShard, shard int, pass uint64, id string) {
+// windows are available, the first of them ready since the pass found
+// it so (ready), each later one since the step before it finished.
+// Only one pass runs a given box at a time (ready lists are
+// deduplicated, a box belongs to exactly one shard, and passes on a
+// shard are serialized by passMu), so br's fields are accessed without
+// the shard lock held during the step itself; publication of the plan
+// takes the lock.
+//
+// A step holds a scheduler slot from its window read through scoring —
+// the part that computes — and gives it back before the plan is pushed
+// to the backend and published, so neither backend I/O nor a box
+// catching up keeps a core from the other boxes.
+func (e *Engine) stepBox(ctx context.Context, sh *engineShard, shard int, pass uint64, id string, ready time.Time) {
 	br := e.boxRun(sh, id)
 	for ctx.Err() == nil {
 		total, err := e.store.Total(id)
@@ -445,6 +537,15 @@ func (e *Engine) stepBox(ctx context.Context, sh *engineShard, shard int, pass u
 		if total < e.need(br.steps) {
 			return
 		}
+		e.gate.acquire(&br.wait, ready.Add(e.estimate(br, id)))
+		dispatched := time.Now()
+		stepWaitSeconds.Observe(dispatched.Sub(ready).Seconds())
+		if ctx.Err() != nil {
+			// Cancelled while waiting: no new step starts.
+			e.gate.release()
+			return
+		}
+		stepsInflight.Inc()
 		// With tracing on, link this step to the ingest span that last
 		// touched the box: one trace from HTTP ingest to plan publish.
 		// The nil-Tracer path touches none of this and stays
@@ -475,6 +576,7 @@ func (e *Engine) stepBox(ctx context.Context, sh *engineShard, shard int, pass u
 		to := e.need(br.steps)
 		wb := &br.wb
 		if err := e.store.WindowInto(id, from, to, wb); err != nil {
+			ready = e.release(nil, dispatched, 0)
 			span.End()
 			if errors.Is(err, timeseries.ErrEvicted) {
 				// Ingest outran the planner past retention: this window
@@ -508,6 +610,7 @@ func (e *Engine) stepBox(ctx context.Context, sh *engineShard, shard int, pass u
 			// Un-degradable failure (bad config never reaches here, so
 			// this is a hard model error with Degraded off): record it
 			// and advance past the window instead of re-failing forever.
+			ready = e.release(nil, dispatched, 0)
 			span.End()
 			sh.mu.Lock()
 			step := br.steps
@@ -548,6 +651,7 @@ func (e *Engine) stepBox(ctx context.Context, sh *engineShard, shard int, pass u
 		// the scorecard is always on and allocation-free after the
 		// box's first step.
 		e.board.Observe(id, shard, res)
+		ready = e.release(br, dispatched, 2*len(wb.VMs))
 		step := br.steps
 		var applyErr error
 		if e.cfg.Setter != nil && !res.Degraded {
@@ -603,6 +707,22 @@ func (e *Engine) stepBox(ctx context.Context, sh *engineShard, shard int, pass u
 	}
 }
 
+// release gives back the slot a step was dispatched into and returns
+// the time it did so. A step that ran to a result passes its box and
+// series count: its slot time becomes the box's next estimate and joins
+// the engine's mean per series.
+func (e *Engine) release(br *boxRun, dispatched time.Time, series int) time.Time {
+	now := time.Now()
+	stepsInflight.Dec()
+	e.gate.release()
+	if br != nil {
+		br.compute = now.Sub(dispatched)
+		e.computeNs.Add(int64(br.compute))
+		e.computeSeries.Add(int64(series))
+	}
+	return now
+}
+
 // planDelta counts VMs whose CPU or RAM target changes between the
 // box's previous published plan and the new result — the full VM
 // count on the first plan. Callers hold the shard lock.
@@ -643,10 +763,12 @@ func planInto(p *Plan, id string, step int, res *core.BoxResult, dec core.Decisi
 	p.UpdatedAt = time.Now()
 }
 
-// updateLag publishes the largest ingest backlog — samples landed but
-// not yet consumed by a fired step — among the boxes the pass visited.
-// Untouched boxes have no new samples, so their backlog cannot have
-// grown since they were last visited.
+// updateLag records the largest ingest backlog — samples landed but
+// not yet consumed by a fired step — among the boxes the pass visited,
+// and publishes the largest such figure over all shards, so an idle
+// shard's pass cannot hide a lagging shard's backlog. Untouched boxes
+// have no new samples, so their backlog cannot have grown since they
+// were last visited.
 func (e *Engine) updateLag(sh *engineShard, ids []string) {
 	maxLag := 0
 	for _, id := range ids {
@@ -668,7 +790,13 @@ func (e *Engine) updateLag(sh *engineShard, ids []string) {
 			maxLag = lag
 		}
 	}
+	e.lagMu.Lock()
+	sh.lag = maxLag
+	for i := range e.shards {
+		maxLag = max(maxLag, e.shards[i].lag)
+	}
 	lagGauge.Set(float64(maxLag))
+	e.lagMu.Unlock()
 }
 
 // Plan returns the latest published plan for the box, or false when
