@@ -66,7 +66,7 @@ func inspectRun(opts inspectOpts) {
 // printDebug renders one box's debug snapshot as an operator-facing
 // report. Split from inspectRun so tests can feed it a canned payload.
 func printDebug(w io.Writer, dbg *serve.DebugResponse) {
-	fmt.Fprintf(w, "box %s (shard %d): %d steps\n", dbg.Box, dbg.Shard, dbg.Steps)
+	fmt.Fprintf(w, "box %s (shard %d): %d steps, %s\n", dbg.Box, dbg.Shard, dbg.Steps, dbg.State)
 	if dbg.LastErr != "" {
 		fmt.Fprintf(w, "last error: %s\n", dbg.LastErr)
 	}

@@ -23,6 +23,7 @@ func TestPrintDebugRendersFullStory(t *testing.T) {
 			Box:   "box-0001",
 			Shard: 2,
 			Steps: 3,
+			State: "queued",
 			Plan: &engine.Plan{
 				Box: "box-0001", Step: 2, Pass: 7,
 				CPUSizes: []float64{4, 2}, RAMSizes: []float64{8, 4},
@@ -54,7 +55,7 @@ func TestPrintDebugRendersFullStory(t *testing.T) {
 	out := buf.String()
 
 	for _, want := range []string{
-		"box box-0001 (shard 2): 3 steps",
+		"box box-0001 (shard 2): 3 steps, queued",
 		"plan (step 2, pass 7)",
 		"tickets 9 -> 1",
 		"decision: refit",

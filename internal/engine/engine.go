@@ -2,7 +2,7 @@
 // streaming state store, fires one rolling pipeline step per box
 // whenever Horizon new samples have landed, runs the ready steps
 // through one engine-wide scheduler (at most Workers step computations
-// at a time, cheapest first; see gate), and keeps the latest resize
+// at a time, cheapest first; see sched), and keeps the latest resize
 // plan per box for the service layer to expose. It is the online
 // counterpart of core.RunRolling — both drive core.Pipeline.StepInto
 // over the same windows, so a replayed trace publishes plans
@@ -30,7 +30,6 @@
 package engine
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -72,11 +71,15 @@ var (
 	inspectedBoxes = obs.Default().Counter("atm_engine_boxes_inspected_total",
 		"Boxes inspected by scheduling passes (dirty-set drains keep this O(appends), not O(fleet x passes)).")
 	passSeconds = obs.Default().HistogramVec("atm_engine_pass_seconds",
-		"Scheduling-pass latency per engine shard (drain + ready checks + fired steps).", nil, "shard")
+		"Scheduling-pass latency per engine shard (drain + ready checks; a direct Sync that steps inline also times those steps).", nil, "shard")
 	stepsInflight = obs.Default().Gauge("atm_engine_steps_inflight",
 		"Step computations holding a scheduler slot (bounded by the engine's Workers).")
+	stepsQueued = obs.Default().Gauge("atm_engine_steps_queued",
+		"Boxes with a due step waiting on the scheduler's ready queue.")
 	stepWaitSeconds = obs.Default().Histogram("atm_engine_step_wait_seconds",
 		"Time a ready step waited for a scheduler slot (ready to dispatched).", nil)
+	stepPanics = obs.Default().Counter("atm_engine_step_panics_total",
+		"Engine steps that panicked; the window is skipped and the box's pipeline rebuilt.")
 )
 
 // Config parameterizes the engine.
@@ -192,8 +195,12 @@ type Plan struct {
 	UpdatedAt time.Time `json:"updated_at"`
 }
 
-// boxRun is the engine's mutable per-box state.
+// boxRun is the engine's mutable per-box state. state, steps, plan,
+// decision and lastErr are guarded by the shard lock; everything else
+// belongs to whoever holds the box out of idle (see boxState).
 type boxRun struct {
+	id       string
+	shard    int
 	pipe     *core.Pipeline
 	steps    int       // rolling steps fired so far
 	wb       trace.Box // window box, reused so a steady-state pass allocates nothing
@@ -201,31 +208,41 @@ type boxRun struct {
 	decision core.Decision // research/refit choice of the last plan step
 	lastErr  error
 	compute  time.Duration // slot time of the last completed step: the next step's estimate
-	wait     waiter        // the box's seat on the scheduler's wait list
+
+	state boxState
+	ctx   context.Context // of the pass that queued the box
+	pass  uint64          // that pass's number
+	ready time.Time       // when the pending step was found due
+	due   time.Time       // ready + estimate: the ready queue's key
+	seq   uint64          // the ready queue's tie-break
 }
 
 // engineShard is one scheduler loop's private state: the boxes owned
 // by the matching store shard plus the pass scratch buffers. passMu
 // serializes scheduling passes on the shard (Run's per-shard loop and
-// any direct Sync/SyncShard calls), which is what lets stepBox touch
-// boxRun fields without holding mu across the whole step.
+// any direct Sync/SyncShard calls).
 type engineShard struct {
 	mu    sync.Mutex
 	boxes map[string]*boxRun
+	busy  int       // boxes not idle
+	quiet sync.Cond // on mu: busy fell to zero
 
 	passMu   sync.Mutex
 	pass     uint64 // scheduling passes completed on this shard (under passMu)
 	ids      []string
-	readyBuf []readyBox
+	readyBuf []*boxRun
 
-	lag int // largest backlog among the boxes of the last pass (under Engine.lagMu)
+	lagIDs []string // boxes of the last pass (under Engine.lagMu)
+	lag    int      // largest backlog among them (under Engine.lagMu)
 }
 
-// readyBox is a box a pass found due, with its step's estimated
-// compute time.
-type readyBox struct {
-	id  string
-	est time.Duration
+// quiesce blocks until no box of the shard has a step pending.
+func (sh *engineShard) quiesce() {
+	sh.mu.Lock()
+	for sh.busy > 0 {
+		sh.quiet.Wait()
+	}
+	sh.mu.Unlock()
 }
 
 // Engine schedules rolling pipeline steps over a state store.
@@ -236,11 +253,10 @@ type Engine struct {
 	shards   []engineShard
 	passHist []*obs.Histogram // per-shard pass timer, resolved once (With allocates)
 
-	// gate is the step scheduler every shard's steps go through; workers
-	// is its slot count. computeNs over computeSeries is the running mean
-	// compute time per series, the estimate for a box's first step.
-	gate          gate
-	workers       int
+	// sched is the step scheduler every shard's steps go through.
+	// computeNs over computeSeries is the running mean compute time per
+	// series, the estimate for a box's first step.
+	sched         sched
 	computeNs     atomic.Int64
 	computeSeries atomic.Int64
 
@@ -300,32 +316,33 @@ func New(store *state.Store, cfg Config) (*Engine, error) {
 	}
 	// The step scheduler owns the parallelism; per-box work stays inline.
 	cfg.Core.Workers = 1
-	workers := parallel.ResolveWorkers(math.MaxInt, cfg.Workers)
 	e := &Engine{
 		store:    store,
 		cfg:      cfg,
 		shards:   make([]engineShard, store.Shards()),
 		passHist: make([]*obs.Histogram, store.Shards()),
-		gate:     gate{free: workers},
-		workers:  workers,
+		sched:    sched{slots: parallel.ResolveWorkers(math.MaxInt, cfg.Workers), lastAppend: store.LastAppend},
 		board:    score.NewBoard(store.Shards(), cfg.Core),
 	}
+	e.sched.start = e.run
 	if cfg.Control.Enabled {
 		e.ctl = control.New(store.Shards(), cfg.Control)
 	}
 	for i := range e.shards {
 		e.shards[i].boxes = make(map[string]*boxRun)
+		e.shards[i].quiet.L = &e.shards[i].mu
 		e.passHist[i] = passSeconds.With(strconv.Itoa(i))
 	}
 	return e, nil
 }
 
 // Run drives the scheduler until ctx is cancelled: one goroutine per
-// store shard drains every ready step on its shard, then sleeps on the
-// shard's ingest notification (with the Poll ticker as a fallback).
-// In-flight steps always complete before Run returns — cancellation
-// stops new steps from starting, giving the graceful drain the service
-// layer relies on. The returned error is ctx.Err().
+// store shard queues every step that is due on its shard, then sleeps
+// on the shard's ingest notification (with the Poll ticker as a
+// fallback); the steps run on the scheduler's goroutines. In-flight
+// steps always complete before Run returns — cancellation stops queued
+// steps from starting, giving the graceful drain the service layer
+// relies on. The returned error is ctx.Err().
 func (e *Engine) Run(ctx context.Context) error {
 	var wg sync.WaitGroup
 	for i := range e.shards {
@@ -334,10 +351,11 @@ func (e *Engine) Run(ctx context.Context) error {
 			defer wg.Done()
 			e.running.Add(1)
 			defer e.running.Add(-1)
+			defer e.shards[i].quiesce()
 			ticker := time.NewTicker(e.cfg.Poll)
 			defer ticker.Stop()
 			for {
-				e.SyncShard(ctx, i)
+				e.pass(ctx, i, false)
 				select {
 				case <-ctx.Done():
 					return
@@ -355,89 +373,68 @@ func (e *Engine) Run(ctx context.Context) error {
 // each shard's dirty boxes with at least Horizon unconsumed samples
 // past their training window are stepped to completion. It returns
 // once all fired steps have finished, making it the deterministic
-// entry point for replay tests (the Run loop is per-shard SyncShard
-// plus waiting).
+// entry point for replay tests.
 func (e *Engine) Sync(ctx context.Context) {
 	for i := range e.shards {
 		e.SyncShard(ctx, i)
 	}
 }
 
-// SyncShard performs one scheduling pass over shard i: it drains the
-// shard's dirty set (or, with ScanAll, lists every registered box),
-// checks which of those boxes are ready, and steps the ready ones to
-// completion, cheapest first, each step computing only while it holds
-// a slot of the engine-wide scheduler. Passes on the same shard are
-// serialized; passes on distinct shards run concurrently under Run and
-// share the scheduler's Workers slots.
+// SyncShard performs one scheduling pass over shard i and returns once
+// every step the pass made due has published (and no other step of the
+// shard is pending). With one slot or one due box the steps run on the
+// calling goroutine.
 func (e *Engine) SyncShard(ctx context.Context, i int) {
+	e.pass(ctx, i, true)
+	e.shards[i].quiesce()
+}
+
+// pass is one scheduling pass over shard i: it drains the shard's dirty
+// set (or, with ScanAll, lists every registered box) and queues the idle
+// boxes whose next window is complete, without waiting for their steps.
+// A direct pass with work for one slot only steps it inline instead:
+// goroutines cost allocations the zero-alloc steady state can't afford,
+// and buy nothing for a single slot or a single due box. Passes on one
+// shard are serialized; passes on distinct shards run concurrently.
+func (e *Engine) pass(ctx context.Context, i int, direct bool) {
 	sh := &e.shards[i]
 	sh.passMu.Lock()
 	defer sh.passMu.Unlock()
 	sh.pass++
-	pass := sh.pass
 	start := time.Now()
 	if e.cfg.ScanAll {
 		sh.ids = e.store.ShardBoxesInto(i, sh.ids[:0])
 	} else {
 		sh.ids = e.store.DrainDirty(i, sh.ids[:0])
 	}
-	ids := sh.ids
 	ready := sh.readyBuf[:0]
-	for _, id := range ids {
+	for _, id := range sh.ids {
 		if ctx.Err() != nil {
 			break
 		}
-		if est, ok := e.ready(sh, id); ok {
-			ready = append(ready, readyBox{id, est})
+		// The steps count as ready from the pass's start: no earlier than
+		// the appends that completed their windows.
+		if br := e.claim(sh, i, id, start); br != nil {
+			br.ctx, br.pass = ctx, sh.pass
+			ready = append(ready, br)
 		}
 	}
-	inspectedBoxes.Add(float64(len(ids)))
+	inspectedBoxes.Add(float64(len(sh.ids)))
 	sh.readyBuf = ready
-	if len(ready) > 0 {
-		e.stepReady(ctx, sh, i, pass, ready)
-	}
-	e.updateLag(sh, ids)
-	e.passHist[i].Observe(obs.Since(start))
-}
-
-// stepReady steps the boxes a pass found ready to completion, cheapest
-// first. Per-box failures are recorded on the boxRun; sibling boxes
-// keep stepping.
-func (e *Engine) stepReady(ctx context.Context, sh *engineShard, shard int, pass uint64, ready []readyBox) {
-	// The steps count as ready from here: no earlier than the appends
-	// that completed their windows.
-	now := time.Now()
 	if len(ready) > 1 {
-		// One ready time, so estimate order is due order: the shard
-		// offers the scheduler its cheapest box first.
-		slices.SortStableFunc(ready, func(a, b readyBox) int { return cmp.Compare(a.est, b.est) })
+		// The pass offers its cheapest box first.
+		slices.SortStableFunc(ready, func(a, b *boxRun) int { return a.due.Compare(b.due) })
 	}
-	workers := min(e.workers, len(ready))
-	if workers == 1 {
-		// Inline: goroutines (and their closure) cost allocations the
-		// zero-alloc steady state can't afford, and buy nothing for a
-		// single slot or a single ready box.
-		for _, rb := range ready {
-			e.stepBox(ctx, sh, shard, pass, rb.id, now)
+	inline := direct && min(e.sched.slots, len(ready)) == 1
+	for _, br := range ready {
+		if inline && e.sched.tryAcquire() {
+			e.run(br)
+		} else {
+			e.sched.push(br)
 		}
-		return
 	}
-	// As many of the shard's boxes as there are slots wait at the
-	// scheduler at once, so it can fill every slot from this shard when
-	// the others are idle.
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for ; workers > 0; workers-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := next.Add(1) - 1; int(k) < len(ready); k = next.Add(1) - 1 {
-				e.stepBox(ctx, sh, shard, pass, ready[k].id, now)
-			}
-		}()
-	}
-	wg.Wait()
+	e.updateLag(sh, sh.ids)
+	e.passHist[i].Observe(obs.Since(start))
 }
 
 // need returns the total sample count required before step k can fire:
@@ -457,270 +454,291 @@ func (e *Engine) shardOf(id string) *engineShard {
 	return &e.shards[e.store.ShardOf(id)]
 }
 
-// ready reports whether the box's next step is due and, if so, the
-// compute time the scheduler should expect of it.
-func (e *Engine) ready(sh *engineShard, id string) (time.Duration, bool) {
+// claim queues the box, its step ready at now, if it is idle and its
+// next window is complete; otherwise it returns nil.
+func (e *Engine) claim(sh *engineShard, shard int, id string, now time.Time) *boxRun {
 	total, err := e.store.Total(id)
 	if err != nil {
-		return 0, false
+		return nil
 	}
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	br := sh.boxes[id]
-	steps := 0
-	if br != nil {
-		steps = br.steps
+	if br == nil {
+		if total < e.need(0) {
+			return nil
+		}
+		br = &boxRun{id: id, shard: shard, pipe: e.newPipeline()}
+		sh.boxes[id] = br
 	}
-	sh.mu.Unlock()
-	if total < e.need(steps) {
-		return 0, false
+	if br.state != idle || total < e.need(br.steps) {
+		return nil
 	}
-	return e.estimate(br, id), true
+	sh.busy++
+	br.state = queued
+	br.ready, br.due = now, now.Add(e.estimate(br))
+	return br
+}
+
+// newPipeline builds a box's pipeline; New validated the config.
+func (e *Engine) newPipeline() *core.Pipeline {
+	pipe, err := core.NewPipeline(e.cfg.SamplesPerDay, e.cfg.Core)
+	if err != nil {
+		panic(fmt.Sprintf("engine: pipeline for validated config: %v", err))
+	}
+	return pipe
 }
 
 // estimate is the compute time the scheduler expects of the box's next
 // step: what its previous step took, or before its first step the
 // engine's mean compute time per series times the box's series count —
-// zero, and so arrival order, until some step has finished. br may be
-// nil; its compute field is the pass's to read (see stepBox).
-func (e *Engine) estimate(br *boxRun, id string) time.Duration {
-	if br != nil && br.compute > 0 {
+// zero, and so arrival order, until some step has finished.
+func (e *Engine) estimate(br *boxRun) time.Duration {
+	if br.compute > 0 {
 		return br.compute
 	}
 	series := e.computeSeries.Load()
 	if series == 0 {
 		return 0
 	}
-	meta, err := e.store.Meta(id)
+	meta, err := e.store.Meta(br.id)
 	if err != nil {
 		return 0
 	}
 	return time.Duration(e.computeNs.Load() / series * int64(2*len(meta.VMs)))
 }
 
-// boxRun fetches or creates the per-box state.
-func (e *Engine) boxRun(sh *engineShard, id string) *boxRun {
+// run catches a queued box up; it is entered with a slot held. A box
+// with another window complete once its step has published goes back on
+// the queue — or straight on, when a slot is open, which it only is
+// while the queue is empty.
+func (e *Engine) run(br *boxRun) {
+	for e.step(br); e.settle(br); e.step(br) {
+		if !e.sched.tryAcquire() {
+			e.sched.push(br)
+			return
+		}
+	}
+}
+
+// settle ends a step and reports whether the box is queued again
+// because another window is complete. The box goes idle before that look
+// at the store, so an append whose pass found the box busy, and skipped
+// it, is never lost: it landed before this look. The box stays counted
+// busy until the end, so the shard never reads as quiet in between.
+func (e *Engine) settle(br *boxRun) bool {
+	sh := &e.shards[br.shard]
+	live := br.ctx.Err() == nil // cancelled: no further step starts
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	br, ok := sh.boxes[id]
-	if !ok {
-		// Config was validated in New; a pipeline build cannot fail.
-		pipe, err := core.NewPipeline(e.cfg.SamplesPerDay, e.cfg.Core)
-		if err != nil {
-			panic(fmt.Sprintf("engine: pipeline for validated config: %v", err))
-		}
-		br = &boxRun{pipe: pipe, wait: newWaiter()}
-		sh.boxes[id] = br
+	br.state = idle
+	sh.mu.Unlock()
+	again := live && e.claim(sh, br.shard, br.id, time.Now()) != nil
+	sh.mu.Lock()
+	sh.busy--
+	drained := sh.busy == 0
+	sh.mu.Unlock()
+	if drained {
+		e.updateLag(sh, nil)
+		sh.quiet.Broadcast()
 	}
-	return br
+	return again
 }
 
-// stepBox catches one box up: it fires rolling steps while full
-// windows are available, the first of them ready since the pass found
-// it so (ready), each later one since the step before it finished.
-// Only one pass runs a given box at a time (ready lists are
-// deduplicated, a box belongs to exactly one shard, and passes on a
-// shard are serialized by passMu), so br's fields are accessed without
-// the shard lock held during the step itself; publication of the plan
-// takes the lock.
-//
-// A step holds a scheduler slot from its window read through scoring —
-// the part that computes — and gives it back before the plan is pushed
-// to the backend and published, so neither backend I/O nor a box
-// catching up keeps a core from the other boxes.
-func (e *Engine) stepBox(ctx context.Context, sh *engineShard, shard int, pass uint64, id string, ready time.Time) {
-	br := e.boxRun(sh, id)
-	for ctx.Err() == nil {
-		total, err := e.store.Total(id)
-		if err != nil {
-			return
+// step fires the queued box's next rolling step. It holds a scheduler
+// slot from the window read through scoring — the part that computes —
+// and gives it back before the plan is pushed to the backend and
+// published, so neither backend I/O nor a box catching up keeps a core
+// from the other boxes. Until settle, br's unguarded fields are this
+// goroutine's; publication of the plan takes the shard lock.
+func (e *Engine) step(br *boxRun) {
+	ctx, id, shard, pass := br.ctx, br.id, br.shard, br.pass
+	sh := &e.shards[shard]
+	sh.mu.Lock()
+	br.state = running
+	sh.mu.Unlock()
+	if ctx.Err() != nil {
+		// Cancelled while queued: the step does not start.
+		e.sched.dispatch(1)
+		return
+	}
+	dispatched := time.Now()
+	stepWaitSeconds.Observe(dispatched.Sub(br.ready).Seconds())
+	stepsInflight.Inc()
+	// With tracing on, link this step to the ingest span that last
+	// touched the box: one trace from HTTP ingest to plan publish. The
+	// nil-Tracer path touches none of this and stays allocation-free.
+	stepCtx := ctx
+	var span *obs.Span
+	var traceID string
+	if e.cfg.Tracer != nil {
+		tid, sid, _ := e.store.IngestTrace(id)
+		if e.cfg.TraceStages {
+			// Deep-dive mode: the pipeline runs under the traced context
+			// so every stage hangs its own span off engine.step.
+			stepCtx = obs.WithTracer(ctx, e.cfg.Tracer)
+			stepCtx, span = obs.StartSpanLinked(stepCtx, "engine.step", tid, sid)
+		} else {
+			// Decision-level tracing only: one standalone span per step,
+			// no context derivation, and the pipeline stays on the bare
+			// context — the hot loop's steady posture.
+			span = e.cfg.Tracer.LinkedSpan("engine.step", tid, sid)
 		}
-		if total < e.need(br.steps) {
-			return
-		}
-		e.gate.acquire(&br.wait, ready.Add(e.estimate(br, id)))
-		dispatched := time.Now()
-		stepWaitSeconds.Observe(dispatched.Sub(ready).Seconds())
-		if ctx.Err() != nil {
-			// Cancelled while waiting: no new step starts.
-			e.gate.release()
-			return
-		}
-		stepsInflight.Inc()
-		// With tracing on, link this step to the ingest span that last
-		// touched the box: one trace from HTTP ingest to plan publish.
-		// The nil-Tracer path touches none of this and stays
-		// allocation-free.
-		stepCtx := ctx
-		var span *obs.Span
-		var traceID string
-		if e.cfg.Tracer != nil {
-			tid, sid, _ := e.store.IngestTrace(id)
-			if e.cfg.TraceStages {
-				// Deep-dive mode: the pipeline runs under the traced
-				// context so every stage hangs its own span off
-				// engine.step.
-				stepCtx = obs.WithTracer(ctx, e.cfg.Tracer)
-				stepCtx, span = obs.StartSpanLinked(stepCtx, "engine.step", tid, sid)
-			} else {
-				// Decision-level tracing only: one standalone span per
-				// step, no context derivation, and the pipeline stays on
-				// the bare context — the hot loop's steady posture.
-				span = e.cfg.Tracer.LinkedSpan("engine.step", tid, sid)
-			}
-			span.SetAttr("box", id)
-			span.SetAttr("shard", shard)
-			span.SetAttr("step", br.steps)
-			traceID = span.TraceID()
-		}
-		from := br.steps * e.cfg.Core.Horizon
-		to := e.need(br.steps)
-		wb := &br.wb
-		if err := e.store.WindowInto(id, from, to, wb); err != nil {
-			ready = e.release(nil, dispatched, 0)
-			span.End()
-			if errors.Is(err, timeseries.ErrEvicted) {
-				// Ingest outran the planner past retention: this window
-				// is gone. Skip forward one step rather than stalling
-				// the box forever.
-				evictedSteps.Inc()
-				sh.mu.Lock()
-				step := br.steps
-				br.steps++
-				br.lastErr = err
-				sh.mu.Unlock()
-				if e.cfg.Events != nil {
-					e.cfg.Events.Publish(obs.Event{
-						Type: "evicted", Box: id, Shard: shard, Pass: pass,
-						Step: step, TraceID: traceID, Err: err.Error(),
-					})
-				}
-				continue
-			}
-			sh.mu.Lock()
-			br.lastErr = err
-			sh.mu.Unlock()
-			return
-		}
-		res, err := br.pipe.StepInto(stepCtx, wb)
-		stepsTotal.Inc()
-		if err != nil {
-			stepErrors.Inc()
-		}
-		if res == nil {
-			// Un-degradable failure (bad config never reaches here, so
-			// this is a hard model error with Degraded off): record it
-			// and advance past the window instead of re-failing forever.
-			ready = e.release(nil, dispatched, 0)
-			span.End()
-			sh.mu.Lock()
-			step := br.steps
-			br.lastErr = err
-			br.steps++
-			sh.mu.Unlock()
-			if e.cfg.Events != nil {
-				ev := obs.Event{
-					Type: "step_error", Box: id, Shard: shard, Pass: pass,
-					Step: step, TraceID: traceID,
-				}
-				if err != nil {
-					ev.Err = err.Error()
-				}
-				e.cfg.Events.Publish(ev)
-			}
-			continue
-		}
-		// Robust control: judge the forecast on what the board had seen
-		// BEFORE this step plus this step's own realized error, then
-		// blend the plan toward the stingy safe allocation under the
-		// resulting trust. Runs before scoring (the board must score the
-		// published sizes) and before actuation.
-		var ctlDec control.Decision
-		if e.ctl != nil {
-			o := control.Observation{
-				Degraded:    res.Degraded,
-				SevereDrift: br.pipe.SevereDrift(),
-			}
-			o.RollingMAPE, o.RollingN, _ = e.board.MAPE(id)
-			if m := res.MeanMAPE(); !math.IsNaN(m) && !math.IsInf(m, 0) {
-				o.StepMAPE, o.HaveStep = m, true
-			}
-			ctlDec = e.ctl.Update(id, shard, o)
-			e.ctl.Blend(id, shard, wb, res, e.cfg.Core, ctlDec.Lambda)
-		}
-		// Score the step against realized demand before publication:
-		// the scorecard is always on and allocation-free after the
-		// box's first step.
-		e.board.Observe(id, shard, res)
-		ready = e.release(br, dispatched, 2*len(wb.VMs))
-		step := br.steps
-		var applyErr error
-		if e.cfg.Setter != nil && !res.Degraded {
-			applyErr = core.ApplyBox(ctx, e.cfg.Setter, res)
-		}
-		dec := br.pipe.LastDecision()
-		sh.mu.Lock()
-		br.steps++
-		if br.plan == nil {
-			br.plan = &Plan{}
-		}
-		deltaVMs := planDelta(br.plan, res)
-		planInto(br.plan, id, step, res, dec, shard, pass, traceID)
-		if e.ctl != nil {
-			br.plan.Lambda, br.plan.BlendReason = ctlDec.Lambda, ctlDec.Reason
-		}
-		br.decision = dec
-		br.lastErr = err
-		if applyErr != nil {
-			// The plan still publishes; the box's last error carries
-			// the actuation failure beside the step's own.
-			br.lastErr = errors.Join(err, applyErr)
-		}
-		sh.mu.Unlock()
+		span.SetAttr("box", id)
+		span.SetAttr("shard", shard)
+		span.SetAttr("step", br.steps)
+		traceID = span.TraceID()
+	}
+	from := br.steps * e.cfg.Core.Horizon
+	to := e.need(br.steps)
+	wb := &br.wb
+	if err := e.store.WindowInto(id, from, to, wb); err != nil {
+		// The window cannot be read — almost always because ingest outran
+		// the planner past retention and it is gone. Skip forward one step
+		// rather than stalling the box forever.
+		e.release(nil, dispatched, 0)
 		span.End()
-		if e.cfg.Events != nil {
-			ev := obs.Event{
-				Type: "plan", Box: id, Shard: shard, Pass: pass, Step: step,
-				Research: dec.Research, Reason: dec.Reason,
-				Degraded:      res.Degraded,
-				TicketsBefore: res.CPU.TicketsBefore + res.RAM.TicketsBefore,
-				TicketsAfter:  res.CPU.TicketsAfter + res.RAM.TicketsAfter,
-				DeltaVMs:      deltaVMs,
-				TraceID:       traceID,
-			}
-			if m := res.MeanMAPE(); m == m { // NaN-safe for degraded boxes
-				ev.MeanMAPE = m
-			}
-			if e.ctl != nil {
-				ev.Lambda, ev.BlendReason = ctlDec.Lambda, ctlDec.Reason
-			}
-			if applyErr != nil {
-				ev.Err = applyErr.Error()
-			}
-			e.cfg.Events.Publish(ev)
-			if applyErr != nil {
-				e.cfg.Events.Publish(obs.Event{
-					Type: "apply_error", Box: id, Shard: shard, Pass: pass,
-					Step: step, TraceID: traceID, Err: applyErr.Error(),
-				})
-			}
+		event := "step_error"
+		if errors.Is(err, timeseries.ErrEvicted) {
+			evictedSteps.Inc()
+			event = "evicted"
+		}
+		e.skip(sh, br, event, traceID, err)
+		return
+	}
+	res, err := e.stepInto(stepCtx, br)
+	stepsTotal.Inc()
+	if err != nil {
+		stepErrors.Inc()
+	}
+	if res == nil {
+		// Un-degradable failure (bad config never reaches here, so this
+		// is a hard model error with Degraded off, or a panic): record it
+		// and advance past the window instead of re-failing forever.
+		e.release(nil, dispatched, 0)
+		span.End()
+		e.skip(sh, br, "step_error", traceID, err)
+		return
+	}
+	// Robust control: judge the forecast on what the board had seen
+	// BEFORE this step plus this step's own realized error, then blend
+	// the plan toward the stingy safe allocation under the resulting
+	// trust. Runs before scoring (the board must score the published
+	// sizes) and before actuation.
+	var ctlDec control.Decision
+	if e.ctl != nil {
+		o := control.Observation{
+			Degraded:    res.Degraded,
+			SevereDrift: br.pipe.SevereDrift(),
+		}
+		o.RollingMAPE, o.RollingN, _ = e.board.MAPE(id)
+		if m := res.MeanMAPE(); !math.IsNaN(m) && !math.IsInf(m, 0) {
+			o.StepMAPE, o.HaveStep = m, true
+		}
+		ctlDec = e.ctl.Update(id, shard, o)
+		e.ctl.Blend(id, shard, wb, res, e.cfg.Core, ctlDec.Lambda)
+	}
+	// Score the step against realized demand before publication: the
+	// scorecard is always on and allocation-free after the first step.
+	e.board.Observe(id, shard, res)
+	e.release(br, dispatched, 2*len(wb.VMs))
+	step := br.steps
+	var applyErr error
+	if e.cfg.Setter != nil && !res.Degraded {
+		applyErr = core.ApplyBox(ctx, e.cfg.Setter, res)
+	}
+	dec := br.pipe.LastDecision()
+	sh.mu.Lock()
+	br.steps++
+	if br.plan == nil {
+		br.plan = &Plan{}
+	}
+	deltaVMs := planDelta(br.plan, res)
+	planInto(br.plan, id, step, res, dec, shard, pass, traceID)
+	if e.ctl != nil {
+		br.plan.Lambda, br.plan.BlendReason = ctlDec.Lambda, ctlDec.Reason
+	}
+	br.decision = dec
+	br.lastErr = err
+	if applyErr != nil {
+		// The plan still publishes; the box's last error carries the
+		// actuation failure beside the step's own.
+		br.lastErr = errors.Join(err, applyErr)
+	}
+	sh.mu.Unlock()
+	span.End()
+	if e.cfg.Events != nil {
+		ev := obs.Event{
+			Type: "plan", Box: id, Shard: shard, Pass: pass, Step: step,
+			Research: dec.Research, Reason: dec.Reason,
+			Degraded:      res.Degraded,
+			TicketsBefore: res.CPU.TicketsBefore + res.RAM.TicketsBefore,
+			TicketsAfter:  res.CPU.TicketsAfter + res.RAM.TicketsAfter,
+			DeltaVMs:      deltaVMs,
+			TraceID:       traceID,
+		}
+		if m := res.MeanMAPE(); m == m { // NaN-safe for degraded boxes
+			ev.MeanMAPE = m
+		}
+		if e.ctl != nil {
+			ev.Lambda, ev.BlendReason = ctlDec.Lambda, ctlDec.Reason
+		}
+		if applyErr != nil {
+			ev.Err = applyErr.Error()
+		}
+		e.cfg.Events.Publish(ev)
+		if applyErr != nil {
+			e.cfg.Events.Publish(obs.Event{
+				Type: "apply_error", Box: id, Shard: shard, Pass: pass,
+				Step: step, TraceID: traceID, Err: applyErr.Error(),
+			})
 		}
 	}
 }
 
-// release gives back the slot a step was dispatched into and returns
-// the time it did so. A step that ran to a result passes its box and
-// series count: its slot time becomes the box's next estimate and joins
-// the engine's mean per series.
-func (e *Engine) release(br *boxRun, dispatched time.Time, series int) time.Time {
-	now := time.Now()
+// stepInto runs the pipeline over the box's window. A panic costs that
+// window only: it comes back as the step's error, and the box gets a
+// fresh pipeline — the old one's arena may be half-written.
+func (e *Engine) stepInto(ctx context.Context, br *boxRun) (res *core.BoxResult, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			stepPanics.Inc()
+			br.pipe = e.newPipeline()
+			res, err = nil, fmt.Errorf("engine: step panicked: %v", p)
+		}
+	}()
+	return br.pipe.StepInto(ctx, &br.wb)
+}
+
+// skip advances the box past a window that produced no plan.
+func (e *Engine) skip(sh *engineShard, br *boxRun, event, traceID string, err error) {
+	sh.mu.Lock()
+	step := br.steps
+	br.steps++
+	br.lastErr = err
+	sh.mu.Unlock()
+	if e.cfg.Events != nil {
+		ev := obs.Event{
+			Type: event, Box: br.id, Shard: br.shard, Pass: br.pass,
+			Step: step, TraceID: traceID,
+		}
+		if err != nil {
+			ev.Err = err.Error()
+		}
+		e.cfg.Events.Publish(ev)
+	}
+}
+
+// release gives back the slot a step was dispatched into. A step that
+// ran to a result passes its box and series count: its slot time becomes
+// the box's next estimate and joins the engine's mean per series.
+func (e *Engine) release(br *boxRun, dispatched time.Time, series int) {
 	stepsInflight.Dec()
-	e.gate.release()
 	if br != nil {
-		br.compute = now.Sub(dispatched)
+		br.compute = time.Since(dispatched)
 		e.computeNs.Add(int64(br.compute))
 		e.computeSeries.Add(int64(series))
 	}
-	return now
+	e.sched.dispatch(1)
 }
 
 // planDelta counts VMs whose CPU or RAM target changes between the
@@ -764,14 +782,21 @@ func planInto(p *Plan, id string, step int, res *core.BoxResult, dec core.Decisi
 }
 
 // updateLag records the largest ingest backlog — samples landed but
-// not yet consumed by a fired step — among the boxes the pass visited,
-// and publishes the largest such figure over all shards, so an idle
-// shard's pass cannot hide a lagging shard's backlog. Untouched boxes
-// have no new samples, so their backlog cannot have grown since they
-// were last visited.
+// not yet consumed by a fired step — among the boxes of the shard's
+// latest pass, and publishes the largest such figure over all shards, so
+// an idle shard's pass cannot hide a lagging shard's backlog. Untouched
+// boxes have no new samples, so their backlog cannot have grown since
+// they were last visited. A pass hands in the boxes it visited; when the
+// steps it queued have settled they are measured again (ids nil), so the
+// gauge falls once the backlog is consumed.
 func (e *Engine) updateLag(sh *engineShard, ids []string) {
+	e.lagMu.Lock()
+	defer e.lagMu.Unlock()
+	if ids != nil {
+		sh.lagIDs = append(sh.lagIDs[:0], ids...)
+	}
 	maxLag := 0
-	for _, id := range ids {
+	for _, id := range sh.lagIDs {
 		total, err := e.store.Total(id)
 		if err != nil {
 			continue
@@ -782,21 +807,13 @@ func (e *Engine) updateLag(sh *engineShard, ids []string) {
 			steps = br.steps
 		}
 		sh.mu.Unlock()
-		lag := total - (e.cfg.Core.TrainWindows + steps*e.cfg.Core.Horizon)
-		if lag < 0 {
-			lag = 0
-		}
-		if lag > maxLag {
-			maxLag = lag
-		}
+		maxLag = max(maxLag, total-(e.cfg.Core.TrainWindows+steps*e.cfg.Core.Horizon))
 	}
-	e.lagMu.Lock()
 	sh.lag = maxLag
 	for i := range e.shards {
 		maxLag = max(maxLag, e.shards[i].lag)
 	}
 	lagGauge.Set(float64(maxLag))
-	e.lagMu.Unlock()
 }
 
 // Plan returns the latest published plan for the box, or false when
@@ -874,6 +891,8 @@ type BoxDebug struct {
 	Shard int    `json:"shard"`
 	// Steps counts fired rolling steps.
 	Steps int `json:"steps"`
+	// State is the box's scheduler state: idle, queued or running.
+	State string `json:"state"`
 	// Plan is the latest published plan (nil before the first step).
 	Plan *Plan `json:"plan,omitempty"`
 	// Decision is the research/refit choice behind that plan.
@@ -896,6 +915,7 @@ func (e *Engine) Debug(id string) (BoxDebug, bool) {
 		Box:      id,
 		Shard:    e.store.ShardOf(id),
 		Steps:    br.steps,
+		State:    br.state.String(),
 		Decision: br.decision,
 	}
 	if br.lastErr != nil {

@@ -6,77 +6,117 @@ import (
 	"time"
 )
 
-// gate is the engine-wide step scheduler: a counting semaphore whose
-// waiters are dispatched smallest due time first, where due = the time
-// the step became ready + its estimated compute time. Steps that fall
-// due together therefore run shortest first — the order that minimises
-// the median and mean wait — while a step that has already waited its
-// own length has a due time in the past and outranks every step that
-// becomes ready later, so nothing starves. A freed slot is handed
-// straight to the head of the wait list, never put back for a newcomer
-// to take, and an uncontended acquire is one mutex operation.
-type gate struct {
-	mu   sync.Mutex
-	free int      // idle slots; non-zero only while wait is empty
-	seq  uint64   // arrivals so far: ties on due dispatch in arrival order
-	wait waitList // min-heap on (due, seq)
+// boxState is a box's place in the step scheduler, under the shard lock.
+// Whoever moves a box out of idle owns it until it moves it back.
+type boxState uint8
+
+const (
+	idle    boxState = iota // no step pending; a pass may queue the box
+	queued                  // on the ready queue, or about to be pushed
+	running                 // a step goroutine owns the box
+)
+
+func (s boxState) String() string { return [...]string{"idle", "queued", "running"}[s] }
+
+// ingestLinger is how long after an append one slot stays shut: longer
+// than a client's turnaround plus a runtime hiccup, about one cheap step.
+const ingestLinger = 3 * time.Millisecond
+
+// sched is the engine-wide step scheduler: one ready queue of boxes and
+// a bound on the steps computing at once. Whenever a slot is open the
+// box with the smallest due time — when its step was found ready + its
+// estimated compute time — starts on a goroutine of its own. Steps that
+// fall due together therefore run shortest first, the order that
+// minimises the median and mean wait, while a step that has waited its
+// own length is due in the past and outranks every step found ready
+// later, so nothing starves. Nothing blocks while it is queued.
+//
+// While batches are landing one of several slots stays shut: Go polls
+// the network only on an idle P or every 10 ms from sysmon, so with
+// every P inside a step a burst would trickle in a body per poll and
+// the queue would order half of it instead of all of it.
+type sched struct {
+	mu    sync.Mutex
+	slots int
+	busy  int      // slots held by steps
+	seq   uint64   // pushes so far: ties on due dispatch in push order
+	queue boxQueue // min-heap on (due, seq)
+	armed bool     // a timer will reopen the slot shut for ingest
+
+	start      func(*boxRun)    // runs a popped box; entered with a slot held
+	lastAppend func() time.Time // when ingest last landed a batch
 }
 
-// waiter is one blocked acquire. Its owner reuses it across waits (the
-// engine keeps one per box), so a contended acquire allocates nothing.
-type waiter struct {
-	due  time.Time
-	seq  uint64
-	wake chan struct{} // capacity 1: the releaser never blocks on the hand-off
-}
-
-func newWaiter() waiter { return waiter{wake: make(chan struct{}, 1)} }
-
-// acquire blocks until the caller holds one of the gate's slots.
-func (g *gate) acquire(w *waiter, due time.Time) {
-	g.mu.Lock()
-	if g.free > 0 {
-		g.free--
-		g.mu.Unlock()
-		return
+// open is how many slots steps may hold now and, when one is shut for
+// ingest, for how much longer.
+func (s *sched) open() (int, time.Duration) {
+	if left := time.Until(s.lastAppend().Add(ingestLinger)); s.slots > 1 && left > 0 {
+		return s.slots - 1, left
 	}
-	w.due, w.seq = due, g.seq
-	g.seq++
-	heap.Push(&g.wait, w)
-	g.mu.Unlock()
-	<-w.wake
+	return s.slots, 0
 }
 
-// release returns the caller's slot: to the waiter with the smallest
-// due time if there is one, to the idle count otherwise.
-func (g *gate) release() {
-	g.mu.Lock()
-	if len(g.wait) == 0 {
-		g.free++
-		g.mu.Unlock()
-		return
+// push puts a queued box on the ready queue.
+func (s *sched) push(br *boxRun) {
+	s.mu.Lock()
+	br.seq = s.seq
+	s.seq++
+	heap.Push(&s.queue, br)
+	s.mu.Unlock()
+	s.dispatch(0)
+}
+
+// dispatch gives back freed slots, then starts queued boxes, smallest
+// due time first, while slots are open.
+func (s *sched) dispatch(freed int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.busy -= freed
+	limit, left := s.open()
+	for ; s.busy < limit && len(s.queue) > 0; s.busy++ {
+		go s.start(heap.Pop(&s.queue).(*boxRun))
 	}
-	w := heap.Pop(&g.wait).(*waiter)
-	g.mu.Unlock()
-	w.wake <- struct{}{}
+	stepsQueued.Set(float64(len(s.queue)))
+	if left > 0 && len(s.queue) > 0 && !s.armed {
+		s.armed = true
+		time.AfterFunc(left, func() {
+			s.mu.Lock()
+			s.armed = false
+			s.mu.Unlock()
+			s.dispatch(0)
+		})
+	}
 }
 
-// waitList implements heap.Interface over blocked acquires.
-type waitList []*waiter
+// tryAcquire takes an open slot for a step that runs on the caller's
+// goroutine.
+func (s *sched) tryAcquire() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	limit, _ := s.open()
+	if s.busy >= limit {
+		return false
+	}
+	s.busy++
+	return true
+}
 
-func (l waitList) Len() int { return len(l) }
-func (l waitList) Less(i, j int) bool {
-	if c := l[i].due.Compare(l[j].due); c != 0 {
+// boxQueue implements heap.Interface over queued boxes.
+type boxQueue []*boxRun
+
+func (q boxQueue) Len() int { return len(q) }
+func (q boxQueue) Less(i, j int) bool {
+	if c := q[i].due.Compare(q[j].due); c != 0 {
 		return c < 0
 	}
-	return l[i].seq < l[j].seq
+	return q[i].seq < q[j].seq
 }
-func (l waitList) Swap(i, j int) { l[i], l[j] = l[j], l[i] }
-func (l *waitList) Push(x any)   { *l = append(*l, x.(*waiter)) }
-func (l *waitList) Pop() any {
-	old := *l
-	w := old[len(old)-1]
+func (q boxQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *boxQueue) Push(x any)   { *q = append(*q, x.(*boxRun)) }
+func (q *boxQueue) Pop() any {
+	old := *q
+	br := old[len(old)-1]
 	old[len(old)-1] = nil
-	*l = old[:len(old)-1]
-	return w
+	*q = old[:len(old)-1]
+	return br
 }

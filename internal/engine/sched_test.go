@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,11 +18,18 @@ import (
 	"atm/internal/trace"
 )
 
-// waiting reports how many acquires are blocked on the gate.
-func (g *gate) waiting() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.wait)
+// queued reports how many boxes are on the ready queue.
+func (s *sched) queued() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.queue)
+}
+
+// held reports how many slots steps hold.
+func (s *sched) held() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.busy
 }
 
 // waitFor polls cond until it holds; call it on the test goroutine.
@@ -42,61 +51,63 @@ func poll(cond func() bool) bool {
 	return true
 }
 
-// gateHarness drives a gate with synthetic due times: enqueue parks one
-// goroutine per waiter and returns once it is on the wait list, so the
-// list's content at every release is exactly what the test built.
+// gateHarness drives a scheduler with synthetic due times: enqueue
+// pushes a box without dispatching, so the queue's content at every
+// release is exactly what the test built.
 type gateHarness struct {
-	t    *testing.T
-	g    *gate
+	s    *sched
 	got  chan string // names, in dispatch order
 	base time.Time
 }
 
-func newGateHarness(t *testing.T, slots int) *gateHarness {
-	return &gateHarness{t: t, g: &gate{free: slots}, got: make(chan string), base: time.Unix(1000, 0)}
+func newGateHarness(slots int) *gateHarness {
+	h := &gateHarness{got: make(chan string), base: time.Unix(1000, 0)}
+	h.s = &sched{
+		slots:      slots,
+		start:      func(br *boxRun) { h.got <- br.id },
+		lastAppend: func() time.Time { return time.Time{} },
+	}
+	return h
 }
 
 func (h *gateHarness) enqueue(name string, due time.Duration) {
-	h.t.Helper()
-	n := h.g.waiting()
-	w := newWaiter()
-	go func() {
-		h.g.acquire(&w, h.base.Add(due))
-		h.got <- name
-	}()
-	waitFor(h.t, name+" on the wait list", func() bool { return h.g.waiting() == n+1 })
+	h.s.push(&boxRun{id: name, due: h.base.Add(due)})
 }
 
 // next releases one slot and returns who was dispatched into it.
 func (h *gateHarness) next() string {
-	h.g.release()
+	h.s.dispatch(1)
 	return <-h.got
 }
 
-// TestGateBoundsAndOrder: the gate admits exactly its slot count
-// without blocking, then dispatches waiters smallest due time first,
-// arrival order among equals, whatever order they queued in.
+// TestGateBoundsAndOrder: the scheduler admits exactly its slot count,
+// then dispatches queued boxes smallest due time first, push order among
+// equals, whatever order they queued in.
 func TestGateBoundsAndOrder(t *testing.T) {
-	h := newGateHarness(t, 2)
-	var w waiter
-	h.g.acquire(&w, h.base) // both slots are free: neither call blocks
-	h.g.acquire(&w, h.base)
+	h := newGateHarness(2)
+	if !h.s.tryAcquire() || !h.s.tryAcquire() { // both slots are free
+		t.Fatal("a free slot was refused")
+	}
+	if h.s.tryAcquire() {
+		t.Fatal("a third step was admitted to two slots")
+	}
 	h.enqueue("e", 5)
 	h.enqueue("a", 1)
 	h.enqueue("c", 3)
 	h.enqueue("b", 1)
 	h.enqueue("d", 4)
+	h.s.dispatch(0) // no slot is free: nothing starts
 	for _, want := range []string{"a", "b", "c", "d", "e"} {
 		if got := h.next(); got != want {
 			t.Fatalf("dispatched %q, want %q", got, want)
 		}
 	}
-	// Seven acquires, five releases so far: after the last two the gate
-	// is idle again.
-	h.g.release()
-	h.g.release()
-	if h.g.free != 2 || h.g.waiting() != 0 {
-		t.Fatalf("idle gate has %d free slots and %d waiters, want 2 and 0", h.g.free, h.g.waiting())
+	// Seven slots taken, five given back so far: after the last two the
+	// scheduler is idle again.
+	h.s.dispatch(1)
+	h.s.dispatch(1)
+	if h.s.held() != 0 || h.s.queued() != 0 {
+		t.Fatalf("idle scheduler holds %d slots and %d boxes, want 0 and 0", h.s.held(), h.s.queued())
 	}
 }
 
@@ -108,9 +119,8 @@ func TestGateBoundsAndOrder(t *testing.T) {
 // ahead of every small step that became ready after it had waited its
 // own length.
 func TestGateAging(t *testing.T) {
-	h := newGateHarness(t, 1)
-	var w waiter
-	h.g.acquire(&w, h.base)
+	h := newGateHarness(1)
+	h.s.tryAcquire()
 	h.enqueue("large", 0+100)
 	for now := time.Duration(0); ; now += 10 {
 		if now > 1000 {
@@ -122,7 +132,7 @@ func TestGateAging(t *testing.T) {
 			continue
 		}
 		// Small steps ready at 0..80 are due at 10..90 and went first;
-		// the one ready at 90 ties at 100 and arrived later.
+		// the one ready at 90 ties at 100 and was pushed later.
 		if now != 90 {
 			t.Fatalf("large step dispatched at time %d, want 90", now)
 		}
@@ -316,7 +326,7 @@ func TestEngineBurstCheapestFirst(t *testing.T) {
 			time.Sleep(100 * time.Millisecond)
 		}
 		if hold.CompareAndSwap(true, false) {
-			poll(func() bool { return f.e.gate.waiting() == len(burst)-1 })
+			poll(func() bool { return f.e.sched.queued() == len(burst)-1 })
 		}
 	}
 	f = newSchedFixture(t, 16, vms, fit, func(c *Config) { c.Workers = 1 })
@@ -397,7 +407,7 @@ func TestEngineLargeStepNotStarved(t *testing.T) {
 	f.feed(blocker, f.e.Need(1))
 	<-blocked // the blocker's step holds the slot
 	f.feed(large, f.e.Need(1))
-	waitFor(t, "the large step to queue", func() bool { return f.e.gate.waiting() == 1 })
+	waitFor(t, "the large step to queue", func() bool { return f.e.sched.queued() == 1 })
 	queued := time.Now() // no earlier than the large step became ready
 	for _, i := range early {
 		f.feed(i, f.e.Need(1))
@@ -406,7 +416,7 @@ func TestEngineLargeStepNotStarved(t *testing.T) {
 	for _, i := range late {
 		f.feed(i, f.e.Need(1))
 	}
-	waitFor(t, "every step to queue", func() bool { return f.e.gate.waiting() == 1+len(early)+len(late) })
+	waitFor(t, "every step to queue", func() bool { return f.e.sched.queued() == 1+len(early)+len(late) })
 	close(unblock)
 	f.waitSteps(2, blocker, large)
 	f.waitSteps(2, early...)
@@ -462,6 +472,298 @@ func TestEngineBlockedBackendHoldsNoSlot(t *testing.T) {
 	stop()
 }
 
+// fitBlock is a fit hook that, once armed, parks the next fit until
+// opened: the step it belongs to keeps its scheduler slot meanwhile.
+type fitBlock struct {
+	armed            atomic.Bool
+	blocked, unblock chan struct{}
+}
+
+func newFitBlock() *fitBlock {
+	return &fitBlock{blocked: make(chan struct{}), unblock: make(chan struct{})}
+}
+
+func (b *fitBlock) fit() {
+	if b.armed.CompareAndSwap(true, false) {
+		close(b.blocked)
+		<-b.unblock
+	}
+}
+
+// TestEnginePassDoesNotWaitForSteps: while a step of one box is stuck,
+// a box of the same shard that falls due afterwards is found, stepped
+// and published — the shard's loop does not wait on compute.
+func TestEnginePassDoesNotWaitForSteps(t *testing.T) {
+	block := newFitBlock()
+	f := newSchedFixture(t, 1, []int{3, 3}, block.fit, func(c *Config) { c.Workers = 2 })
+	stop := f.run()
+	block.armed.Store(true)
+	f.feed(0, f.e.Need(0))
+	<-block.blocked // box 0's step holds a slot, and would hold the pass
+	f.feed(1, f.e.Need(0))
+	f.waitSteps(1, 1)
+	if d, _ := f.e.Debug(f.boxes[0].ID); d.State != "running" || d.Steps != 0 {
+		t.Fatalf("blocked box is %s after %d steps, want running after 0", d.State, d.Steps)
+	}
+	close(block.unblock)
+	f.waitSteps(1, 0)
+	stop()
+}
+
+// TestEngineBurstOrderAcrossPasses: with the only slot taken, large
+// boxes fall due on every shard, and once they are queued small boxes
+// do on the same shards. When the slot frees they must be dispatched
+// smallest first: every due box is on the one queue from the moment a
+// pass finds it, not held back behind the boxes an earlier pass of its
+// shard found. Estimates come from a slowed warm-up step, as in
+// TestEngineBurstCheapestFirst.
+func TestEngineBurstOrderAcrossPasses(t *testing.T) {
+	vms := []int{2, 12, 14, 16, 12, 14, 16, 4, 6, 8, 4, 6, 8} // box 0 warms up, then blocks
+	early, late := []int{1, 2, 3, 4, 5, 6}, []int{7, 8, 9, 10, 11, 12}
+	var slow atomic.Bool
+	block := newFitBlock()
+	f := newSchedFixture(t, 3, vms, func() {
+		if slow.CompareAndSwap(true, false) {
+			time.Sleep(100 * time.Millisecond)
+		}
+		block.fit()
+	}, func(c *Config) { c.Workers = 1 })
+	mixed := false // some shard must hold a box of either batch
+	for _, i := range early {
+		for _, j := range late {
+			mixed = mixed || f.st.ShardOf(f.boxes[i].ID) == f.st.ShardOf(f.boxes[j].ID)
+		}
+	}
+	if !mixed {
+		t.Fatal("fixture puts no early and late box on one shard")
+	}
+	slow.Store(true)
+	f.feed(0, f.e.Need(0))
+	f.e.Sync(context.Background())
+	f.feed(0, f.e.Need(1)-1)
+	for i := 1; i < len(vms); i++ {
+		f.feed(i, f.e.Need(0)-1)
+	}
+	stop := f.run()
+	block.armed.Store(true)
+	f.feed(0, f.e.Need(1))
+	<-block.blocked
+	for _, i := range early {
+		f.feed(i, f.e.Need(0))
+	}
+	waitFor(t, "the large boxes to queue", func() bool { return f.e.sched.queued() == len(early) })
+	for _, i := range late {
+		f.feed(i, f.e.Need(0))
+	}
+	waitFor(t, "the small boxes to queue", func() bool { return f.e.sched.queued() == len(early)+len(late) })
+	close(block.unblock)
+	f.waitSteps(1, early...)
+	f.waitSteps(1, late...)
+	stop()
+
+	order := f.dispatchOrder(0)[1:] // minus the warm-up step
+	if len(order) != len(early)+len(late) {
+		t.Fatalf("%d steps dispatched, want %d", len(order), len(early)+len(late))
+	}
+	for k := 1; k < len(order); k++ {
+		if vms[order[k]] < vms[order[k-1]] {
+			t.Fatalf("steps were dispatched in VM-count order %v, want non-decreasing", sizes(vms, order))
+		}
+	}
+}
+
+// TestEngineBoxNeverStepsConcurrently hammers one box with appends from
+// several goroutines while its steps are slow: at no time do two steps
+// of the box run, every window is stepped exactly once and in order,
+// and none is left behind after the last append.
+func TestEngineBoxNeverStepsConcurrently(t *testing.T) {
+	const windows = 6
+	var fitting atomic.Int32
+	events := obs.NewEventLog(4 * windows)
+	f := newSchedFixture(t, 1, []int{2}, func() {
+		if fitting.Add(1) > 1 {
+			t.Error("two steps of one box ran at once")
+		}
+		time.Sleep(200 * time.Microsecond)
+		fitting.Add(-1)
+	}, func(c *Config) {
+		c.Workers = 4
+		c.Events = events
+	})
+	stop := f.run()
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				mu.Lock()
+				done := f.fed[0] >= f.e.Need(windows-1)
+				if !done {
+					f.feed(0, f.fed[0]+1)
+				}
+				mu.Unlock()
+				if done {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	f.waitSteps(windows, 0)
+	stop()
+	evs := events.Tail(0, "")
+	if len(evs) != windows {
+		t.Fatalf("%d step outcomes published for %d windows", len(evs), windows)
+	}
+	for k, ev := range evs {
+		if ev.Step != k {
+			t.Fatalf("outcome %d is of step %d (%s): steps must be contiguous", k, ev.Step, ev.Type)
+		}
+	}
+}
+
+// TestEngineIngestHeadroom: while batches keep landing the scheduler
+// runs steps in all but one of its slots; within a few ingestLinger of
+// the last batch it uses them all. A single slot is never kept back.
+func TestEngineIngestHeadroom(t *testing.T) {
+	for _, workers := range []int{3, 1} {
+		var fitting atomic.Int32
+		var landing atomic.Bool
+		unblock := make(chan struct{})
+		vms := []int{2, 2, 2, 2, 2}
+		f := newSchedFixture(t, 8, vms, func() {
+			fitting.Add(1)
+			<-unblock
+		}, func(c *Config) { c.Workers = workers })
+		// Batches "keep landing" for as long as the flag is up; after
+		// that the store's own stamp, of the feeds below, is what counts.
+		f.e.sched.lastAppend = func() time.Time {
+			if landing.Load() {
+				return time.Now()
+			}
+			return f.st.LastAppend()
+		}
+		landing.Store(true)
+		stop := f.run()
+		for i := range vms {
+			f.feed(i, f.e.Need(0))
+		}
+		during := max(workers-1, 1)
+		waitFor(t, "the slots open during ingest to fill", func() bool { return int(fitting.Load()) == during })
+		waitFor(t, "the other boxes to queue", func() bool { return f.e.sched.queued() == len(vms)-during })
+		time.Sleep(5 * ingestLinger)
+		if got := int(fitting.Load()); got != during {
+			t.Fatalf("Workers %d: %d steps in flight while batches land, want %d", workers, got, during)
+		}
+		landing.Store(false)
+		waitFor(t, "every slot to fill after ingest", func() bool { return int(fitting.Load()) == workers })
+		close(unblock)
+		f.waitSteps(1, 0, 1, 2, 3, 4)
+		stop()
+		if held := f.e.sched.held(); held != 0 {
+			t.Fatalf("Workers %d: %d slots held by an idle engine", workers, held)
+		}
+	}
+}
+
+// TestEngineCancelWhileQueued: cancelling Run while boxes wait on the
+// queue starts none of their steps; Run returns once the step in flight
+// has finished, with the queue empty and every box idle.
+func TestEngineCancelWhileQueued(t *testing.T) {
+	block := newFitBlock()
+	f := newSchedFixture(t, 4, []int{2, 2, 2}, block.fit, func(c *Config) { c.Workers = 1 })
+	stop := f.run()
+	block.armed.Store(true)
+	f.feed(0, f.e.Need(0))
+	<-block.blocked
+	f.feed(1, f.e.Need(0))
+	f.feed(2, f.e.Need(0))
+	waitFor(t, "two boxes to queue", func() bool { return f.e.sched.queued() == 2 })
+	stopped := make(chan struct{})
+	go func() {
+		stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+		t.Fatal("Run returned with a step in flight")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(block.unblock)
+	<-stopped
+	if got := []int{f.e.Steps(f.boxes[0].ID), f.e.Steps(f.boxes[1].ID), f.e.Steps(f.boxes[2].ID)}; !slices.Equal(got, []int{1, 0, 0}) {
+		t.Fatalf("steps after cancel = %v, want [1 0 0]: the step in flight finishes, queued ones do not start", got)
+	}
+	if q, held := f.e.sched.queued(), f.e.sched.held(); q != 0 || held != 0 {
+		t.Fatalf("drained engine has %d boxes queued and %d slots held", q, held)
+	}
+	for i := range f.boxes {
+		if d, ok := f.e.Debug(f.boxes[i].ID); !ok || d.State != "idle" {
+			t.Fatalf("box %d is %q after the drain, want idle", i, d.State)
+		}
+	}
+}
+
+// TestEngineStepPanicQuarantinesWindow: a forecaster that panics on one
+// box's second window costs that window only. The process survives, the
+// sibling plans, the panic is published as the window's step_error, and
+// the box — on a fresh pipeline — plans again on its third window.
+func TestEngineStepPanicQuarantinesWindow(t *testing.T) {
+	var boom atomic.Bool
+	events := obs.NewEventLog(16)
+	f := newSchedFixture(t, 2, []int{3, 3}, func() {
+		if boom.CompareAndSwap(true, false) {
+			panic("forecaster exploded")
+		}
+	}, func(c *Config) {
+		c.Workers = 2
+		c.Events = events
+	})
+	panics := stepPanics.Value()
+	stop := f.run()
+	f.feed(0, f.e.Need(0))
+	f.feed(1, f.e.Need(0))
+	f.waitSteps(1, 0, 1)
+	old := f.e.shards[f.st.ShardOf(f.boxes[0].ID)].boxes[f.boxes[0].ID].pipe
+	boom.Store(true)
+	f.feed(0, f.e.Need(1))
+	f.waitSteps(2, 0)
+	if err := f.e.LastErr(f.boxes[0].ID); err == nil || !strings.Contains(err.Error(), "forecaster exploded") {
+		t.Fatalf("last error after the panic = %v, want the panic value", err)
+	}
+	if got := stepPanics.Value() - panics; got != 1 {
+		t.Fatalf("panic counter moved by %v, want 1", got)
+	}
+	f.feed(1, f.e.Need(1))
+	f.feed(0, f.e.Need(2))
+	f.waitSteps(2, 1)
+	f.waitSteps(3, 0)
+	stop()
+	if p, ok := f.e.Plan(f.boxes[0].ID); !ok || p.Step != 2 {
+		t.Fatalf("box 0's plan after its third window = step %d (%v), want 2", p.Step, ok)
+	}
+	if err := f.e.LastErr(f.boxes[0].ID); err != nil {
+		t.Fatalf("box 0's last error after a clean step = %v", err)
+	}
+	if f.e.shards[f.st.ShardOf(f.boxes[0].ID)].boxes[f.boxes[0].ID].pipe == old {
+		t.Fatal("the panicked pipeline was kept")
+	}
+	var failed []obs.Event
+	for _, ev := range events.Tail(0, "") {
+		if ev.Type == "step_error" {
+			failed = append(failed, ev)
+		}
+	}
+	if len(failed) != 1 || failed[0].Box != f.boxes[0].ID || failed[0].Step != 1 || !strings.Contains(failed[0].Err, "forecaster exploded") {
+		t.Fatalf("step_error events = %+v, want one for box 0's step 1 carrying the panic", failed)
+	}
+	if held, inflight := f.e.sched.held(), stepsInflight.Value(); held != 0 || inflight != 0 {
+		t.Fatalf("after the panic %d slots are held and %v steps in flight, want 0 and 0", held, inflight)
+	}
+}
+
 // TestEngineLagGaugeMaxOverShards: the lag gauge is the largest backlog
 // over every shard's latest pass, so an idle shard's pass does not
 // overwrite a lagging shard's figure with zero.
@@ -483,6 +785,15 @@ func TestEngineLagGaugeMaxOverShards(t *testing.T) {
 	if got := lagGauge.Value(); got != 0 {
 		t.Fatalf("lag gauge = %v after the lagging shard's idle pass, want 0", got)
 	}
+	// Under Run a pass ends before the steps it queued: it reports their
+	// windows as backlog, and the gauge must fall when they are consumed,
+	// not at the next append.
+	stop := f.run()
+	f.feed(0, f.e.Need(0))
+	f.feed(1, f.e.Need(0))
+	f.waitSteps(1, 0, 1)
+	waitFor(t, "the lag gauge to fall to 0 once the burst has drained", func() bool { return lagGauge.Value() == 0 })
+	stop()
 }
 
 // TestEngineSchedulerMetrics: every step passes through the wait
@@ -507,13 +818,20 @@ func TestEngineSchedulerMetrics(t *testing.T) {
 }
 
 // BenchmarkEngineBurst is the rollover burst in miniature: 32 boxes of
-// mixed sizes on 16 shard loops fall due at one instant, once per
-// iteration. Every series is its own signature and the forecaster spins
-// for a millisecond per fit, so a step costs in proportion to its box's
-// size: 4 to 32 ms, several scheduler time slices. It reports the
-// median time from that instant to a plan's publication — what the
-// scheduler's ordering buys — beside the burst's makespan in ns/op.
+// mixed sizes on 16 shard loops fall due once per iteration — at one
+// instant (together), or in 4 batches 1 ms apart, the later ones while
+// the first are stepping (staggered). Every series is its own signature
+// and the forecaster spins for a millisecond per fit, so a step costs in
+// proportion to its box's size: 4 to 32 ms, several scheduler time
+// slices. It reports the median time from a box's completing append to
+// its plan's publication — what the scheduler's ordering buys — beside
+// the burst's makespan in ns/op.
 func BenchmarkEngineBurst(b *testing.B) {
+	b.Run("together", func(b *testing.B) { benchBurst(b, 1) })
+	b.Run("staggered", func(b *testing.B) { benchBurst(b, 4) })
+}
+
+func benchBurst(b *testing.B, batches int) {
 	fit := func() {
 		for began := time.Now(); time.Since(began) < time.Millisecond; {
 		}
@@ -531,27 +849,30 @@ func BenchmarkEngineBurst(b *testing.B) {
 	})
 	stop := f.run()
 	defer stop()
-	burst := func(step int) time.Time {
+	due := make(map[string]time.Time, len(vms))
+	burst := func(step int) {
 		for i := range vms {
 			f.feed(i, f.e.Need(step)-1)
 		}
 		b.StartTimer()
-		due := time.Now()
+		began := time.Now()
 		for i := range vms {
+			// Batch k goes in k ms after the first.
+			time.Sleep(time.Until(began.Add(time.Duration(i*batches/len(vms)) * time.Millisecond)))
+			due[f.boxes[i].ID] = time.Now()
 			f.feed(i, f.e.Need(step))
 		}
 		waitFor(b, "the burst's plans", func() bool { return events.Total() == uint64((step+1)*len(vms)) })
 		b.StopTimer()
-		return due
 	}
 	b.StopTimer()
 	burst(0) // cold start: afterwards every box has an estimate of its own
 	b.ResetTimer()
 	var fresh []time.Duration
 	for n := 1; n <= b.N; n++ {
-		due := burst(n)
+		burst(n)
 		for _, ev := range events.Tail(0, "") {
-			fresh = append(fresh, ev.Time.Sub(due))
+			fresh = append(fresh, ev.Time.Sub(due[ev.Box]))
 		}
 	}
 	slices.Sort(fresh)

@@ -123,7 +123,7 @@ func (s *Service) handleDebug(w http.ResponseWriter, id string) {
 		// Registered but never inspected by a pass yet: an empty
 		// snapshot, not an error — operators hit this route while a box
 		// is still filling its first window.
-		dbg = engine.BoxDebug{Box: id, Shard: s.store.ShardOf(id)}
+		dbg = engine.BoxDebug{Box: id, Shard: s.store.ShardOf(id), State: "idle"}
 	}
 	resp := DebugResponse{BoxDebug: dbg}
 	if card, ok := s.engine.Scores().Snapshot(id); ok {

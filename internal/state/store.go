@@ -23,6 +23,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"atm/internal/obs"
 	"atm/internal/timeseries"
@@ -134,6 +135,9 @@ type Store struct {
 	// every append alongside the owning shard's channel — for
 	// consumers that watch the whole store rather than one shard.
 	notify chan struct{}
+
+	// lastAppend is when the latest accepted append landed (Unix ns).
+	lastAppend atomic.Int64
 }
 
 // DefaultShards is the shard count the atmd daemon uses; enough to
@@ -203,6 +207,11 @@ func (s *Store) Notify() <-chan struct{} { return s.notify }
 // per-shard scheduler loop's sleep channel.
 func (s *Store) NotifyShard(i int) <-chan struct{} { return s.shards[i].notify }
 
+// LastAppend returns when the latest accepted append landed — the
+// engine's sign that ingest is in progress. It is the Unix epoch on a
+// store that never took one.
+func (s *Store) LastAppend() time.Time { return time.Unix(0, s.lastAppend.Load()) }
+
 func signal(ch chan struct{}) {
 	select {
 	case ch <- struct{}{}:
@@ -253,7 +262,8 @@ func (s *Store) box(id string) (*shard, *boxState, error) {
 }
 
 // markDirty enqueues the box on its shard's dirty list (once per
-// clean→dirty transition) and fires both wake-up lines.
+// clean→dirty transition), stamps the append's time and fires both
+// wake-up lines.
 func (s *Store) markDirty(sh *shard, bs *boxState) {
 	if bs.dirty.CompareAndSwap(false, true) {
 		sh.dirtyMu.Lock()
@@ -261,6 +271,7 @@ func (s *Store) markDirty(sh *shard, bs *boxState) {
 		sh.dirtyMu.Unlock()
 		gaugeDirty.Inc()
 	}
+	s.lastAppend.Store(time.Now().UnixNano())
 	signal(sh.notify)
 	signal(s.notify)
 }

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"atm/internal/race"
 	"atm/internal/timeseries"
@@ -321,14 +322,22 @@ func TestStoreAppendBatchAtomic(t *testing.T) {
 	if got := s.DrainDirty(0, nil); len(got) != 0 {
 		t.Fatalf("bad batch marked dirty: %v", got)
 	}
+	if at := s.LastAppend(); at.UnixNano() != 0 {
+		t.Fatalf("bad batch stamped an append at %v", at)
+	}
 	// Mismatched cpu/ram tick counts are rejected up front.
 	if _, err := s.AppendBatch("b", cpu[:1], ram); !errors.Is(err, ErrShapeMismatch) {
 		t.Fatalf("ragged batch: %v, want ErrShapeMismatch", err)
 	}
 	// A good batch lands whole and reads back in order.
+	before := time.Now()
 	total, err := s.AppendBatch("b", ram, ram)
 	if err != nil || total != 3 {
 		t.Fatalf("good batch: total=%d err=%v", total, err)
+	}
+	landed := s.LastAppend()
+	if landed.Before(before) || landed.After(time.Now()) {
+		t.Fatalf("good batch stamped %v, want between %v and now", landed, before)
 	}
 	wb, err := s.Window("b", 0, 3)
 	if err != nil {
@@ -346,6 +355,9 @@ func TestStoreAppendBatchAtomic(t *testing.T) {
 	}
 	if got := s.DrainDirty(0, nil); len(got) != 0 {
 		t.Fatalf("empty batch marked dirty: %v", got)
+	}
+	if at := s.LastAppend(); !at.Equal(landed) {
+		t.Fatalf("empty batch moved the append stamp from %v to %v", landed, at)
 	}
 	if _, err := s.AppendBatch("nope", nil, nil); !errors.Is(err, ErrUnknownBox) {
 		t.Fatalf("unknown box batch: %v, want ErrUnknownBox", err)
@@ -447,6 +459,9 @@ func TestStoreAppendBatchRejectsBadSamples(t *testing.T) {
 	}
 	if got := s.DrainDirty(0, nil); len(got) != 0 {
 		t.Fatalf("bad batch marked dirty: %v", got)
+	}
+	if at := s.LastAppend(); at.UnixNano() != 0 {
+		t.Fatalf("bad batch stamped an append at %v", at)
 	}
 	// Zero, negative zero and the largest finite value are usage values.
 	good[0][0] = math.MaxFloat64
