@@ -20,7 +20,8 @@ test:
 
 race:
 	$(GO) test -race ./internal/parallel/... ./internal/cluster/... ./internal/predict/... ./internal/resize/... ./internal/regress/... ./internal/experiments/... ./internal/core/... ./internal/obs/... ./internal/score/... ./internal/control/... ./internal/resilience/... ./internal/actuator/... ./internal/timeseries/... ./internal/state/... ./internal/engine/... ./internal/serve/... ./cmd/atmd/... ./cmd/atmcli/... ./cmd/atmload/...
-	$(GO) test -race -count=10 -timeout 5m -run 'TestGate|TestEngineBurst|TestEngineLargeStepNotStarved|TestEngineBlockedBackend|TestEnginePassDoesNotWaitForSteps|TestEngineBoxNeverStepsConcurrently|TestEngineIngestHeadroom|TestEngineCancelWhileQueued|TestEngineStepPanic' ./internal/engine/
+	$(GO) test -race -count=10 -timeout 5m -run 'TestGate|TestEngineBurst|TestEngineLargeStepNotStarved|TestEngineBlockedBackend|TestEnginePassDoesNotWaitForSteps|TestEngineBoxNeverStepsConcurrently|TestEngineIngestHeadroom|TestEngineCancel|TestEngineStepPanic|TestEngineIdleGapBurst|TestEngineDueStepBefore|TestEngineAppendDuringModelPhase|TestEngineEstimateIsModelPhaseTime|TestEngineNoModelWork' ./internal/engine/
+	$(GO) test -race -count=10 -run 'TestPrepare' ./internal/core/
 
 verify: build vet test race
 
@@ -90,9 +91,10 @@ resizebench:
 # fit of the paper's model on a five-day window. IngestDecode times the
 # wire decoder beside the encoding/json path it replaced; AppendBatch
 # is the store's series-major bulk append. EngineBurst makes 32
-# mixed-size boxes due at once (together) or in 4 batches 1 ms apart
-# (staggered) and reports the median ready-to-published time beside the
-# burst's makespan.
+# mixed-size boxes due at once right after their last plans (together),
+# in 4 batches 1 ms apart (staggered) or at once after the engine has
+# gone idle, model phases run ahead (paced), and reports the median
+# ready-to-published time and the CPU a burst cost beside its makespan.
 microbench:
 	$(GO) test -run NONE -bench 'BenchmarkDTW|BenchmarkEnvelopeAllocs|BenchmarkOptimalCut' -benchmem ./internal/cluster/ .
 	$(GO) test -run NONE -bench 'BenchmarkMLPFit' -benchmem ./internal/predict/

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"atm/internal/cluster"
@@ -42,13 +43,17 @@ type stepArena struct {
 // demandsInto fills the arena's demand series from the box: usage
 // percent times allocated capacity over 100, element for element the
 // same arithmetic as trace.VM.Demand (which allocates a fresh series
-// per call).
-func (a *stepArena) demandsInto(b *trace.Box) []timeseries.Series {
+// per call). With keep > 0 it also reports whether the first keep
+// samples of every series were in the arena already, bit for bit —
+// whether the window's training part is the one the arena was last
+// filled from.
+func (a *stepArena) demandsInto(b *trace.Box, keep int) (out []timeseries.Series, kept bool) {
 	n := len(b.VMs) * trace.NumResources
 	for len(a.demands) < n {
 		a.demands = append(a.demands, nil)
 	}
-	out := a.demands[:n]
+	out = a.demands[:n]
+	kept = keep > 0
 	for v := range b.VMs {
 		vm := &b.VMs[v]
 		for _, r := range [...]trace.Resource{trace.CPU, trace.RAM} {
@@ -56,17 +61,24 @@ func (a *stepArena) demandsInto(b *trace.Box) []timeseries.Series {
 			f := vm.Capacity(r) / 100
 			i := trace.SeriesIndex(v, r)
 			dst := out[i]
+			have := min(keep, len(dst))
+			kept = kept && have == keep
 			if cap(dst) < len(usage) {
 				dst = make(timeseries.Series, len(usage))
+				copy(dst, out[i][:have])
 			}
 			dst = dst[:len(usage)]
 			for j, u := range usage {
-				dst[j] = u * f
+				d := u * f
+				if j < have && math.Float64bits(dst[j]) != math.Float64bits(d) {
+					kept = false
+				}
+				dst[j] = d
 			}
 			out[i] = dst
 		}
 	}
-	return out
+	return out, kept
 }
 
 // growFloats returns dst resized to n, reusing its backing when
@@ -296,20 +308,25 @@ func (p *Pipeline) reconstructInto(ctx context.Context, model *spatial.Model, si
 	return out, nil
 }
 
+// checkWindow reports whether every demand series has the need samples
+// a stage is about to read.
+func checkWindow(demands []timeseries.Series, need int) error {
+	if len(demands) == 0 {
+		return spatial.ErrNoSeries
+	}
+	for i, d := range demands {
+		if len(d) < need {
+			return fmt.Errorf("series %d has %d samples, need %d: %w", i, len(d), need, ErrShortTrace)
+		}
+	}
+	return nil
+}
+
 // predictInto composes the search, temporal and reconstruction stages
 // on the first TrainWindows samples of the demand series, forecasting
 // the next Horizon samples for every series; the returned prediction
 // is arena-owned.
 func (p *Pipeline) predictInto(ctx context.Context, demands []timeseries.Series) (*BoxPrediction, error) {
-	if len(demands) == 0 {
-		return nil, spatial.ErrNoSeries
-	}
-	need := p.cfg.TrainWindows + p.cfg.Horizon
-	for i, d := range demands {
-		if len(d) < need {
-			return nil, fmt.Errorf("series %d has %d samples, need %d: %w", i, len(d), need, ErrShortTrace)
-		}
-	}
 	ctx, span := obs.StartSpan(ctx, "core.predict")
 	defer span.End()
 	if span != nil {
@@ -341,14 +358,16 @@ func (p *Pipeline) predictInto(ctx context.Context, demands []timeseries.Series)
 	return pred, nil
 }
 
-// resizeBoxInto solves the resizing problem for one resource of a box,
-// using predicted demands to choose sizes and actual demands (the
-// arena's, filled by demandsInto) to evaluate them; the box's total
-// capacity for the resource is the constraint C. Candidate sets, hull
-// paths, the descent heap and the result all live in the per-resource
-// resize scratch. slot is 0 for CPU, 1 for RAM, so the two resources
-// can still solve concurrently.
-func (a *stepArena) resizeBoxInto(ctx context.Context, cfg Config, slot int, b *trace.Box, pred *BoxPrediction, r trace.Resource) (*BoxRun, error) {
+// solveInto solves the resizing problem for one resource of a box from
+// its predicted demands; the box's total capacity for the resource is
+// the constraint C. It reads the training part of the arena's demands
+// (filled by demandsInto) and the box's capacities, never the horizon's
+// actuals — countTickets evaluates the sizes against those. Candidate
+// sets, hull paths, the descent heap and the result all live in the
+// per-resource resize scratch, so the two resources can still solve
+// concurrently.
+func (a *stepArena) solveInto(ctx context.Context, cfg Config, b *trace.Box, pred *BoxPrediction, r trace.Resource) error {
+	slot := int(r)
 	_, span := obs.StartSpan(ctx, "core.resize")
 	defer span.End()
 	if span != nil {
@@ -399,7 +418,7 @@ func (a *stepArena) resizeBoxInto(ctx context.Context, cfg Config, slot int, b *
 	}
 	alloc, err := prob.GreedyInto(&a.rs[slot])
 	if err != nil {
-		return nil, fmt.Errorf("core: resize %s of %s: %w", r, b.ID, err)
+		return fmt.Errorf("core: resize %s of %s: %w", r, b.ID, err)
 	}
 
 	// Do no harm: if the current allocation already fits the box and
@@ -419,37 +438,94 @@ func (a *stepArena) resizeBoxInto(ctx context.Context, cfg Config, slot int, b *
 			alloc = resize.Allocation{Sizes: current, Tickets: curTickets}
 		}
 	}
+	a.runs[slot] = BoxRun{Resource: r, Sizes: alloc.Sizes}
+	return nil
+}
 
-	run := &a.runs[slot]
-	*run = BoxRun{Resource: r, Sizes: alloc.Sizes}
-	for v := 0; v < m; v++ {
+// countTickets evaluates the sizes solveInto chose for the resource
+// against the horizon's actual demands (the arena's): tickets under the
+// original capacities and under the new sizes.
+func (a *stepArena) countTickets(cfg Config, b *trace.Box, r trace.Resource) *BoxRun {
+	run := &a.runs[r]
+	for v := range b.VMs {
 		actual := a.demands[trace.SeriesIndex(v, r)].Slice(cfg.TrainWindows, cfg.TrainWindows+cfg.Horizon)
 		run.TicketsBefore += ticket.Count(actual, b.VMs[v].Capacity(r), cfg.Threshold)
-		run.TicketsAfter += ticket.Count(actual, alloc.Sizes[v], cfg.Threshold)
+		run.TicketsAfter += ticket.Count(actual, run.Sizes[v], cfg.Threshold)
 	}
 	ticketsBefore.Add(float64(run.TicketsBefore))
 	ticketsAfter.Add(float64(run.TicketsAfter))
-	if span != nil {
-		span.SetAttr("tickets_before", run.TicketsBefore)
-		span.SetAttr("tickets_after", run.TicketsAfter)
-	}
-	return run, nil
+	return run
 }
 
-// StepInto runs the whole pipeline (predict + evaluate + resize CPU
-// and RAM) on one window of the box, updating the retained model state
-// for the next window. Under an obs.Tracer the window nests beneath a
-// "core.box" span — signature search or refit, temporal fits,
-// reconstruction, evaluation and both resource resizes. In degraded
-// mode model failures yield the stingy fallback result alongside the
-// causing error (see Config.Degraded).
+// model runs the model phase of a step — signature search or refit,
+// temporal fits, reconstruction and both resource solves — and holds
+// its outcome for finish. The phase reads nothing of the window past
+// its first TrainWindows samples, so it can run the moment those are
+// complete, a whole horizon before the step's actuals are.
+func (p *Pipeline) model(ctx context.Context, b *trace.Box, demands []timeseries.Series) {
+	h := &p.held
+	h.set, h.id, h.before = true, b.ID, p.reuseState
+	h.meta = append(h.meta[:0], b.CPUCapGHz, b.RAMCapGB)
+	for v := range b.VMs {
+		h.meta = append(h.meta, b.VMs[v].CPUCapGHz, b.VMs[v].RAMCapGB)
+	}
+	h.pred, h.err = p.predictInto(ctx, demands)
+	if h.err != nil {
+		h.pred, h.err = nil, fmt.Errorf("core: %s: %w", b.ID, h.err)
+		return
+	}
+	// CPU and RAM resizing are independent MCKP solves: inline for one
+	// worker (RunContext and the engine pin per-box Workers to 1 and fan
+	// out over boxes instead), on the shared pool otherwise.
+	a := &p.arena
+	if p.cfg.Workers == 1 {
+		for r := trace.CPU; r <= trace.RAM && h.err == nil; r++ {
+			h.err = a.solveInto(ctx, p.cfg, b, h.pred, r)
+		}
+		return
+	}
+	h.err = parallel.ForEach(trace.NumResources, func(i int) error {
+		return a.solveInto(ctx, p.cfg, b, h.pred, trace.Resource(i))
+	}, parallel.WithWorkers(p.cfg.Workers))
+}
+
+// Prepare runs the model phase of the box's next step ahead of time, on
+// a window that need only hold the step's TrainWindows training samples
+// (anything after them is ignored). The StepInto that later gets the
+// same window extended by its horizon — same box id and capacities, same
+// training samples — only evaluates and counts tickets; any other window
+// makes it discard the prepared phase and run its own, from the model
+// state this call started from. Preparing changes no result, only when
+// the work is done. A failure is held and surfaces from that StepInto,
+// degraded plan included; it is also returned here for the caller's
+// logs. Whatever an earlier StepInto returned is overwritten.
+func (p *Pipeline) Prepare(ctx context.Context, b *trace.Box) error {
+	p.drop()
+	demands, _ := p.arena.demandsInto(b, 0)
+	if err := checkWindow(demands, p.cfg.TrainWindows); err != nil {
+		return fmt.Errorf("core: %s: %w", b.ID, err)
+	}
+	p.model(ctx, b, demands)
+	return p.held.err
+}
+
+// StepInto runs the whole pipeline (predict + resize CPU and RAM, then
+// evaluate) on one window of the box, updating the retained model state
+// for the next window. It is two phases: the model phase (see model),
+// which it skips when Prepare already ran it for this window, and the
+// finish, which needs the horizon's actuals — prediction error, the
+// drift observation and the ticket counts. Under an obs.Tracer the
+// window nests beneath a "core.box" span — signature search or refit,
+// temporal fits, reconstruction, both resource resizes and evaluation.
+// In degraded mode model failures yield the stingy fallback result
+// alongside the causing error (see Config.Degraded).
 //
 // Every stage writes into pipeline-owned buffers: a steady-state call
 // performs zero heap allocations (Workers == 1, a temporal factory
 // producing predict.IntoForecaster models, and a window that rolls the
 // previous one). The returned result — its prediction, model, demand
 // and size slices — is arena-owned and valid only until the next
-// StepInto call; callers that retain results Clone them.
+// StepInto or Prepare call; callers that retain results Clone them.
 //
 // Reuse steps go through the incremental window-roll path (rank-1
 // Cholesky up/downdates on the dependent fits' normal equations),
@@ -478,11 +554,51 @@ func (p *Pipeline) StepInto(ctx context.Context, b *trace.Box) (*BoxResult, erro
 	}
 
 	a := &p.arena
-	demands := a.demandsInto(b)
-	pred, err := p.predictInto(ctx, demands)
-	if err != nil {
+	keep := 0
+	if p.held.matches(b) {
+		keep = p.cfg.TrainWindows
+	}
+	demands, prepared := a.demandsInto(b, keep)
+	if err := checkWindow(demands, p.cfg.TrainWindows+p.cfg.Horizon); err != nil {
+		p.drop()
 		return fail(fmt.Errorf("core: %s: %w", b.ID, err))
 	}
+	if prepared {
+		phaseAhead.Inc()
+	} else {
+		if p.held.set {
+			phaseStale.Inc()
+			p.drop()
+		} else {
+			phaseInline.Inc()
+		}
+		p.model(ctx, b, demands)
+	}
+	res, err := p.finish(ctx, b, demands)
+	if err != nil {
+		return fail(err)
+	}
+	boxesRun.Inc()
+	return res, nil
+}
+
+// finish is the part of a step that needs the horizon's actuals: it
+// scores the held model phase's prediction against them, feeds the
+// error to the drift detector and counts tickets under the old and the
+// new sizes. A model phase that failed surfaces here — after the
+// prediction, if there is one, has been evaluated and observed.
+func (p *Pipeline) finish(ctx context.Context, b *trace.Box, demands []timeseries.Series) (*BoxResult, error) {
+	h := &p.held
+	h.set = false
+	pred := h.pred
+	if pred == nil {
+		return nil, h.err
+	}
+	_, span := obs.StartSpan(ctx, "core.evaluate")
+	defer span.End()
+	start := time.Now()
+	defer func() { evaluateSeconds.Observe(time.Since(start).Seconds()) }()
+	a := &p.arena
 	// Peak level for series i: ticket threshold times allocated
 	// capacity of the owning VM.
 	peaks := growFloats(a.peaks, len(demands))
@@ -491,39 +607,15 @@ func (p *Pipeline) StepInto(ctx context.Context, b *trace.Box) (*BoxResult, erro
 		vm := &b.VMs[trace.SeriesVM(i)]
 		peaks[i] = p.cfg.Threshold * vm.Capacity(trace.SeriesResource(i))
 	}
-	_, espan := obs.StartSpan(ctx, "core.evaluate")
-	evalStart := time.Now()
-	err = pred.Evaluate(demands, p.cfg, peaks)
-	evaluateSeconds.Observe(time.Since(evalStart).Seconds())
-	espan.End()
-	if err != nil {
-		return fail(fmt.Errorf("core: %s: evaluate: %w", b.ID, err))
+	if err := pred.Evaluate(demands, p.cfg, peaks); err != nil {
+		return nil, fmt.Errorf("core: %s: evaluate: %w", b.ID, err)
 	}
 	p.observe(pred)
+	if h.err != nil {
+		return nil, h.err
+	}
 	res := &a.result
 	*res = BoxResult{Box: b, Prediction: pred}
-	// CPU and RAM resizing are independent MCKP solves: inline for one
-	// worker (RunContext and the engine pin per-box Workers to 1 and fan
-	// out over boxes instead), on the shared pool otherwise.
-	if p.cfg.Workers == 1 {
-		cpu, err := a.resizeBoxInto(ctx, p.cfg, 0, b, pred, trace.CPU)
-		if err != nil {
-			return fail(err)
-		}
-		ram, err := a.resizeBoxInto(ctx, p.cfg, 1, b, pred, trace.RAM)
-		if err != nil {
-			return fail(err)
-		}
-		res.CPU, res.RAM = cpu, ram
-	} else {
-		runs, err := parallel.Map(2, func(i int) (*BoxRun, error) {
-			return a.resizeBoxInto(ctx, p.cfg, i, b, pred, [...]trace.Resource{trace.CPU, trace.RAM}[i])
-		}, parallel.WithWorkers(p.cfg.Workers))
-		if err != nil {
-			return fail(err)
-		}
-		res.CPU, res.RAM = runs[0], runs[1]
-	}
-	boxesRun.Inc()
+	res.CPU, res.RAM = a.countTickets(p.cfg, b, trace.CPU), a.countTickets(p.cfg, b, trace.RAM)
 	return res, nil
 }

@@ -145,6 +145,9 @@ func PredictBoxContext(ctx context.Context, demands []timeseries.Series, samples
 	if err != nil {
 		return nil, err
 	}
+	if err := checkWindow(demands, cfg.TrainWindows+cfg.Horizon); err != nil {
+		return nil, err
+	}
 	return p.predictInto(ctx, demands)
 }
 
@@ -203,16 +206,18 @@ func (r *BoxRun) Reduction() float64 { return ticket.Reduction(r.TicketsBefore, 
 // ResizeBoxContext solves the resizing problem for one resource of a
 // box, using predicted demands to choose sizes and actual demands to
 // evaluate them. Under an obs.Tracer it emits a "core.resize" span
-// carrying the resource, the solver outcome and the ticket delta. It
-// runs the pipeline's resize stage on an arena of its own, which the
-// returned run then owns.
+// carrying the resource. It runs the pipeline's resize stage and ticket
+// count on an arena of its own, which the returned run then owns.
 func ResizeBoxContext(ctx context.Context, b *trace.Box, pred *BoxPrediction, r trace.Resource, cfg Config) (*BoxRun, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	var a stepArena
-	a.demandsInto(b)
-	return a.resizeBoxInto(ctx, cfg, 0, b, pred, r)
+	a.demandsInto(b, 0)
+	if err := a.solveInto(ctx, cfg, b, pred, r); err != nil {
+		return nil, err
+	}
+	return a.countTickets(cfg, b, r), nil
 }
 
 // BoxResult bundles everything ATM produced for one box.

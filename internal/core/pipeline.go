@@ -8,6 +8,7 @@ import (
 	"atm/internal/predict"
 	"atm/internal/spatial"
 	"atm/internal/timeseries"
+	"atm/internal/trace"
 )
 
 // Staged-engine metrics: every step either re-runs the full signature
@@ -24,6 +25,8 @@ var (
 		"Incremental O(p²) window rolls of the retained spatial model (StepInto fast path).")
 	rollerRebuilds = obs.Default().Counter("atm_engine_roller_rebuilds_total",
 		"Roller rebuilds after a non-roll window or a numerical breakdown (reference refit taken).")
+	modelPhases = obs.Default().CounterVec("atm_engine_model_phase_total",
+		"Steps by where their model phase ran: ahead of the actuals (Prepare), inline in the step, or inline after a prepared phase turned out to be for another window (stale).", "outcome")
 )
 
 // Per-stage histogram children, hoisted so the hot step path skips the
@@ -33,6 +36,10 @@ var (
 	temporalFitSeconds = stageSeconds.With("temporal_fit")
 	evaluateSeconds    = stageSeconds.With("evaluate")
 	resizeSeconds      = stageSeconds.With("resize")
+
+	phaseAhead  = modelPhases.With("ahead")
+	phaseInline = modelPhases.With("inline")
+	phaseStale  = modelPhases.With("stale")
 )
 
 // Model-reuse defaults.
@@ -92,6 +99,9 @@ func (r ReusePolicy) mapeGrowth() float64 {
 // A Pipeline retains per-box model state between StepInto calls (the
 // signature set, its age, the drift baseline, the incremental roller
 // and the buffers every stage writes into); use one Pipeline per box.
+// A streaming driver that has the next window's training samples before
+// its actuals can run that step's model phase early with Prepare; the
+// results are the same either way.
 // It is not safe for concurrent use — callers that fan out over boxes
 // give each box its own Pipeline.
 type Pipeline struct {
@@ -99,7 +109,23 @@ type Pipeline struct {
 	samplesPerDay int
 	factory       TemporalFactory
 
-	// Retained model state for reuse across windows.
+	reuseState
+
+	// Incremental step state: the roller maintains the dependent fits'
+	// normal equations across rolled windows, the bank carries DTW
+	// envelopes across searches, and the arena owns every buffer a
+	// steady-state step touches.
+	roller *spatial.Roller
+	bank   *cluster.EnvelopeBank
+	arena  stepArena
+
+	held heldPhase
+}
+
+// reuseState is the model state retained for reuse across windows:
+// what a model phase reads of the windows before it and leaves for the
+// ones after.
+type reuseState struct {
 	sigs          []int   // signature set from the last research; nil before the first
 	age           int     // reuse steps since the last research
 	baseMAPE      float64 // mean MAPE recorded right after the last research
@@ -109,16 +135,51 @@ type Pipeline struct {
 	researchCause string // Reason* constant behind researchNext ("" when unset)
 	severeDrift   bool   // last observation breached twice the growth bound
 
-	lastResearch bool     // whether the most recent step ran a full search
-	lastDecision Decision // typed record of the most recent step's choice
+	lastResearch bool     // whether the most recent model phase ran a full search
+	lastDecision Decision // typed record of the most recent model phase's choice
+}
 
-	// Incremental step state: the roller maintains the dependent fits'
-	// normal equations across rolled windows, the bank carries DTW
-	// envelopes across searches, and the arena owns every buffer a
-	// steady-state step touches.
-	roller *spatial.Roller
-	bank   *cluster.EnvelopeBank
-	arena  stepArena
+// heldPhase is a model phase whose step has not finished yet: its
+// output sits in the arena, and this is what it was computed for. It is
+// good for one window only — the one with the same box id, the same
+// capacities and, sample for sample, the same training demands (which
+// the arena still holds) — and only on the pipeline that ran it.
+type heldPhase struct {
+	set    bool
+	id     string
+	meta   []float64      // box CPU and RAM capacity, then each VM's
+	pred   *BoxPrediction // nil when prediction failed
+	err    error          // the phase's failure, reported when the step finishes
+	before reuseState     // what the phase started from, put back if it is dropped
+}
+
+// matches reports whether the held phase was computed for b's id and
+// capacities.
+func (h *heldPhase) matches(b *trace.Box) bool {
+	if !h.set || h.id != b.ID || len(h.meta) != 2+2*len(b.VMs) ||
+		h.meta[0] != b.CPUCapGHz || h.meta[1] != b.RAMCapGB {
+		return false
+	}
+	for v := range b.VMs {
+		if h.meta[2+2*v] != b.VMs[v].CPUCapGHz || h.meta[3+2*v] != b.VMs[v].RAMCapGB {
+			return false
+		}
+	}
+	return true
+}
+
+// drop discards a held model phase nobody finished and undoes what it
+// did to the retained model, so the next phase decides and fits exactly
+// as if the dropped one had never run. The roller cannot be wound back;
+// without it the next reuse step takes the reference refit, as it does
+// after any window that did not roll the previous one.
+func (p *Pipeline) drop() {
+	if !p.held.set {
+		return
+	}
+	p.held.set = false
+	p.reuseState = p.held.before
+	p.roller = nil
 }
 
 // NewPipeline validates the configuration and returns a fresh
@@ -213,8 +274,10 @@ func (p *Pipeline) observe(pred *BoxPrediction) {
 // VM population changes. It also discards the incremental step state:
 // the roller's cached Cholesky factorization, the envelope bank's
 // rolled-window history, and the retained temporal model instances.
-// Arena buffers are kept (they carry no model state, only capacity).
+// Arena buffers are kept (they carry no model state, only capacity); a
+// prepared model phase is discarded with the model it was fitted from.
 func (p *Pipeline) ResetModel() {
+	p.held.set = false
 	p.sigs = nil
 	p.age = 0
 	p.haveBase = false

@@ -11,6 +11,18 @@
 // latest Plan; per-step outcomes are the decision events
 // (Config.Events).
 //
+// A step has two phases. Everything expensive — search or refit,
+// temporal fits, reconstruction, both MCKP solves — reads only the
+// training window, which is complete the moment the previous step's
+// window is; only evaluation, the ticket counts, control and scoring
+// need the horizon's actuals, a whole Horizon later. So once a box's
+// plan is out the engine runs its next step's model phase at once, in
+// a scheduler slot no due step wants (core.Pipeline.Prepare), and when
+// the window completes the step only finishes. Publication still waits
+// for the actuals: the published evaluation and the controller's λ are
+// functions of them. A box that fell behind, or has never planned,
+// computes both phases when its step is due, as before.
+//
 // The engine is sharded to the state store's layout: each store shard
 // gets its own scheduler loop (its own goroutine under Run, draining
 // its own notify line), its own box-state map and its own scratch
@@ -195,9 +207,11 @@ type Plan struct {
 	UpdatedAt time.Time `json:"updated_at"`
 }
 
-// boxRun is the engine's mutable per-box state. state, steps, plan,
-// decision and lastErr are guarded by the shard lock; everything else
-// belongs to whoever holds the box out of idle (see boxState).
+// boxRun is the engine's mutable per-box state. state, steps, prepared,
+// plan, decision, lastErr, ctx and pass are guarded by the shard lock;
+// ahead, ready and due by the shard lock and, while the box is on the
+// ready queue, the scheduler's as well; everything else belongs to
+// whoever holds the box out of idle (see boxState).
 type boxRun struct {
 	id       string
 	shard    int
@@ -207,14 +221,23 @@ type boxRun struct {
 	plan     *Plan
 	decision core.Decision // research/refit choice of the last plan step
 	lastErr  error
-	compute  time.Duration // slot time of the last completed step: the next step's estimate
+	compute  time.Duration // slot time of the last model phase, with its step or ahead of it: the next one's estimate
+
+	// A box whose step has published runs the next step's model phase at
+	// once, in a slot no due step wants: ahead marks that pending work,
+	// prepared that pipe holds the finished phase (or panicked holds what
+	// it died of) and the step, when its actuals land, need only finish.
+	ahead    bool
+	prepared bool
+	panicked error
 
 	state boxState
 	ctx   context.Context // of the pass that queued the box
-	pass  uint64          // that pass's number
-	ready time.Time       // when the pending step was found due
+	pass  uint64          // of the pass that found the pending step due
+	ready time.Time       // when the pending work was found ready
 	due   time.Time       // ready + estimate: the ready queue's key
 	seq   uint64          // the ready queue's tie-break
+	pos   int             // 1 + index on the ready queue, 0 off it
 }
 
 // engineShard is one scheduler loop's private state: the boxes owned
@@ -414,8 +437,7 @@ func (e *Engine) pass(ctx context.Context, i int, direct bool) {
 		}
 		// The steps count as ready from the pass's start: no earlier than
 		// the appends that completed their windows.
-		if br := e.claim(sh, i, id, start); br != nil {
-			br.ctx, br.pass = ctx, sh.pass
+		if br := e.claim(ctx, sh.pass, sh, i, id, start); br != nil {
 			ready = append(ready, br)
 		}
 	}
@@ -454,9 +476,16 @@ func (e *Engine) shardOf(id string) *engineShard {
 	return &e.shards[e.store.ShardOf(id)]
 }
 
-// claim queues the box, its step ready at now, if it is idle and its
-// next window is complete; otherwise it returns nil.
-func (e *Engine) claim(sh *engineShard, shard int, id string, now time.Time) *boxRun {
+// claim looks at the box on behalf of a scheduling pass (its context
+// and number) or of the box's own work just finished (that work's). An
+// idle box whose next window is complete is queued for its step, ready at
+// now; an idle box that has planned before and does not hold its next
+// step's model phase is queued to run it ahead — the training window of
+// step k is complete the moment step k-1 is, a whole horizon before the
+// step. Either is returned for the caller to push. A box queued for or
+// running that phase whose window has completed meanwhile becomes a due
+// step where it is. Anything else is left alone.
+func (e *Engine) claim(ctx context.Context, pass uint64, sh *engineShard, shard int, id string, now time.Time) *boxRun {
 	total, err := e.store.Total(id)
 	if err != nil {
 		return nil
@@ -471,12 +500,26 @@ func (e *Engine) claim(sh *engineShard, shard int, id string, now time.Time) *bo
 		br = &boxRun{id: id, shard: shard, pipe: e.newPipeline()}
 		sh.boxes[id] = br
 	}
-	if br.state != idle || total < e.need(br.steps) {
+	due := total >= e.need(br.steps)
+	switch {
+	case due && br.state != idle && br.ahead:
+		br.pass = pass
+		var cost time.Duration
+		if br.state == queued { // running, the phase is under way and br its goroutine's
+			cost = e.estimate(br)
+		}
+		e.sched.promote(br, now, cost)
+		return nil
+	case br.state != idle, !due && (br.steps == 0 || br.prepared):
 		return nil
 	}
 	sh.busy++
-	br.state = queued
-	br.ready, br.due = now, now.Add(e.estimate(br))
+	br.state, br.ahead = queued, !due
+	br.ctx, br.pass = ctx, pass
+	br.ready, br.due = now, now
+	if !br.prepared {
+		br.due = now.Add(e.estimate(br))
+	}
 	return br
 }
 
@@ -508,10 +551,11 @@ func (e *Engine) estimate(br *boxRun) time.Duration {
 	return time.Duration(e.computeNs.Load() / series * int64(2*len(meta.VMs)))
 }
 
-// run catches a queued box up; it is entered with a slot held. A box
-// with another window complete once its step has published goes back on
-// the queue — or straight on, when a slot is open, which it only is
-// while the queue is empty.
+// run does a queued box's pending work and whatever that makes ready —
+// the next step if the box is behind, else the next step's model phase;
+// it is entered with a slot held. The box goes back on the queue for
+// each — or straight on, when a slot is open, which it only is while the
+// queue is empty.
 func (e *Engine) run(br *boxRun) {
 	for e.step(br); e.settle(br); e.step(br) {
 		if !e.sched.tryAcquire() {
@@ -521,18 +565,19 @@ func (e *Engine) run(br *boxRun) {
 	}
 }
 
-// settle ends a step and reports whether the box is queued again
-// because another window is complete. The box goes idle before that look
-// at the store, so an append whose pass found the box busy, and skipped
-// it, is never lost: it landed before this look. The box stays counted
-// busy until the end, so the shard never reads as quiet in between.
+// settle ends a box's work and reports whether the box is queued again.
+// The box goes idle before that look at the store, so an append whose
+// pass found the box busy, and skipped it, is never lost: it landed
+// before this look. The box stays counted busy until the end, so the
+// shard never reads as quiet in between.
 func (e *Engine) settle(br *boxRun) bool {
 	sh := &e.shards[br.shard]
-	live := br.ctx.Err() == nil // cancelled: no further step starts
 	sh.mu.Lock()
 	br.state = idle
+	ctx, pass := br.ctx, br.pass
 	sh.mu.Unlock()
-	again := live && e.claim(sh, br.shard, br.id, time.Now()) != nil
+	// Cancelled: nothing further starts.
+	again := ctx.Err() == nil && e.claim(ctx, pass, sh, br.shard, br.id, time.Now()) != nil
 	sh.mu.Lock()
 	sh.busy--
 	drained := sh.busy == 0
@@ -544,49 +589,92 @@ func (e *Engine) settle(br *boxRun) bool {
 	return again
 }
 
-// step fires the queued box's next rolling step. It holds a scheduler
-// slot from the window read through scoring — the part that computes —
-// and gives it back before the plan is pushed to the backend and
-// published, so neither backend I/O nor a box catching up keeps a core
-// from the other boxes. Until settle, br's unguarded fields are this
-// goroutine's; publication of the plan takes the shard lock.
+// step does the queued box's pending work in the scheduler slot it was
+// dispatched into: the model phase of its next step when that is all
+// that can run yet, the step itself when its window is complete — and
+// both, one after the other, when the window completes while the phase
+// is running. Until settle, br's unguarded fields are this goroutine's.
 func (e *Engine) step(br *boxRun) {
-	ctx, id, shard, pass := br.ctx, br.id, br.shard, br.pass
-	sh := &e.shards[shard]
+	sh := &e.shards[br.shard]
 	sh.mu.Lock()
 	br.state = running
+	ctx, ahead, ready := br.ctx, br.ahead, br.ready
 	sh.mu.Unlock()
 	if ctx.Err() != nil {
-		// Cancelled while queued: the step does not start.
+		// Cancelled while queued: the work does not start.
 		e.sched.dispatch(1)
 		return
 	}
 	dispatched := time.Now()
-	stepWaitSeconds.Observe(dispatched.Sub(br.ready).Seconds())
 	stepsInflight.Inc()
-	// With tracing on, link this step to the ingest span that last
-	// touched the box: one trace from HTTP ingest to plan publish. The
-	// nil-Tracer path touches none of this and stays allocation-free.
-	stepCtx := ctx
-	var span *obs.Span
-	var traceID string
-	if e.cfg.Tracer != nil {
-		tid, sid, _ := e.store.IngestTrace(id)
-		if e.cfg.TraceStages {
-			// Deep-dive mode: the pipeline runs under the traced context
-			// so every stage hangs its own span off engine.step.
-			stepCtx = obs.WithTracer(ctx, e.cfg.Tracer)
-			stepCtx, span = obs.StartSpanLinked(stepCtx, "engine.step", tid, sid)
+	if ahead {
+		modelCtx, span := e.startSpan(ctx, br, "engine.model")
+		from := br.steps * e.cfg.Core.Horizon
+		// A window that cannot be read is left for the step to report.
+		timed := br
+		if e.store.WindowInto(br.id, from, from+e.cfg.Core.TrainWindows, &br.wb) == nil {
+			_, err := e.pipeline(modelCtx, br, true)
+			span.SetAttr("failed", err != nil)
 		} else {
-			// Decision-level tracing only: one standalone span per step,
-			// no context derivation, and the pipeline stays on the bare
-			// context — the hot loop's steady posture.
-			span = e.cfg.Tracer.LinkedSpan("engine.step", tid, sid)
+			timed = nil
 		}
-		span.SetAttr("box", id)
-		span.SetAttr("shard", shard)
-		span.SetAttr("step", br.steps)
-		traceID = span.TraceID()
+		span.End()
+		sh.mu.Lock()
+		ahead, ready = br.ahead, br.ready
+		br.ahead, br.prepared = false, ahead
+		sh.mu.Unlock()
+		if ahead {
+			e.release(timed, dispatched, 2*len(br.wb.VMs))
+			return
+		}
+		// The window completed meanwhile: on with the step, in this slot.
+	}
+	e.finish(ctx, br, dispatched, ready)
+}
+
+// startSpan opens the span a box's work runs under. With tracing on it
+// is linked to the ingest span that last touched the box: one trace from
+// HTTP ingest to plan publish. The nil-Tracer path touches none of this
+// and stays allocation-free.
+func (e *Engine) startSpan(ctx context.Context, br *boxRun, name string) (context.Context, *obs.Span) {
+	if e.cfg.Tracer == nil {
+		return ctx, nil
+	}
+	var span *obs.Span
+	tid, sid, _ := e.store.IngestTrace(br.id)
+	if e.cfg.TraceStages {
+		// Deep-dive mode: the pipeline runs under the traced context
+		// so every stage hangs its own span off this one.
+		ctx, span = obs.StartSpanLinked(obs.WithTracer(ctx, e.cfg.Tracer), name, tid, sid)
+	} else {
+		// Decision-level tracing only: one standalone span, no context
+		// derivation, and the pipeline stays on the bare context — the
+		// hot loop's steady posture.
+		span = e.cfg.Tracer.LinkedSpan(name, tid, sid)
+	}
+	span.SetAttr("box", br.id)
+	span.SetAttr("shard", br.shard)
+	span.SetAttr("step", br.steps)
+	return ctx, span
+}
+
+// finish fires the box's due step. It holds the scheduler slot from the
+// window read through scoring — the part that computes — and gives it
+// back before the plan is pushed to the backend and published, so
+// neither backend I/O nor a box catching up keeps a core from the other
+// boxes. Publication of the plan takes the shard lock.
+func (e *Engine) finish(ctx context.Context, br *boxRun, dispatched, ready time.Time) {
+	id, shard := br.id, br.shard
+	sh := &e.shards[shard]
+	stepWaitSeconds.Observe(time.Since(ready).Seconds())
+	stepCtx, span := e.startSpan(ctx, br, "engine.step")
+	traceID := span.TraceID()
+	// The slot's time is the box's next estimate only if a model phase
+	// ran in it: a step that merely finishes a prepared one says nothing
+	// about what the next step will cost.
+	timed := br
+	if br.prepared {
+		timed = nil
 	}
 	from := br.steps * e.cfg.Core.Horizon
 	to := e.need(br.steps)
@@ -605,7 +693,7 @@ func (e *Engine) step(br *boxRun) {
 		e.skip(sh, br, event, traceID, err)
 		return
 	}
-	res, err := e.stepInto(stepCtx, br)
+	res, err := e.pipeline(stepCtx, br, false)
 	stepsTotal.Inc()
 	if err != nil {
 		stepErrors.Inc()
@@ -640,7 +728,7 @@ func (e *Engine) step(br *boxRun) {
 	// Score the step against realized demand before publication: the
 	// scorecard is always on and allocation-free after the first step.
 	e.board.Observe(id, shard, res)
-	e.release(br, dispatched, 2*len(wb.VMs))
+	e.release(timed, dispatched, 2*len(wb.VMs))
 	step := br.steps
 	var applyErr error
 	if e.cfg.Setter != nil && !res.Degraded {
@@ -648,7 +736,8 @@ func (e *Engine) step(br *boxRun) {
 	}
 	dec := br.pipe.LastDecision()
 	sh.mu.Lock()
-	br.steps++
+	pass := br.pass
+	br.advance()
 	if br.plan == nil {
 		br.plan = &Plan{}
 	}
@@ -695,30 +784,49 @@ func (e *Engine) step(br *boxRun) {
 	}
 }
 
-// stepInto runs the pipeline over the box's window. A panic costs that
-// window only: it comes back as the step's error, and the box gets a
-// fresh pipeline — the old one's arena may be half-written.
-func (e *Engine) stepInto(ctx context.Context, br *boxRun) (res *core.BoxResult, err error) {
+// pipeline runs the box's pipeline over its window box: the next step's
+// model phase alone (ahead), or the step — which only finishes when the
+// pipeline holds that phase for this very window, and computes it first
+// when it does not. A panic costs that window only: it comes back as the
+// step's error — held until the step is due when it happened ahead — and
+// the box gets a fresh pipeline; the old one's arena may be half-written.
+func (e *Engine) pipeline(ctx context.Context, br *boxRun, ahead bool) (res *core.BoxResult, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			stepPanics.Inc()
 			br.pipe = e.newPipeline()
 			res, err = nil, fmt.Errorf("engine: step panicked: %v", p)
+			if ahead {
+				br.panicked = err
+			}
 		}
 	}()
+	switch {
+	case ahead:
+		return nil, br.pipe.Prepare(ctx, &br.wb)
+	case br.panicked != nil:
+		return nil, br.panicked
+	}
 	return br.pipe.StepInto(ctx, &br.wb)
+}
+
+// advance moves the box to its next window; callers hold the shard lock.
+// Whatever was prepared was prepared for the window left behind.
+func (br *boxRun) advance() {
+	br.steps++
+	br.prepared, br.panicked = false, nil
 }
 
 // skip advances the box past a window that produced no plan.
 func (e *Engine) skip(sh *engineShard, br *boxRun, event, traceID string, err error) {
 	sh.mu.Lock()
-	step := br.steps
-	br.steps++
+	step, pass := br.steps, br.pass
+	br.advance()
 	br.lastErr = err
 	sh.mu.Unlock()
 	if e.cfg.Events != nil {
 		ev := obs.Event{
-			Type: event, Box: br.id, Shard: br.shard, Pass: br.pass,
+			Type: event, Box: br.id, Shard: br.shard, Pass: pass,
 			Step: step, TraceID: traceID,
 		}
 		if err != nil {
@@ -728,9 +836,10 @@ func (e *Engine) skip(sh *engineShard, br *boxRun, event, traceID string, err er
 	}
 }
 
-// release gives back the slot a step was dispatched into. A step that
-// ran to a result passes its box and series count: its slot time becomes
-// the box's next estimate and joins the engine's mean per series.
+// release gives back the slot a box's work was dispatched into. Work
+// that ran a model phase to its end passes its box and series count: its
+// slot time becomes the box's next estimate and joins the engine's mean
+// per series.
 func (e *Engine) release(br *boxRun, dispatched time.Time, series int) {
 	stepsInflight.Dec()
 	if br != nil {
@@ -891,7 +1000,9 @@ type BoxDebug struct {
 	Shard int    `json:"shard"`
 	// Steps counts fired rolling steps.
 	Steps int `json:"steps"`
-	// State is the box's scheduler state: idle, queued or running.
+	// State is the box's scheduler state: idle, queued or running —
+	// preparing while the work queued or running is its next step's model
+	// phase ahead of time, prepared once it idles holding that phase.
 	State string `json:"state"`
 	// Plan is the latest published plan (nil before the first step).
 	Plan *Plan `json:"plan,omitempty"`
@@ -915,7 +1026,7 @@ func (e *Engine) Debug(id string) (BoxDebug, bool) {
 		Box:      id,
 		Shard:    e.store.ShardOf(id),
 		Steps:    br.steps,
-		State:    br.state.String(),
+		State:    br.describe(),
 		Decision: br.decision,
 	}
 	if br.lastErr != nil {

@@ -18,6 +18,19 @@ const (
 
 func (s boxState) String() string { return [...]string{"idle", "queued", "running"}[s] }
 
+// describe is the state as the debug surface names it: a box queued for
+// or running its next step's model phase ahead of time is preparing, an
+// idle one that holds the finished phase is prepared.
+func (br *boxRun) describe() string {
+	switch {
+	case br.state != idle && br.ahead:
+		return "preparing"
+	case br.state == idle && br.prepared:
+		return "prepared"
+	}
+	return br.state.String()
+}
+
 // ingestLinger is how long after an append one slot stays shut: longer
 // than a client's turnaround plus a runtime hiccup, about one cheap step.
 const ingestLinger = 3 * time.Millisecond
@@ -31,6 +44,12 @@ const ingestLinger = 3 * time.Millisecond
 // own length is due in the past and outranks every step found ready
 // later, so nothing starves. Nothing blocks while it is queued.
 //
+// The queue has a second class below the first: boxes whose next step is
+// not due yet, waiting to run its model phase ahead of the actuals
+// (boxRun.ahead), in the same order among themselves. They get a slot
+// only when no due step wants it, and move up a class (promote) the
+// moment their step falls due.
+//
 // While batches are landing one of several slots stays shut: Go polls
 // the network only on an idle P or every 10 ms from sysmon, so with
 // every P inside a step a burst would trickle in a body per poll and
@@ -40,7 +59,7 @@ type sched struct {
 	slots int
 	busy  int      // slots held by steps
 	seq   uint64   // pushes so far: ties on due dispatch in push order
-	queue boxQueue // min-heap on (due, seq)
+	queue boxQueue // min-heap on (ahead, due, seq)
 	armed bool     // a timer will reopen the slot shut for ingest
 
 	start      func(*boxRun)    // runs a popped box; entered with a slot held
@@ -64,6 +83,18 @@ func (s *sched) push(br *boxRun) {
 	heap.Push(&s.queue, br)
 	s.mu.Unlock()
 	s.dispatch(0)
+}
+
+// promote turns a box that is queued for, or running, its model phase
+// ahead of time into a due step, ready at now and costing cost more.
+func (s *sched) promote(br *boxRun, now time.Time, cost time.Duration) {
+	s.mu.Lock()
+	br.ahead = false
+	br.ready, br.due = now, now.Add(cost)
+	if br.pos > 0 {
+		heap.Fix(&s.queue, br.pos-1)
+	}
+	s.mu.Unlock()
 }
 
 // dispatch gives back freed slots, then starts queued boxes, smallest
@@ -101,22 +132,34 @@ func (s *sched) tryAcquire() bool {
 	return true
 }
 
-// boxQueue implements heap.Interface over queued boxes.
+// boxQueue implements heap.Interface over queued boxes: due steps before
+// model phases run ahead, each class by due time, ties in push order.
 type boxQueue []*boxRun
 
 func (q boxQueue) Len() int { return len(q) }
 func (q boxQueue) Less(i, j int) bool {
+	if q[i].ahead != q[j].ahead {
+		return q[j].ahead
+	}
 	if c := q[i].due.Compare(q[j].due); c != 0 {
 		return c < 0
 	}
 	return q[i].seq < q[j].seq
 }
-func (q boxQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *boxQueue) Push(x any)   { *q = append(*q, x.(*boxRun)) }
+func (q boxQueue) Swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	q[i].pos, q[j].pos = i+1, j+1
+}
+func (q *boxQueue) Push(x any) {
+	br := x.(*boxRun)
+	*q = append(*q, br)
+	br.pos = len(*q)
+}
 func (q *boxQueue) Pop() any {
 	old := *q
 	br := old[len(old)-1]
 	old[len(old)-1] = nil
 	*q = old[:len(old)-1]
+	br.pos = 0
 	return br
 }

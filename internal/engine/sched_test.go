@@ -3,10 +3,12 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -144,11 +146,11 @@ func TestGateAging(t *testing.T) {
 // Fit — the seam the scheduler tests observe and stall steps through.
 type hookModel struct {
 	predict.SeasonalNaive
-	fit func()
+	fit func(h timeseries.Series)
 }
 
 func (m *hookModel) Fit(h timeseries.Series) error {
-	m.fit()
+	m.fit(h)
 	return m.SeasonalNaive.Fit(h)
 }
 
@@ -161,6 +163,22 @@ type schedFixture struct {
 	spans *obs.RingExporter
 	boxes []trace.Box
 	fed   []int // ticks appended so far, per box
+
+	// onFit, when set (before the engine first runs), is called at the
+	// start of a model fit with the fixture index of the box and the step
+	// whose model phase the fit belongs to — for every training series
+	// that only one window of one box has (all but the odd idle VM's).
+	onFit  func(box, step int)
+	phases map[uint64][2]int // hash of a training series -> (box, step), or (-1, -1) when several have it
+}
+
+// seriesHash is FNV-1a over the samples' bits.
+func seriesHash(h timeseries.Series) uint64 {
+	sum := uint64(14695981039346656037)
+	for _, v := range h {
+		sum = (sum ^ math.Float64bits(v)) * 1099511628211
+	}
+	return sum
 }
 
 // newSchedFixture builds boxes with the given VM counts. fit runs at
@@ -173,14 +191,19 @@ func newSchedFixture(t testing.TB, shards int, vms []int, fit func(), mutate fun
 	})
 	spd := tr.SamplesPerDay
 	cc := fastConfig(spd, false)
-	cc.Temporal = func() predict.Model {
-		return &hookModel{SeasonalNaive: predict.SeasonalNaive{Period: spd}, fit: fit}
-	}
 	st, err := state.NewStoreSharded(cc.TrainWindows+3*cc.Horizon, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := &schedFixture{t: t, st: st, spans: obs.NewRingExporter(1024), boxes: tr.Boxes, fed: make([]int, len(vms))}
+	cc.Temporal = func() predict.Model {
+		return &hookModel{SeasonalNaive: predict.SeasonalNaive{Period: spd}, fit: func(h timeseries.Series) {
+			if at, ok := f.phases[seriesHash(h)]; ok && at[0] >= 0 && f.onFit != nil {
+				f.onFit(at[0], at[1])
+			}
+			fit()
+		}}
+	}
 	cfg := Config{Core: cc, SamplesPerDay: spd, Tracer: obs.NewTracer(f.spans), Poll: 5 * time.Millisecond}
 	if mutate != nil {
 		mutate(&cfg)
@@ -202,6 +225,25 @@ func newSchedFixture(t testing.TB, shards int, vms []int, fit func(), mutate fun
 		}
 		if err := st.Register(state.MetaOf(b)); err != nil {
 			t.Fatal(err)
+		}
+	}
+	f.phases = make(map[uint64][2]int)
+	train := make(timeseries.Series, cc.TrainWindows)
+	for i := range f.boxes {
+		for _, vm := range f.boxes[i].VMs {
+			for step := 0; step*cc.Horizon+cc.TrainWindows <= len(vm.CPU); step++ {
+				for _, r := range []trace.Resource{trace.CPU, trace.RAM} {
+					scale := vm.Capacity(r) / 100
+					for j, u := range vm.Usage(r)[step*cc.Horizon:][:cc.TrainWindows] {
+						train[j] = u * scale
+					}
+					key, at := seriesHash(train), [2]int{i, step}
+					if _, taken := f.phases[key]; taken {
+						at = [2]int{-1, -1}
+					}
+					f.phases[key] = at
+				}
+			}
 		}
 	}
 	return f
@@ -248,6 +290,15 @@ func (f *schedFixture) waitSteps(n int, boxes ...int) {
 			}
 		}
 		return true
+	})
+}
+
+// waitState blocks until box i's debug state reads as given.
+func (f *schedFixture) waitState(i int, state string) {
+	f.t.Helper()
+	waitFor(f.t, fmt.Sprintf("box %d to be %s", i, state), func() bool {
+		d, _ := f.e.Debug(f.boxes[i].ID)
+		return d.State == state
 	})
 }
 
@@ -368,63 +419,51 @@ func sizes(vms []int, order []int) []int {
 // step has waited as long as it is estimated to run, some after. When
 // the slot frees, the large step must go ahead of every small step of
 // the second group: a step that has waited its own length outranks all
-// newcomers.
+// newcomers. Every step here is a box's first — later ones have their
+// model phase behind them when they fall due and are estimated at
+// nothing — so the estimates are the engine's mean compute time per
+// series, from a slowed warm-up box, times each box's series count.
 func TestEngineLargeStepNotStarved(t *testing.T) {
-	const blocker, large = 0, 1
-	early, late := []int{2, 3, 4}, []int{5, 6, 7, 8, 9}
-	vms := []int{2, 16, 2, 2, 2, 2, 2, 2, 2, 2}
-	var slow, block atomic.Bool
-	blocked, unblock := make(chan struct{}), make(chan struct{})
-	fit := func() {
+	const warm, blocker, large = 0, 1, 2
+	early, late := []int{3, 4, 5}, []int{6, 7, 8, 9, 10}
+	vms := []int{2, 2, 16, 2, 2, 2, 2, 2, 2, 2, 2}
+	var slow atomic.Bool
+	block := newFitBlock()
+	f := newSchedFixture(t, 16, vms, func() {
 		if slow.CompareAndSwap(true, false) {
 			time.Sleep(60 * time.Millisecond)
 		}
-		if block.CompareAndSwap(true, false) {
-			close(blocked)
-			<-unblock
-		}
-	}
-	f := newSchedFixture(t, 16, vms, fit, func(c *Config) { c.Workers = 1 })
-	ctx := context.Background()
+		block.fit()
+	}, func(c *Config) { c.Workers = 1 })
 
-	// Step 0 everywhere, the large box's slowed: its estimate for step 1
-	// is that step's slot time, which this Sync's wall time bounds.
 	slow.Store(true)
-	f.feed(large, f.e.Need(0))
-	began := time.Now()
-	f.e.Sync(ctx)
-	estimate := time.Since(began)
-	for i := range vms {
-		f.feed(i, f.e.Need(0))
-	}
-	f.e.Sync(ctx)
-	for i := range vms {
-		f.feed(i, f.e.Need(1)-1)
-	}
+	f.feed(warm, f.e.Need(0))
+	f.e.Sync(context.Background())
+	estimate := time.Duration(f.e.computeNs.Load() / f.e.computeSeries.Load() * int64(2*vms[large]))
 	stop := f.run()
 
-	block.Store(true)
-	f.feed(blocker, f.e.Need(1))
-	<-blocked // the blocker's step holds the slot
-	f.feed(large, f.e.Need(1))
+	block.armed.Store(true)
+	f.feed(blocker, f.e.Need(0))
+	<-block.blocked // the blocker's step holds the slot
+	f.feed(large, f.e.Need(0))
 	waitFor(t, "the large step to queue", func() bool { return f.e.sched.queued() == 1 })
 	queued := time.Now() // no earlier than the large step became ready
 	for _, i := range early {
-		f.feed(i, f.e.Need(1))
+		f.feed(i, f.e.Need(0))
 	}
 	time.Sleep(time.Until(queued.Add(estimate)))
 	for _, i := range late {
-		f.feed(i, f.e.Need(1))
+		f.feed(i, f.e.Need(0))
 	}
 	waitFor(t, "every step to queue", func() bool { return f.e.sched.queued() == 1+len(early)+len(late) })
-	close(unblock)
-	f.waitSteps(2, blocker, large)
-	f.waitSteps(2, early...)
-	f.waitSteps(2, late...)
+	close(block.unblock)
+	f.waitSteps(1, blocker, large)
+	f.waitSteps(1, early...)
+	f.waitSteps(1, late...)
 	stop()
 
 	at := make(map[int]int)
-	for k, i := range f.dispatchOrder(1) {
+	for k, i := range f.dispatchOrder(0) {
 		at[i] = k
 	}
 	for _, i := range late {
@@ -518,8 +557,8 @@ func TestEnginePassDoesNotWaitForSteps(t *testing.T) {
 // shard found. Estimates come from a slowed warm-up step, as in
 // TestEngineBurstCheapestFirst.
 func TestEngineBurstOrderAcrossPasses(t *testing.T) {
-	vms := []int{2, 12, 14, 16, 12, 14, 16, 4, 6, 8, 4, 6, 8} // box 0 warms up, then blocks
-	early, late := []int{1, 2, 3, 4, 5, 6}, []int{7, 8, 9, 10, 11, 12}
+	vms := []int{2, 12, 14, 16, 12, 14, 16, 4, 6, 8, 4, 6, 8, 2} // box 0 warms up, the last one blocks
+	early, late, blocker := []int{1, 2, 3, 4, 5, 6}, []int{7, 8, 9, 10, 11, 12}, 13
 	var slow atomic.Bool
 	block := newFitBlock()
 	f := newSchedFixture(t, 3, vms, func() {
@@ -540,13 +579,12 @@ func TestEngineBurstOrderAcrossPasses(t *testing.T) {
 	slow.Store(true)
 	f.feed(0, f.e.Need(0))
 	f.e.Sync(context.Background())
-	f.feed(0, f.e.Need(1)-1)
 	for i := 1; i < len(vms); i++ {
 		f.feed(i, f.e.Need(0)-1)
 	}
 	stop := f.run()
 	block.armed.Store(true)
-	f.feed(0, f.e.Need(1))
+	f.feed(blocker, f.e.Need(0))
 	<-block.blocked
 	for _, i := range early {
 		f.feed(i, f.e.Need(0))
@@ -561,7 +599,7 @@ func TestEngineBurstOrderAcrossPasses(t *testing.T) {
 	f.waitSteps(1, late...)
 	stop()
 
-	order := f.dispatchOrder(0)[1:] // minus the warm-up step
+	order := f.dispatchOrder(0)[2:] // minus the warm-up step and the blocker's
 	if len(order) != len(early)+len(late) {
 		t.Fatalf("%d steps dispatched, want %d", len(order), len(early)+len(late))
 	}
@@ -572,54 +610,74 @@ func TestEngineBurstOrderAcrossPasses(t *testing.T) {
 	}
 }
 
-// TestEngineBoxNeverStepsConcurrently hammers one box with appends from
-// several goroutines while its steps are slow: at no time do two steps
-// of the box run, every window is stepped exactly once and in order,
-// and none is left behind after the last append.
+// TestEngineBoxNeverStepsConcurrently hammers two boxes with appends
+// from several goroutines while their model phases are slow, so that
+// windows complete while the box's next phase is queued, running or done
+// — with slots to spare, and with one slot for both boxes. At no time do
+// two pieces of one box's work run, every window is stepped (or found
+// evicted) exactly once and in order, every plan comes of a model phase
+// computed exactly once, and no window is left behind after the last
+// append.
 func TestEngineBoxNeverStepsConcurrently(t *testing.T) {
 	const windows = 6
-	var fitting atomic.Int32
-	events := obs.NewEventLog(4 * windows)
-	f := newSchedFixture(t, 1, []int{2}, func() {
-		if fitting.Add(1) > 1 {
-			t.Error("two steps of one box ran at once")
+	for _, workers := range []int{4, 1} {
+		var fitting [2]atomic.Int32
+		events := obs.NewEventLog(4 * windows)
+		f := newSchedFixture(t, 2, []int{2, 3}, func() {}, func(c *Config) {
+			c.Workers = workers
+			c.Events = events
+		})
+		f.onFit = func(box, _ int) {
+			if fitting[box].Add(1) > 1 {
+				t.Error("two model phases of one box ran at once")
+			}
+			time.Sleep(200 * time.Microsecond)
+			fitting[box].Add(-1)
 		}
-		time.Sleep(200 * time.Microsecond)
-		fitting.Add(-1)
-	}, func(c *Config) {
-		c.Workers = 4
-		c.Events = events
-	})
-	stop := f.run()
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				done := f.fed[0] >= f.e.Need(windows-1)
-				if !done {
-					f.feed(0, f.fed[0]+1)
+		// A phase run ahead of a window that was then evicted is found
+		// stale by the next step, which computes its own.
+		phases := func() float64 { return modelPhases("ahead") + modelPhases("inline") + modelPhases("stale") }
+		ran := phases()
+		stop := f.run()
+		var mu sync.Mutex
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(box int) {
+				defer wg.Done()
+				for {
+					mu.Lock()
+					done := f.fed[box] >= f.e.Need(windows-1)
+					if !done {
+						f.feed(box, f.fed[box]+1)
+					}
+					mu.Unlock()
+					if done {
+						return
+					}
 				}
-				mu.Unlock()
-				if done {
-					return
+			}(g % 2)
+		}
+		wg.Wait()
+		f.waitSteps(windows, 0, 1)
+		stop()
+		plans := 0 // the other outcomes are windows the appends evicted before their step ran
+		for box := range f.boxes {
+			evs := events.Tail(0, f.boxes[box].ID)
+			if len(evs) != windows {
+				t.Fatalf("Workers %d: %d step outcomes published for box %d's %d windows", workers, len(evs), box, windows)
+			}
+			for k, ev := range evs {
+				if ev.Step != k {
+					t.Fatalf("Workers %d: box %d's outcome %d is of step %d (%s): steps must be contiguous", workers, box, k, ev.Step, ev.Type)
+				}
+				if ev.Type == "plan" {
+					plans++
 				}
 			}
-		}()
-	}
-	wg.Wait()
-	f.waitSteps(windows, 0)
-	stop()
-	evs := events.Tail(0, "")
-	if len(evs) != windows {
-		t.Fatalf("%d step outcomes published for %d windows", len(evs), windows)
-	}
-	for k, ev := range evs {
-		if ev.Step != k {
-			t.Fatalf("outcome %d is of step %d (%s): steps must be contiguous", k, ev.Step, ev.Type)
+		}
+		if got := phases() - ran; got != float64(plans) {
+			t.Fatalf("Workers %d: %v model phases served %d plans, want one each", workers, got, plans)
 		}
 	}
 }
@@ -706,61 +764,86 @@ func TestEngineCancelWhileQueued(t *testing.T) {
 	}
 }
 
-// TestEngineStepPanicQuarantinesWindow: a forecaster that panics on one
-// box's second window costs that window only. The process survives, the
-// sibling plans, the panic is published as the window's step_error, and
-// the box — on a fresh pipeline — plans again on its third window.
+// TestEngineStepPanicQuarantinesWindow: a forecaster that panics in one
+// model phase of a box costs that window only, whether the phase runs
+// inside the due step (the box's first window) or ahead of it, in the
+// background (its third). The process survives, the sibling plans,
+// nothing shows until the window is due — then the panic is published as
+// its step_error — and the box, on a fresh pipeline, plans again on the
+// window after.
 func TestEngineStepPanicQuarantinesWindow(t *testing.T) {
-	var boom atomic.Bool
-	events := obs.NewEventLog(16)
-	f := newSchedFixture(t, 2, []int{3, 3}, func() {
-		if boom.CompareAndSwap(true, false) {
-			panic("forecaster exploded")
+	for _, bad := range []int{0, 2} {
+		events := obs.NewEventLog(16)
+		f := newSchedFixture(t, 2, []int{3, 3}, func() {}, func(c *Config) {
+			c.Workers = 2
+			c.Events = events
+		})
+		var boomed atomic.Bool
+		f.onFit = func(box, step int) {
+			if box == 0 && step == bad && boomed.CompareAndSwap(false, true) {
+				panic("forecaster exploded")
+			}
 		}
-	}, func(c *Config) {
-		c.Workers = 2
-		c.Events = events
-	})
-	panics := stepPanics.Value()
-	stop := f.run()
-	f.feed(0, f.e.Need(0))
-	f.feed(1, f.e.Need(0))
-	f.waitSteps(1, 0, 1)
-	old := f.e.shards[f.st.ShardOf(f.boxes[0].ID)].boxes[f.boxes[0].ID].pipe
-	boom.Store(true)
-	f.feed(0, f.e.Need(1))
-	f.waitSteps(2, 0)
-	if err := f.e.LastErr(f.boxes[0].ID); err == nil || !strings.Contains(err.Error(), "forecaster exploded") {
-		t.Fatalf("last error after the panic = %v, want the panic value", err)
-	}
-	if got := stepPanics.Value() - panics; got != 1 {
-		t.Fatalf("panic counter moved by %v, want 1", got)
-	}
-	f.feed(1, f.e.Need(1))
-	f.feed(0, f.e.Need(2))
-	f.waitSteps(2, 1)
-	f.waitSteps(3, 0)
-	stop()
-	if p, ok := f.e.Plan(f.boxes[0].ID); !ok || p.Step != 2 {
-		t.Fatalf("box 0's plan after its third window = step %d (%v), want 2", p.Step, ok)
-	}
-	if err := f.e.LastErr(f.boxes[0].ID); err != nil {
-		t.Fatalf("box 0's last error after a clean step = %v", err)
-	}
-	if f.e.shards[f.st.ShardOf(f.boxes[0].ID)].boxes[f.boxes[0].ID].pipe == old {
-		t.Fatal("the panicked pipeline was kept")
-	}
-	var failed []obs.Event
-	for _, ev := range events.Tail(0, "") {
-		if ev.Type == "step_error" {
-			failed = append(failed, ev)
+		panics := stepPanics.Value()
+		var old *core.Pipeline // box 0's, while it still has its first (never, when that dies at once)
+		stop := f.run()
+		for step := 0; step < bad; step++ {
+			if step > 0 {
+				old = f.e.shards[f.st.ShardOf(f.boxes[0].ID)].boxes[f.boxes[0].ID].pipe
+			}
+			f.feed(0, f.e.Need(step))
+			f.feed(1, f.e.Need(step))
+			f.waitSteps(step+1, 0, 1)
 		}
-	}
-	if len(failed) != 1 || failed[0].Box != f.boxes[0].ID || failed[0].Step != 1 || !strings.Contains(failed[0].Err, "forecaster exploded") {
-		t.Fatalf("step_error events = %+v, want one for box 0's step 1 carrying the panic", failed)
-	}
-	if held, inflight := f.e.sched.held(), stepsInflight.Value(); held != 0 || inflight != 0 {
-		t.Fatalf("after the panic %d slots are held and %v steps in flight, want 0 and 0", held, inflight)
+		if bad > 0 {
+			// The phase of the bad window runs, and dies, as soon as the
+			// window before it has published; until the bad window is due
+			// there is nothing to see but the counter.
+			waitFor(t, "the background panic", func() bool { return stepPanics.Value()-panics == 1 })
+			f.waitState(0, "prepared")
+			if err := f.e.LastErr(f.boxes[0].ID); err != nil {
+				t.Fatalf("window %d: the panic surfaced as %v before its window was due", bad, err)
+			}
+			for _, ev := range events.Tail(0, "") {
+				if ev.Type == "step_error" {
+					t.Fatalf("window %d: %+v published before the window was due", bad, ev)
+				}
+			}
+		}
+		f.feed(0, f.e.Need(bad))
+		f.waitSteps(bad+1, 0)
+		if err := f.e.LastErr(f.boxes[0].ID); err == nil || !strings.Contains(err.Error(), "forecaster exploded") {
+			t.Fatalf("window %d: last error after the panic = %v, want the panic value", bad, err)
+		}
+		if got := stepPanics.Value() - panics; got != 1 {
+			t.Fatalf("window %d: panic counter moved by %v, want 1", bad, got)
+		}
+		f.feed(1, f.e.Need(bad))
+		f.feed(0, f.e.Need(bad+1))
+		f.waitSteps(bad+1, 1)
+		f.waitSteps(bad+2, 0)
+		stop()
+		if p, ok := f.e.Plan(f.boxes[0].ID); !ok || p.Step != bad+1 {
+			t.Fatalf("window %d: box 0's plan after the window that followed = step %d (%v), want %d", bad, p.Step, ok, bad+1)
+		}
+		if err := f.e.LastErr(f.boxes[0].ID); err != nil {
+			t.Fatalf("window %d: box 0's last error after a clean step = %v", bad, err)
+		}
+		if f.e.shards[f.st.ShardOf(f.boxes[0].ID)].boxes[f.boxes[0].ID].pipe == old {
+			t.Fatalf("window %d: the panicked pipeline was kept", bad)
+		}
+		var failed []obs.Event
+		for _, ev := range events.Tail(0, "") {
+			if ev.Type == "step_error" {
+				failed = append(failed, ev)
+			}
+		}
+		if len(failed) != 1 || failed[0].Box != f.boxes[0].ID || failed[0].Step != bad || !strings.Contains(failed[0].Err, "forecaster exploded") {
+			t.Fatalf("window %d: step_error events = %+v, want one for box 0's step %d carrying the panic", bad, failed, bad)
+		}
+		if held, inflight := f.e.sched.held(), stepsInflight.Value(); held != 0 || inflight != 0 {
+			t.Fatalf("window %d: after the panic %d slots are held and %v steps in flight, want 0 and 0", bad, held, inflight)
+		}
 	}
 }
 
@@ -819,19 +902,33 @@ func TestEngineSchedulerMetrics(t *testing.T) {
 
 // BenchmarkEngineBurst is the rollover burst in miniature: 32 boxes of
 // mixed sizes on 16 shard loops fall due once per iteration — at one
-// instant (together), or in 4 batches 1 ms apart, the later ones while
-// the first are stepping (staggered). Every series is its own signature
-// and the forecaster spins for a millisecond per fit, so a step costs in
-// proportion to its box's size: 4 to 32 ms, several scheduler time
+// instant right after the previous burst (together), in 4 batches 1 ms
+// apart, the later ones while the first are stepping (staggered), or at
+// one instant once the engine has gone idle after the previous burst, as
+// a day boundary finds it (paced). Every series is its own signature and
+// the forecaster spins for a millisecond per fit, so a model phase costs
+// in proportion to its box's size: 4 to 32 ms, several scheduler time
 // slices. It reports the median time from a box's completing append to
-// its plan's publication — what the scheduler's ordering buys — beside
-// the burst's makespan in ns/op.
+// its plan's publication — what the scheduler's ordering, and in paced
+// the model phases run ahead, buy — and the process CPU time a burst
+// costs from the plans before it to its own, beside the burst's makespan
+// in ns/op.
 func BenchmarkEngineBurst(b *testing.B) {
-	b.Run("together", func(b *testing.B) { benchBurst(b, 1) })
-	b.Run("staggered", func(b *testing.B) { benchBurst(b, 4) })
+	b.Run("together", func(b *testing.B) { benchBurst(b, 1, false) })
+	b.Run("staggered", func(b *testing.B) { benchBurst(b, 4, false) })
+	b.Run("paced", func(b *testing.B) { benchBurst(b, 1, true) })
 }
 
-func benchBurst(b *testing.B, batches int) {
+// cpuTime is the process's user + system CPU time so far.
+func cpuTime(b *testing.B) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
+func benchBurst(b *testing.B, batches int, paced bool) {
 	fit := func() {
 		for began := time.Now(); time.Since(began) < time.Millisecond; {
 		}
@@ -854,6 +951,9 @@ func benchBurst(b *testing.B, batches int) {
 		for i := range vms {
 			f.feed(i, f.e.Need(step)-1)
 		}
+		if paced {
+			waitFor(b, "the engine to go idle", func() bool { return f.e.sched.held() == 0 && f.e.sched.queued() == 0 })
+		}
 		b.StartTimer()
 		began := time.Now()
 		for i := range vms {
@@ -869,12 +969,14 @@ func benchBurst(b *testing.B, batches int) {
 	burst(0) // cold start: afterwards every box has an estimate of its own
 	b.ResetTimer()
 	var fresh []time.Duration
+	cpu := cpuTime(b)
 	for n := 1; n <= b.N; n++ {
 		burst(n)
 		for _, ev := range events.Tail(0, "") {
 			fresh = append(fresh, ev.Time.Sub(due[ev.Box]))
 		}
 	}
+	b.ReportMetric(float64(cpuTime(b)-cpu)/1e6/float64(b.N), "cpu-ms/burst")
 	slices.Sort(fresh)
 	b.ReportMetric(float64(fresh[len(fresh)/2])/1e6, "ready-to-published-p50-ms")
 }

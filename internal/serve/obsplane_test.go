@@ -147,7 +147,8 @@ func TestDebugEndpoint(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatalf("debug body: %v", err)
 	}
-	if resp.Box != "b1" || resp.Steps == 0 || resp.Plan == nil || resp.State != "idle" {
+	// Its plan out, the box has run the next step's model phase already.
+	if resp.Box != "b1" || resp.Steps == 0 || resp.Plan == nil || resp.State != "prepared" {
 		t.Fatalf("debug missing step state: %+v", resp.BoxDebug)
 	}
 	if resp.Decision.Reason == "" {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -327,6 +328,43 @@ func TestQuantile(t *testing.T) {
 	}
 	if got := Median([]float64{3, 1, 2}); got != 2 {
 		t.Errorf("Median = %v, want 2", got)
+	}
+}
+
+// TestQuantileIntoMatchesSort: the selection-based quantile returns,
+// bit for bit, what interpolating over a fully sorted copy does — over
+// random lengths, heavy ties, NaNs and every position of q — through one
+// scratch buffer reused (and left dirty) across calls.
+func TestQuantileIntoMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var scratch []float64
+	for trial := 0; trial < 4000; trial++ {
+		vals := make([]float64, 1+rng.Intn(200))
+		for i := range vals {
+			switch rng.Intn(10) {
+			case 0:
+				vals[i] = math.NaN()
+			case 1, 2, 3:
+				vals[i] = float64(rng.Intn(4)) // ties
+			default:
+				vals[i] = rng.NormFloat64() * 50
+			}
+		}
+		q := []float64{0, 1, 0.5, 0.95, -0.1, 1.1, rng.Float64()}[trial%7]
+		orig := append([]float64(nil), vals...)
+		sorted := append([]float64(nil), vals...)
+		sort.Float64s(sorted)
+		want := quantileSorted(sorted, q)
+		var got float64
+		got, scratch = QuantileInto(scratch, vals, q)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: QuantileInto(%d values, %v) = %v, sorted copy gives %v", trial, len(vals), q, got, want)
+		}
+		for i := range vals {
+			if math.Float64bits(vals[i]) != math.Float64bits(orig[i]) {
+				t.Fatalf("trial %d: input reordered", trial)
+			}
+		}
 	}
 }
 

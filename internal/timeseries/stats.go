@@ -111,13 +111,80 @@ func RMSE(actual, fitted Series) (float64, error) {
 // linear interpolation between order statistics (type-7 estimator, the
 // same default as R and NumPy). It panics if values is empty.
 func Quantile(values []float64, q float64) float64 {
+	v, _ := QuantileInto(nil, values, q)
+	return v
+}
+
+// QuantileInto is Quantile on a caller-owned scratch buffer, which it
+// grows as needed and returns for the next call; values is left alone.
+// The estimate reads two order statistics only, so the copy is not
+// sorted: the lower one is put in place by selection and the upper one
+// is the smallest value after it. NaNs order before every number, as
+// sort.Float64s has them.
+func QuantileInto(scratch, values []float64, q float64) (float64, []float64) {
 	if len(values) == 0 {
 		panic(ErrEmpty)
 	}
-	sorted := make([]float64, len(values))
-	copy(sorted, values)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
+	scratch = append(scratch[:0], values...)
+	pos := min(max(q, 0), 1) * float64(len(scratch)-1)
+	lo := int(math.Floor(pos))
+	selectNth(scratch, lo)
+	if hi := int(math.Ceil(pos)); hi != lo {
+		// Everything after lo is no smaller: the next order statistic
+		// is the least of it.
+		m := hi
+		for i := hi + 1; i < len(scratch); i++ {
+			if before(scratch[i], scratch[m]) {
+				m = i
+			}
+		}
+		scratch[hi], scratch[m] = scratch[m], scratch[hi]
+	}
+	return quantileSorted(scratch, q), scratch
+}
+
+// before is the order of sort.Float64s: ascending, NaNs first.
+func before(a, b float64) bool { return a < b || (a != a && b == b) }
+
+// selectNth partially orders a so that a[n] holds the value a full sort
+// would put there, with nothing larger before it and nothing smaller
+// after it (quickselect, median-of-three pivots).
+func selectNth(a []float64, n int) {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		p := a[lo+(hi-lo)/2]
+		if before(a[hi], a[lo]) {
+			a[lo], a[hi] = a[hi], a[lo]
+		}
+		switch {
+		case before(p, a[lo]):
+			p = a[lo]
+		case before(a[hi], p):
+			p = a[hi]
+		}
+		i, j := lo, hi
+		for i <= j {
+			for before(a[i], p) {
+				i++
+			}
+			for before(p, a[j]) {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case n <= j:
+			hi = j
+		case n >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }
 
 func quantileSorted(sorted []float64, q float64) float64 {

@@ -312,6 +312,7 @@ func ownSpikes(rng *rand.Rand, n int, prob, lo, hi float64) []float64 {
 // exceeds 60% of the peak only during the peak events themselves.
 func addDailyPeaks(rng *rand.Rand, s timeseries.Series, spd int, softCap, hardCap float64, at []int) []int {
 	var windows []int
+	var day []float64 // the quantile's scratch, one for all days
 	nextAt := 0
 	// Peak events recur near the same within-day slot (cron-style
 	// batch work), jittered by up to two windows: spiky enough to
@@ -323,8 +324,8 @@ func addDailyPeaks(rng *rand.Rand, s timeseries.Series, spd int, softCap, hardCa
 		if hi > len(s) {
 			hi = len(s)
 		}
-		day := append(timeseries.Series(nil), s[lo:hi]...)
-		q95 := timeseries.Quantile(day, 0.95)
+		var q95 float64
+		q95, day = timeseries.QuantileInto(day, s[lo:hi], 0.95)
 		events := 1 + rng.Intn(2)
 		for e := 0; e < events; e++ {
 			var w int
