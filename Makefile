@@ -1,13 +1,14 @@
 # Build, verification and benchmark entry points. `make verify` is the
 # tier-1 path: build + vet + full tests, plus the race detector on the
 # packages that gained concurrency (the worker pool, the parallel DTW
-# matrix and the experiment drivers). `make bench` writes the
-# signature-search and resize/VIF before/after records consumed by the
-# Performance section in README.md.
+# matrix and the experiment drivers). Serving-path performance is
+# measured end to end by `go run ./benchmark` (see benchmark/README.md);
+# the targets here are the kernel microbenchmarks and the two guards
+# (obsguard, robustguard) that protect what that bench does not.
 
 GO ?= go
 
-.PHONY: build vet test race fuzz verify cover loc bench resizebench rollingbench benchguard ingestbench ingestguard obsbench obsguard robustbench robustguard metrics-lint loadsmoke allocgate microbench tracebench chaos conformance whatif serve
+.PHONY: build vet test race fuzz verify cover loc obsbench obsguard robustbench robustguard metrics-lint loadsmoke allocgate microbench chaos conformance whatif serve
 
 build:
 	$(GO) build ./...
@@ -73,16 +74,6 @@ loc:
 		awk '$$2 != "total" { d = $$2; if (!sub("/[^/]*$$", "", d)) d = "."; n[d] += $$1; t += $$1 } \
 		END { for (d in n) print n[d], d | "sort -k2"; close("sort -k2"); print t, "total" }'
 
-# End-to-end signature-search benchmark on trace-shaped data; emits
-# BENCH_signature_search.json plus a human-readable table.
-bench:
-	$(GO) run ./cmd/atmbench -sigbench BENCH_signature_search.json
-
-# End-to-end VIF + MCKP-greedy benchmark on trace-shaped data; emits
-# BENCH_resize.json plus a human-readable table.
-resizebench:
-	$(GO) run ./cmd/atmbench -resizebench BENCH_resize.json
-
 # Go micro-benchmarks for the reworked kernels (allocation counts
 # included; the DTW kernels, the pooled envelope path, a retained MLP
 # fit and the ingest wire decoder must stay at 0 allocs/op
@@ -101,12 +92,6 @@ microbench:
 	$(GO) test -run NONE -bench 'BenchmarkIngestDecode|BenchmarkAppendBatch' -benchmem ./internal/serve/ ./internal/state/
 	$(GO) test -run NONE -bench 'BenchmarkEngineBurst' ./internal/engine/
 
-# Rolling model-reuse benchmark: core.RunRolling with a full search
-# per window vs the same run rolling the retained model incrementally;
-# emits BENCH_rolling.json plus a human-readable table.
-rollingbench:
-	$(GO) run ./cmd/atmbench -rollingbench BENCH_rolling.json
-
 # Zero-allocation gates for the incremental kernels, the DTW kernel, a
 # retained MLP's fit+forecast, the arena step and the ingest path (wire
 # decode, store batch append, ring bulk append), run WITHOUT the race
@@ -114,31 +99,6 @@ rollingbench:
 # skip themselves under -race).
 allocgate:
 	$(GO) test -count=1 -run 'AllocFree|AllocationFree' ./internal/cluster/ ./internal/predict/ ./internal/linalg/ ./internal/regress/ ./internal/spatial/ ./internal/resize/ ./internal/core/ ./internal/engine/ ./internal/score/ ./internal/control/ ./internal/serve/ ./internal/state/ ./internal/timeseries/
-
-# Regression gate over the checked-in rolling record: re-runs the
-# benchmark and fails if the incremental reuse run's speedup drops
-# more than the tolerance below BENCH_rolling.json's floor, if it
-# searches past its budget, or if the seeded integer results (steps,
-# tickets before/after) move off the record. The rolled refit's 1e-9
-# agreement with the from-scratch refit is core's test, not this gate.
-benchguard:
-	$(GO) run ./cmd/atmbench -benchguard BENCH_rolling.json
-
-# Fleet-scale ingest benchmark: single-shard fleet-scan scheduling vs
-# the sharded dirty-set plane at paper scale (6160 boxes / 80K VMs);
-# emits BENCH_ingest.json plus a human-readable table.
-ingestbench:
-	$(GO) run ./cmd/atmbench -ingestbench BENCH_ingest.json -reps 5
-
-# Regression gate over the checked-in ingest record: re-runs the
-# benchmark and fails if the sharded plane's speedup drops more than
-# the tolerance below BENCH_ingest.json's floor, if fidelity breaks
-# (steps/plans diverge between planes), if throughput falls below the
-# paper fleet's telemetry rate, or if dirty passes stop being O(chunk).
-# Tolerance is wider than benchguard's because the wall-clock ratio of
-# two multi-second runs is noisier than the rolling microbench.
-ingestguard:
-	$(GO) run ./cmd/atmbench -ingestguard BENCH_ingest.json -tolerance 0.45
 
 # Observability self-overhead benchmark: the streaming hot loop bare
 # vs fully instrumented (spans + decision events + trace adoption);
@@ -181,11 +141,6 @@ metrics-lint:
 # fleet.
 loadsmoke:
 	$(GO) run ./cmd/atmload -selftest
-
-# One fully traced box-resize; emits trace.jsonl (the JSONL span dump)
-# plus the per-stage latency table.
-tracebench:
-	$(GO) run ./cmd/atmbench -trace trace.jsonl
 
 # Boot the streaming ATM service against a freshly generated demo
 # trace: tracegen writes the trace, atmd serves the ingestion/planning

@@ -4,50 +4,32 @@
 // Usage:
 //
 //	atmbench [-fig all|1,2,3,5,6,7,8,9,10,12,13,methods,stability,epsilon] [-boxes N] [-seed S] [-days D] [-svg DIR]
-//	atmbench -sigbench FILE [-boxes N] [-seed S] [-workers W]
-//	atmbench -resizebench FILE [-boxes N] [-seed S]
-//	atmbench -rollingbench FILE [-reps N]
-//	atmbench -benchguard FILE [-reps N] [-tolerance F]
-//	atmbench -ingestbench FILE [-reps N]
-//	atmbench -ingestguard FILE [-reps N] [-tolerance F]
+//	atmbench -robustbench FILE [-svg DIR]
+//	atmbench -robustguard FILE
 //	atmbench -obsbench FILE [-reps N]
 //	atmbench -obsguard FILE [-reps N]
-//	atmbench -trace FILE [-boxes N] [-seed S] [-workers W]
 //
 // With -svg, figures that have a graphical form (1, 3, 8, 9, 10, 12,
 // 13) are additionally written as standalone SVG files into DIR.
+// -cpuprofile wraps any mode in a runtime/pprof CPU profile.
 //
-// With -sigbench, the figure drivers are skipped: atmbench times the
-// signature-search kernels (sequential vs pooled DTW matrix, the
-// LB_Keogh-pruned variant, naive vs incremental silhouette cut),
-// prints the before/after table and writes the JSON record to FILE.
-// -resizebench does the same for the spatial-modeling/resizing
-// kernels: Gram-cached VIF and stepwise elimination vs the p-fit
-// naive, and the hull-and-heap MCKP greedy vs the rescanning naive,
-// with result-equality checks. -cpuprofile wraps any mode in a
-// runtime/pprof CPU profile.
+// Besides the figures, atmbench keeps the two guards whose protection
+// nothing else provides. -robustbench sweeps fixed and adaptive trust
+// λ over the adversary families and records the frontier; -robustguard
+// re-runs it and fails (exit 1) if λ=1 stops being bit-identical to the
+// controller-free pipeline or adaptive trust regresses. -obsbench
+// measures the observability plane's self-overhead: the streaming hot
+// loop runs bare (nil tracer, nil event log) and fully instrumented
+// (ingest spans adopted across the store, linked engine.step spans, a
+// decision event per step), in interleaved pairs, and reports the
+// median instrumented/bare ratio. -obsguard re-measures and fails
+// (exit 1) if the overhead exceeds experiments.ObsOverheadBudget, if
+// instrumentation changed any plan, or if the plane recorded nothing.
 //
-// With -benchguard, atmbench re-runs the rolling benchmark and fails
-// (exit 1) if the measured speedup regresses below the checked-in
-// floor in FILE by more than -tolerance, if result fidelity breaks
-// (ticket mismatch vs the reference reuse run, MAPE drift past 1e-9,
-// search budget blown), or if the deterministic ticket counts diverge
-// from the record — the CI regression gate for the incremental
-// window-roll kernels.
-//
-// With -obsbench, atmbench measures the observability plane's
-// self-overhead: the streaming hot loop runs bare (nil tracer, nil
-// event log) and fully instrumented (ingest spans adopted across the
-// store, linked engine.step spans, a decision event per step), in
-// interleaved pairs, and reports the median instrumented/bare ratio.
-// -obsguard re-measures and fails (exit 1) if the overhead exceeds
-// experiments.ObsOverheadBudget, if instrumentation changed any plan,
-// or if the plane recorded nothing — the CI self-overhead gate.
-//
-// With -trace, atmbench runs one fully traced box through the complete
-// pipeline (signature search → temporal fit → reconstruct → resize →
-// actuate), writes every span as JSON lines to FILE and prints the
-// per-stage latency table.
+// Performance of the serving path — ingest throughput, reaction
+// latency and the per-layer busy times of search, VIF, resize and the
+// engine — is measured end to end by the benchmark command at the
+// repository root (go run ./benchmark), not here.
 //
 // Figure 4 is the signature-search flow (implemented as
 // spatial.Search) and Figure 11 is the testbed topology (implemented
@@ -90,19 +72,11 @@ func main() {
 	days := flag.Int("days", 7, "trace length in days")
 	svgDir := flag.String("svg", "", "directory to write figure SVGs into (optional)")
 	workers := flag.Int("workers", 0, "worker-pool size; <= 0 uses one worker per core")
-	sigbench := flag.String("sigbench", "", "run the signature-search benchmark and write its JSON record to this file (skips figures)")
-	resizebench := flag.String("resizebench", "", "run the VIF + MCKP-greedy benchmark and write its JSON record to this file (skips figures)")
-	rollingbench := flag.String("rollingbench", "", "run the rolling model-reuse benchmark and write its JSON record to this file (skips figures)")
-	benchguard := flag.String("benchguard", "", "re-run the rolling benchmark and fail if it regresses below the recorded floor in this file (skips figures)")
 	robustbench := flag.String("robustbench", "", "run the trust-controller robustness sweep and write its JSON record to this file (skips figures)")
 	robustguard := flag.String("robustguard", "", "re-run the robustness sweep against the record in this file and fail if parity breaks or adaptive trust regresses (skips figures)")
-	ingestbench := flag.String("ingestbench", "", "run the fleet-scale ingest benchmark and write its JSON record to this file (skips figures)")
-	ingestguard := flag.String("ingestguard", "", "re-run the ingest benchmark and fail if it regresses below the recorded floor in this file (skips figures)")
 	obsbench := flag.String("obsbench", "", "run the observability self-overhead benchmark and write its JSON record to this file (skips figures)")
 	obsguard := flag.String("obsguard", "", "re-run the observability benchmark against the record in this file and fail if overhead exceeds the budget or fidelity breaks (skips figures)")
-	reps := flag.Int("reps", 0, "timing repetitions for the rolling benchmark; each wall-clock number is the min over reps runs (<= 0 selects 5)")
-	tolerance := flag.Float64("tolerance", 0.30, "allowed fractional speedup regression below the benchguard floor before failing")
-	tracefile := flag.String("trace", "", "run one traced box-resize and write its JSONL span dump to this file (skips figures)")
+	reps := flag.Int("reps", 0, "interleaved bare/instrumented timing pairs for the observability benchmark (<= 0 selects 3)")
 	cpuprofile := flag.String("cpuprofile", "", "write a runtime/pprof CPU profile to this file")
 	flag.Parse()
 
@@ -142,48 +116,6 @@ func main() {
 	}
 
 	opts := experiments.Options{Boxes: *boxes, Seed: *seed, Days: *days, Workers: *workers, Reps: *reps}
-
-	if *sigbench != "" {
-		r, err := experiments.SignatureBench(opts)
-		exitOn("sigbench", err)
-		printTable("sigbench", r.Render())
-		data, err := json.MarshalIndent(r, "", "  ")
-		exitOn("sigbench", err)
-		if err := os.WriteFile(*sigbench, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "sigbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("  [wrote %s]\n", *sigbench)
-		return
-	}
-
-	if *resizebench != "" {
-		r, err := experiments.ResizeBench(opts)
-		exitOn("resizebench", err)
-		printTable("resizebench", r.Render())
-		data, err := json.MarshalIndent(r, "", "  ")
-		exitOn("resizebench", err)
-		if err := os.WriteFile(*resizebench, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "resizebench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("  [wrote %s]\n", *resizebench)
-		return
-	}
-
-	if *rollingbench != "" {
-		r, err := experiments.RollingBench(opts)
-		exitOn("rollingbench", err)
-		printTable("rollingbench", r.Render())
-		data, err := json.MarshalIndent(r, "", "  ")
-		exitOn("rollingbench", err)
-		if err := os.WriteFile(*rollingbench, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "rollingbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("  [wrote %s]\n", *rollingbench)
-		return
-	}
 
 	if *robustbench != "" {
 		r, err := experiments.RobustBench(opts)
@@ -243,56 +175,6 @@ func main() {
 		return
 	}
 
-	if *ingestbench != "" {
-		r, err := experiments.IngestBench(opts)
-		exitOn("ingestbench", err)
-		printTable("ingestbench", r.Render())
-		data, err := json.MarshalIndent(r, "", "  ")
-		exitOn("ingestbench", err)
-		if err := os.WriteFile(*ingestbench, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "ingestbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("  [wrote %s]\n", *ingestbench)
-		return
-	}
-
-	if *ingestguard != "" {
-		data, err := os.ReadFile(*ingestguard)
-		exitOn("ingestguard", err)
-		var floor experiments.IngestBenchResult
-		exitOn("ingestguard", json.Unmarshal(data, &floor))
-		r, err := experiments.IngestBench(opts)
-		exitOn("ingestguard", err)
-		printTable("ingestguard", r.Render())
-		var fails []string
-		if want := floor.Speedup * (1 - *tolerance); r.Speedup < want {
-			fails = append(fails, fmt.Sprintf("speedup %.2fx below floor %.2fx (recorded %.2fx, tolerance %.0f%%)",
-				r.Speedup, want, floor.Speedup, *tolerance*100))
-		}
-		if !r.StepsMatch || !r.PlansMatch {
-			fails = append(fails, "sharded plane diverged from the single-shard plane (steps or plans)")
-		}
-		if r.Headroom < 1 {
-			fails = append(fails, fmt.Sprintf("sharded plane below the paper fleet's %.0f samples/s (headroom %.2fx)",
-				r.PaperSamplesPerSec, r.Headroom))
-		}
-		// The O(k) contract: dirty-set passes must keep inspecting
-		// ~chunk-sized sets, not the fleet.
-		if r.ShardedInspected > float64(2*r.ChunkBoxes) {
-			fails = append(fails, fmt.Sprintf("dirty passes inspect %.0f boxes/pass, want ~%d (O(k) contract broken)",
-				r.ShardedInspected, r.ChunkBoxes))
-		}
-		if len(fails) > 0 {
-			for _, f := range fails {
-				fmt.Fprintf(os.Stderr, "ingestguard: %s\n", f)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("  [ingestguard ok: %.2fx vs floor %.2fx, headroom %.0fx]\n", r.Speedup, floor.Speedup, r.Headroom)
-		return
-	}
-
 	if *obsbench != "" {
 		r, err := experiments.ObsBench(opts)
 		exitOn("obsbench", err)
@@ -339,54 +221,6 @@ func main() {
 		}
 		fmt.Printf("  [obsguard ok: %+.1f%% overhead within %.0f%% budget, %d spans, %d events]\n",
 			100*r.OverheadFrac, 100*experiments.ObsOverheadBudget, r.SpansExported, r.EventsPublished)
-		return
-	}
-
-	if *benchguard != "" {
-		data, err := os.ReadFile(*benchguard)
-		exitOn("benchguard", err)
-		var floor experiments.RollingBenchResult
-		exitOn("benchguard", json.Unmarshal(data, &floor))
-		r, err := experiments.RollingBench(opts)
-		exitOn("benchguard", err)
-		printTable("benchguard", r.Render())
-		var fails []string
-		if want := floor.Speedup * (1 - *tolerance); r.Speedup < want {
-			fails = append(fails, fmt.Sprintf("speedup %.2fx below floor %.2fx (recorded %.2fx, tolerance %.0f%%)",
-				r.Speedup, want, floor.Speedup, *tolerance*100))
-		}
-		if !r.WithinBudget {
-			fails = append(fails, fmt.Sprintf("reuse searched %d windows, budget %d", r.ReuseSearches, r.ReuseBudget))
-		}
-		// The workload is seeded, so result numbers (not wall times)
-		// must reproduce the record exactly — the fidelity check: the
-		// incremental refit's 1e-9 agreement with the reference refit
-		// is core's test, here it must not move an integer ticket.
-		if r.Steps != floor.Steps || r.TicketsBefore != floor.TicketsBefore ||
-			r.BaselineTickets != floor.BaselineTickets || r.ReuseTickets != floor.ReuseTickets {
-			fails = append(fails, fmt.Sprintf("results moved off the record: steps %d/%d, tickets before %d/%d, baseline tickets %d/%d, reuse tickets %d/%d",
-				r.Steps, floor.Steps, r.TicketsBefore, floor.TicketsBefore, r.BaselineTickets, floor.BaselineTickets, r.ReuseTickets, floor.ReuseTickets))
-		}
-		if len(fails) > 0 {
-			for _, f := range fails {
-				fmt.Fprintf(os.Stderr, "benchguard: %s\n", f)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("  [benchguard ok: %.2fx vs floor %.2fx]\n", r.Speedup, floor.Speedup)
-		return
-	}
-
-	if *tracefile != "" {
-		f, err := os.Create(*tracefile)
-		exitOn("trace", err)
-		r, err := experiments.TraceRun(opts, f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		exitOn("trace", err)
-		printTable("trace", r.Render())
-		fmt.Printf("  [wrote %s: %d spans]\n", *tracefile, r.Spans)
 		return
 	}
 

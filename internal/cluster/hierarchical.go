@@ -263,7 +263,7 @@ func clampCutRange(n, kmin, kmax int) (int, int) {
 // sums S[i][c] are built once for the all-singletons state and updated
 // on each merge by S[i][a] += S[i][b] (O(n) per merge), so evaluating
 // the mean silhouette at every candidate k costs O(n·k) instead of
-// O(n²). OptimalCutNaive keeps the reference implementation; the two
+// O(n²). The tests keep the per-k reference (OptimalCutNaive); the two
 // agree up to floating-point summation order.
 func OptimalCut(dg *Dendrogram, d *DistMatrix, kmin, kmax int) (assign []int, k int, score float64) {
 	n := d.Len()
@@ -360,37 +360,6 @@ func OptimalCut(dg *Dendrogram, d *DistMatrix, kmin, kmax int) (assign []int, k 
 	cutEvals.Add(float64(evals))
 	cutsChosen.Inc()
 	return dg.Cut(bestK), bestK, bestScore
-}
-
-// OptimalCutNaive is the reference model selection: an independent
-// Cut + MeanSilhouette pass per candidate k, O(kmax·n²) total. It
-// exists to validate and benchmark the incremental OptimalCut against;
-// both return the same k and (up to floating-point association) the
-// same score.
-func OptimalCutNaive(dg *Dendrogram, d *DistMatrix, kmin, kmax int) (assign []int, k int, score float64) {
-	n := d.Len()
-	if n == 0 {
-		return nil, 0, 0
-	}
-	kmin, kmax = clampCutRange(n, kmin, kmax)
-	bestK, bestScore := kmin, math.Inf(-1)
-	var bestAssign []int
-	for k := kmin; k <= kmax; k++ {
-		a := dg.Cut(k)
-		s, err := MeanSilhouette(d, a)
-		if err != nil {
-			continue
-		}
-		if s > bestScore {
-			bestScore, bestK, bestAssign = s, k, a
-		}
-	}
-	if bestAssign == nil {
-		bestAssign = dg.Cut(kmin)
-		bestK = kmin
-		bestScore = 0
-	}
-	return bestAssign, bestK, bestScore
 }
 
 // Medoids returns, for each cluster label in the assignment, the index

@@ -131,26 +131,6 @@ type BoxPrediction struct {
 	PeakMAPE []float64
 }
 
-// PredictBoxContext fits spatial + temporal models on the first
-// TrainWindows samples of the box's demand series and forecasts the
-// next Horizon samples for every series. The period passed to the
-// default temporal model is samplesPerDay. Under an obs.Tracer it
-// emits a "core.predict" span with children for the signature search,
-// the temporal fits and the spatial reconstruction; stage latencies
-// feed the atm_stage_seconds histogram either way. It runs the
-// prediction stages of a fresh Pipeline (no retained model state, no
-// reuse), which the returned prediction then owns.
-func PredictBoxContext(ctx context.Context, demands []timeseries.Series, samplesPerDay int, cfg Config) (*BoxPrediction, error) {
-	p, err := NewPipeline(samplesPerDay, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkWindow(demands, cfg.TrainWindows+cfg.Horizon); err != nil {
-		return nil, err
-	}
-	return p.predictInto(ctx, demands)
-}
-
 const maxFloat = 1e300
 
 // Evaluate fills the prediction-error fields against the actual demand

@@ -8,6 +8,7 @@ import (
 
 	"atm/internal/predict"
 	"atm/internal/spatial"
+	"atm/internal/timeseries"
 	"atm/internal/trace"
 )
 
@@ -24,6 +25,20 @@ func fastConfig(spd int) Config {
 	}
 }
 
+// predictBox runs the prediction stages of a fresh pipeline (no
+// retained model state, no reuse) on the first TrainWindows samples of
+// the demand series and forecasts the next Horizon samples.
+func predictBox(demands []timeseries.Series, samplesPerDay int, cfg Config) (*BoxPrediction, error) {
+	p, err := NewPipeline(samplesPerDay, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkWindow(demands, cfg.TrainWindows+cfg.Horizon); err != nil {
+		return nil, err
+	}
+	return p.predictInto(context.Background(), demands)
+}
+
 func testBox(t *testing.T, seed int64) (*trace.Box, int) {
 	t.Helper()
 	tr := trace.Generate(trace.GenConfig{
@@ -35,7 +50,7 @@ func testBox(t *testing.T, seed int64) (*trace.Box, int) {
 func TestPredictBoxShapes(t *testing.T) {
 	b, spd := testBox(t, 3)
 	cfg := fastConfig(spd)
-	pred, err := PredictBoxContext(context.Background(), b.DemandSeries(), spd, cfg)
+	pred, err := predictBox(b.DemandSeries(), spd, cfg)
 	if err != nil {
 		t.Fatalf("PredictBox: %v", err)
 	}
@@ -65,7 +80,7 @@ func TestPredictBoxAccuracy(t *testing.T) {
 	b, spd := testBox(t, 5)
 	cfg := fastConfig(spd)
 	demands := b.DemandSeries()
-	pred, err := PredictBoxContext(context.Background(), demands, spd, cfg)
+	pred, err := predictBox(demands, spd, cfg)
 	if err != nil {
 		t.Fatalf("PredictBox: %v", err)
 	}
@@ -85,22 +100,22 @@ func TestPredictBoxAccuracy(t *testing.T) {
 func TestPredictBoxErrors(t *testing.T) {
 	b, spd := testBox(t, 7)
 	cfg := fastConfig(spd)
-	if _, err := PredictBoxContext(context.Background(), nil, spd, cfg); !errors.Is(err, spatial.ErrNoSeries) {
+	if _, err := predictBox(nil, spd, cfg); !errors.Is(err, spatial.ErrNoSeries) {
 		t.Errorf("err = %v, want ErrNoSeries", err)
 	}
 	short := cfg
 	short.TrainWindows = 10 * spd
-	if _, err := PredictBoxContext(context.Background(), b.DemandSeries(), spd, short); !errors.Is(err, ErrShortTrace) {
+	if _, err := predictBox(b.DemandSeries(), spd, short); !errors.Is(err, ErrShortTrace) {
 		t.Errorf("err = %v, want ErrShortTrace", err)
 	}
 	bad := cfg
 	bad.Horizon = 0
-	if _, err := PredictBoxContext(context.Background(), b.DemandSeries(), spd, bad); !errors.Is(err, ErrBadConfig) {
+	if _, err := predictBox(b.DemandSeries(), spd, bad); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("err = %v, want ErrBadConfig", err)
 	}
 	bad = cfg
 	bad.Threshold = 2
-	if _, err := PredictBoxContext(context.Background(), b.DemandSeries(), spd, bad); !errors.Is(err, ErrBadConfig) {
+	if _, err := predictBox(b.DemandSeries(), spd, bad); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("err = %v, want ErrBadConfig", err)
 	}
 }
@@ -112,7 +127,7 @@ func TestResizeBoxReducesTickets(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		b, spd := testBox(t, seed)
 		cfg := fastConfig(spd)
-		pred, err := PredictBoxContext(context.Background(), b.DemandSeries(), spd, cfg)
+		pred, err := predictBox(b.DemandSeries(), spd, cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -202,7 +217,7 @@ func TestUseLowerBounds(t *testing.T) {
 	b, spd := testBox(t, 4)
 	cfg := fastConfig(spd)
 	cfg.UseLowerBounds = true
-	pred, err := PredictBoxContext(context.Background(), b.DemandSeries(), spd, cfg)
+	pred, err := predictBox(b.DemandSeries(), spd, cfg)
 	if err != nil {
 		t.Fatalf("PredictBox: %v", err)
 	}
@@ -233,7 +248,7 @@ func TestDefaultTemporalIsMLP(t *testing.T) {
 		Horizon:      8,
 		Threshold:    0.6,
 	}
-	pred, err := PredictBoxContext(context.Background(), b.DemandSeries(), tr.SamplesPerDay, cfg)
+	pred, err := predictBox(b.DemandSeries(), tr.SamplesPerDay, cfg)
 	if err != nil {
 		t.Fatalf("PredictBox with default temporal: %v", err)
 	}
@@ -292,7 +307,7 @@ func TestEvaluateAndPeakMAPE(t *testing.T) {
 	b, spd := testBox(t, 6)
 	cfg := fastConfig(spd)
 	demands := b.DemandSeries()
-	pred, err := PredictBoxContext(context.Background(), demands, spd, cfg)
+	pred, err := predictBox(demands, spd, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +339,7 @@ func TestEvaluateAndPeakMAPE(t *testing.T) {
 func TestResizeBoxValidatesConfig(t *testing.T) {
 	b, spd := testBox(t, 8)
 	cfg := fastConfig(spd)
-	pred, err := PredictBoxContext(context.Background(), b.DemandSeries(), spd, cfg)
+	pred, err := predictBox(b.DemandSeries(), spd, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +355,7 @@ func TestDoNoHarmGuard(t *testing.T) {
 	// must keep its sizes when the optimizer cannot do better.
 	b, spd := testBox(t, 16)
 	cfg := fastConfig(spd)
-	pred, err := PredictBoxContext(context.Background(), b.DemandSeries(), spd, cfg)
+	pred, err := predictBox(b.DemandSeries(), spd, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

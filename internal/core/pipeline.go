@@ -92,9 +92,9 @@ func (r ReusePolicy) mapeGrowth() float64 {
 // temporal fit/predict → dependent OLS reconstruction → per-resource
 // resize, with optional model reuse across successive windows. StepInto
 // is the only implementation of that sequence: the batch entry points
-// (Run, RunBox, PredictBoxContext) step a fresh pipeline once, and the
-// rolling/streaming drivers (RunRolling, control.RunRolling, the engine
-// package) step one pipeline per box window after window.
+// (Run, RunBox) step a fresh pipeline once, and the rolling/streaming
+// drivers (RunRolling, control.RunRolling, the engine package) step one
+// pipeline per box window after window.
 //
 // A Pipeline retains per-box model state between StepInto calls (the
 // signature set, its age, the drift baseline, the incremental roller

@@ -29,9 +29,7 @@
 // buffers. A scheduling pass drains the shard's dirty set and inspects
 // only the boxes that received at least one append since the last pass
 // — O(dirty), not O(fleet) — which is what lets one daemon keep up
-// with the paper's 6K-box / 80K-VM telemetry firehose. Config.ScanAll
-// restores the legacy rescan-everything pass for benchmarking the
-// dirty-set win and as a belt-and-braces fallback.
+// with the paper's 6K-box / 80K-VM telemetry firehose.
 //
 // Degraded mode, resilient actuation and observability compose
 // through the layers built in earlier PRs: a box whose model fails
@@ -133,24 +131,11 @@ type Config struct {
 	// Poll is the fallback scan interval used when no ingest
 	// notification arrives; <= 0 selects one second.
 	Poll time.Duration
-	// ScanAll makes every scheduling pass rescan all registered boxes
-	// of the shard instead of draining its dirty set — the pre-sharding
-	// O(fleet) behavior, retained so the dirty-set win stays
-	// benchmarkable (experiments.IngestBench) and as a fallback should
-	// dirty tracking ever be in doubt.
-	ScanAll bool
 	// Tracer, when non-nil, links every engine step to the ingest span
 	// that made its box dirty: one "engine.step" span per step, parented
 	// under the server's ingest span, with the trace id published on the
 	// Plan. A nil Tracer keeps the step path zero-overhead.
 	Tracer *obs.Tracer
-	// TraceStages additionally forwards the tracer into the core
-	// pipeline, emitting a span per stage (search, fit, reconstruct,
-	// resize) under each engine.step. Stage spans multiply span volume
-	// by roughly the stage count, so the hot serving loop leaves this
-	// off and keeps decision-level tracing only; deep per-stage dives
-	// (atmbench -trace) opt in.
-	TraceStages bool
 	// Events, when non-nil, receives a typed decision event for every
 	// step outcome (plan published, window evicted, hard step failure,
 	// actuation failure). A nil Events keeps the step path
@@ -413,23 +398,19 @@ func (e *Engine) SyncShard(ctx context.Context, i int) {
 }
 
 // pass is one scheduling pass over shard i: it drains the shard's dirty
-// set (or, with ScanAll, lists every registered box) and queues the idle
-// boxes whose next window is complete, without waiting for their steps.
-// A direct pass with work for one slot only steps it inline instead:
-// goroutines cost allocations the zero-alloc steady state can't afford,
-// and buy nothing for a single slot or a single due box. Passes on one
-// shard are serialized; passes on distinct shards run concurrently.
+// set and queues the idle boxes whose next window is complete, without
+// waiting for their steps. A direct pass with work for one slot only
+// steps it inline instead: goroutines cost allocations the zero-alloc
+// steady state can't afford, and buy nothing for a single slot or a
+// single due box. Passes on one shard are serialized; passes on
+// distinct shards run concurrently.
 func (e *Engine) pass(ctx context.Context, i int, direct bool) {
 	sh := &e.shards[i]
 	sh.passMu.Lock()
 	defer sh.passMu.Unlock()
 	sh.pass++
 	start := time.Now()
-	if e.cfg.ScanAll {
-		sh.ids = e.store.ShardBoxesInto(i, sh.ids[:0])
-	} else {
-		sh.ids = e.store.DrainDirty(i, sh.ids[:0])
-	}
+	sh.ids = e.store.DrainDirty(i, sh.ids[:0])
 	ready := sh.readyBuf[:0]
 	for _, id := range sh.ids {
 		if ctx.Err() != nil {
@@ -608,12 +589,12 @@ func (e *Engine) step(br *boxRun) {
 	dispatched := time.Now()
 	stepsInflight.Inc()
 	if ahead {
-		modelCtx, span := e.startSpan(ctx, br, "engine.model")
+		span := e.startSpan(br, "engine.model")
 		from := br.steps * e.cfg.Core.Horizon
 		// A window that cannot be read is left for the step to report.
 		timed := br
 		if e.store.WindowInto(br.id, from, from+e.cfg.Core.TrainWindows, &br.wb) == nil {
-			_, err := e.pipeline(modelCtx, br, true)
+			_, err := e.pipeline(ctx, br, true)
 			span.SetAttr("failed", err != nil)
 		} else {
 			timed = nil
@@ -634,28 +615,19 @@ func (e *Engine) step(br *boxRun) {
 
 // startSpan opens the span a box's work runs under. With tracing on it
 // is linked to the ingest span that last touched the box: one trace from
-// HTTP ingest to plan publish. The nil-Tracer path touches none of this
-// and stays allocation-free.
-func (e *Engine) startSpan(ctx context.Context, br *boxRun, name string) (context.Context, *obs.Span) {
+// HTTP ingest to plan publish. It is one standalone span: the pipeline
+// stays on the bare context, so no per-stage spans are emitted. The
+// nil-Tracer path touches none of this and stays allocation-free.
+func (e *Engine) startSpan(br *boxRun, name string) *obs.Span {
 	if e.cfg.Tracer == nil {
-		return ctx, nil
+		return nil
 	}
-	var span *obs.Span
 	tid, sid, _ := e.store.IngestTrace(br.id)
-	if e.cfg.TraceStages {
-		// Deep-dive mode: the pipeline runs under the traced context
-		// so every stage hangs its own span off this one.
-		ctx, span = obs.StartSpanLinked(obs.WithTracer(ctx, e.cfg.Tracer), name, tid, sid)
-	} else {
-		// Decision-level tracing only: one standalone span, no context
-		// derivation, and the pipeline stays on the bare context — the
-		// hot loop's steady posture.
-		span = e.cfg.Tracer.LinkedSpan(name, tid, sid)
-	}
+	span := e.cfg.Tracer.LinkedSpan(name, tid, sid)
 	span.SetAttr("box", br.id)
 	span.SetAttr("shard", br.shard)
 	span.SetAttr("step", br.steps)
-	return ctx, span
+	return span
 }
 
 // finish fires the box's due step. It holds the scheduler slot from the
@@ -667,7 +639,7 @@ func (e *Engine) finish(ctx context.Context, br *boxRun, dispatched, ready time.
 	id, shard := br.id, br.shard
 	sh := &e.shards[shard]
 	stepWaitSeconds.Observe(time.Since(ready).Seconds())
-	stepCtx, span := e.startSpan(ctx, br, "engine.step")
+	span := e.startSpan(br, "engine.step")
 	traceID := span.TraceID()
 	// The slot's time is the box's next estimate only if a model phase
 	// ran in it: a step that merely finishes a prepared one says nothing
@@ -693,7 +665,7 @@ func (e *Engine) finish(ctx context.Context, br *boxRun, dispatched, ready time.
 		e.skip(sh, br, event, traceID, err)
 		return
 	}
-	res, err := e.pipeline(stepCtx, br, false)
+	res, err := e.pipeline(ctx, br, false)
 	stepsTotal.Inc()
 	if err != nil {
 		stepErrors.Inc()

@@ -56,9 +56,9 @@ func replayFleet(t *testing.T, e *Engine, st *state.Store, tr *trace.Trace, ever
 
 // TestEngineShardEquivalence is the sharded-vs-single-store property
 // test: the same append stream replayed through stores with different
-// shard counts (and through the legacy full-scan pass) must produce
-// bit-identical plans on every step of every box — sharding changes lock
-// granularity and wake-up routing, never windows or plans.
+// shard counts must produce bit-identical plans on every step of every
+// box — sharding changes lock granularity and wake-up routing, never
+// windows or plans.
 func TestEngineShardEquivalence(t *testing.T) {
 	tr := trace.Generate(trace.GenConfig{
 		Boxes: 5, Days: 5, SamplesPerDay: 32, Seed: 41, GapFraction: 1e-9,
@@ -67,16 +67,14 @@ func TestEngineShardEquivalence(t *testing.T) {
 	cfg := fastConfig(spd, true)
 
 	type variant struct {
-		name    string
-		shards  int
-		scanAll bool
+		name   string
+		shards int
 	}
 	variants := []variant{
-		{"single", 1, false},
-		{"single-scan", 1, true},
-		{"sharded-2", 2, false},
-		{"sharded-7", 7, false},
-		{"sharded-16", 16, false},
+		{"single", 1},
+		{"sharded-2", 2},
+		{"sharded-7", 7},
+		{"sharded-16", 16},
 	}
 	var ref map[string][]Plan
 	for _, v := range variants {
@@ -85,7 +83,7 @@ func TestEngineShardEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e, err := New(st, Config{Core: cfg, SamplesPerDay: spd, ScanAll: v.scanAll})
+			e, err := New(st, Config{Core: cfg, SamplesPerDay: spd})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,46 +109,38 @@ func TestEngineShardEquivalence(t *testing.T) {
 
 // TestEngineDirtyPassInspectsOnlyDirty is the counter-based O(k)
 // contract: with a fleet of F registered boxes, a scheduling pass
-// after appends to k boxes inspects exactly those k boxes, while the
-// legacy ScanAll pass inspects all F.
+// after appends to k boxes inspects exactly those k boxes, and a pass
+// with nothing dirty inspects none.
 func TestEngineDirtyPassInspectsOnlyDirty(t *testing.T) {
 	const fleet, dirty = 120, 4
 	spd := 8
 	cfg := fastConfig(spd, false)
 	ctx := context.Background()
 
-	build := func(scanAll bool) (*Engine, *state.Store) {
-		st, err := state.NewStoreSharded(cfg.TrainWindows+2*cfg.Horizon, 5)
-		if err != nil {
+	st, err := state.NewStoreSharded(cfg.TrainWindows+2*cfg.Horizon, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(st, Config{Core: cfg, SamplesPerDay: spd})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < fleet; i++ {
+		m := state.BoxMeta{ID: fmt.Sprintf("box-%03d", i), CPUCapGHz: 10, RAMCapGB: 64,
+			VMs: []state.VMMeta{{ID: "v0", CPUCapGHz: 2, RAMCapGB: 8}}}
+		if err := st.Register(m); err != nil {
 			t.Fatal(err)
 		}
-		e, err := New(st, Config{Core: cfg, SamplesPerDay: spd, ScanAll: scanAll})
-		if err != nil {
+	}
+	// Settle registration: one pass so a later pass is steady-state.
+	e.Sync(ctx)
+
+	for i := 0; i < dirty; i++ {
+		id := fmt.Sprintf("box-%03d", i*7)
+		if _, err := st.Append(id, []float64{1}, []float64{2}); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < fleet; i++ {
-			m := state.BoxMeta{ID: fmt.Sprintf("box-%03d", i), CPUCapGHz: 10, RAMCapGB: 64,
-				VMs: []state.VMMeta{{ID: "v0", CPUCapGHz: 2, RAMCapGB: 8}}}
-			if err := st.Register(m); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Settle registration: one pass so a later pass is steady-state.
-		e.Sync(ctx)
-		return e, st
 	}
-
-	touch := func(st *state.Store, k int) {
-		for i := 0; i < k; i++ {
-			id := fmt.Sprintf("box-%03d", i*7)
-			if _, err := st.Append(id, []float64{1}, []float64{2}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	e, st := build(false)
-	touch(st, dirty)
 	before := inspectedBoxes.Value()
 	e.Sync(ctx)
 	if got := int(inspectedBoxes.Value() - before); got != dirty {
@@ -161,14 +151,6 @@ func TestEngineDirtyPassInspectsOnlyDirty(t *testing.T) {
 	e.Sync(ctx)
 	if got := int(inspectedBoxes.Value() - before); got != 0 {
 		t.Fatalf("idle pass inspected %d boxes, want 0", got)
-	}
-
-	es, sts := build(true)
-	touch(sts, dirty)
-	before = inspectedBoxes.Value()
-	es.Sync(ctx)
-	if got := int(inspectedBoxes.Value() - before); got != fleet {
-		t.Fatalf("scan-all pass inspected %d boxes, want %d", got, fleet)
 	}
 }
 

@@ -31,9 +31,8 @@ type Options struct {
 	// Workers bounds the worker pool the experiment drivers fan out
 	// on; <= 0 (default) uses one worker per core.
 	Workers int
-	// Reps is the number of timing repetitions for wall-clock
-	// benchmarks (RollingBench); each measurement is the minimum over
-	// Reps runs. <= 0 selects 5.
+	// Reps is the number of interleaved timing pairs ObsBench runs;
+	// <= 0 selects 3.
 	Reps int
 }
 

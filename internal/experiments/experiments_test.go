@@ -363,10 +363,6 @@ func TestMethodsComparison(t *testing.T) {
 			t.Errorf("%s elapsed = %v", name, r.Elapsed[name])
 		}
 	}
-	// Feature clustering must be far cheaper than DTW.
-	if r.Elapsed["features"] > r.Elapsed["dtw"] {
-		t.Errorf("features (%v) slower than dtw (%v)", r.Elapsed["features"], r.Elapsed["dtw"])
-	}
 	out := r.Render().String()
 	if !strings.Contains(out, "features") {
 		t.Error("render missing features row")

@@ -6,9 +6,13 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"time"
 
+	"atm/internal/core"
 	"atm/internal/engine"
 	"atm/internal/obs"
+	"atm/internal/predict"
+	"atm/internal/spatial"
 	"atm/internal/state"
 )
 
@@ -23,7 +27,7 @@ import (
 // under test.
 const (
 	obsBenchBoxes = 192
-	obsBenchVMs   = ingestBenchVMs // paper-shaped boxes: 13 VMs each
+	obsBenchVMs   = 13 // paper-shaped boxes: 6160 × 13 ≈ the paper's 80K VMs
 	// obsBenchSteps is sized so one run takes a few hundred ms: long
 	// enough that a stray GC cycle or scheduler hiccup cannot swing a
 	// single pair's ratio by double digits.
@@ -72,11 +76,45 @@ type ObsBenchResult struct {
 	PlansMatch bool `json:"plans_match"`
 }
 
+// obsBenchConfig keeps the per-step pipeline cheap (CBC spatial,
+// seasonal-naive temporal) so the hot loop's ingest, scheduling and
+// publication — the code the instrumentation touches — are a large
+// share of each run rather than drowned in pipeline arithmetic, which
+// is identical with and without the plane.
+func obsBenchConfig() (core.Config, int) {
+	spd := 8
+	return core.Config{
+		Spatial:      spatial.Config{Method: spatial.MethodCBC},
+		Temporal:     func() predict.Model { return &predict.SeasonalNaive{Period: spd} },
+		TrainWindows: 2 * spd,
+		Horizon:      spd / 2,
+		Threshold:    0.6,
+		Epsilon:      0.1,
+		Degraded:     true,
+	}, spd
+}
+
+func obsBenchBoxID(i int) string { return fmt.Sprintf("box-%05d", i) }
+
+// minTimeMS runs fn reps times and returns the fastest wall-clock
+// time in milliseconds. reps must be positive.
+func minTimeMS(reps int, fn func()) float64 {
+	best := math.Inf(1)
+	for r := 0; r < reps; r++ {
+		start := time.Now()
+		fn()
+		best = math.Min(best, float64(time.Since(start))/float64(time.Millisecond))
+	}
+	return best
+}
+
+func ms(v float64) string { return fmt.Sprintf("%.1fms", v) }
+
 // obsBenchRun streams the synthetic fleet through a fresh store+engine
 // pair, optionally under full instrumentation, and returns the engine
 // plus the instrumented run's ring and event log for liveness checks.
 func obsBenchRun(instrumented bool) (*engine.Engine, *obs.RingExporter, *obs.EventLog, error) {
-	cfg, spd := ingestBenchConfig()
+	cfg, spd := obsBenchConfig()
 	ticks := cfg.TrainWindows + obsBenchSteps*cfg.Horizon
 	st, err := state.NewStoreSharded(cfg.TrainWindows+2*cfg.Horizon, state.DefaultShards)
 	if err != nil {
@@ -108,7 +146,7 @@ func obsBenchRun(instrumented bool) (*engine.Engine, *obs.RingExporter, *obs.Eve
 	}
 	for b := 0; b < obsBenchBoxes; b++ {
 		m := meta
-		m.ID = ingestBenchBoxID(b)
+		m.ID = obsBenchBoxID(b)
 		if err := st.Register(m); err != nil {
 			return nil, nil, nil, err
 		}
@@ -139,7 +177,7 @@ func obsBenchRun(instrumented bool) (*engine.Engine, *obs.RingExporter, *obs.Eve
 						ram[k][v] = 50 + 15*math.Sin(phase+1.3) + float64((b*13+v*29+(tick+k)*3)%7) - 3
 					}
 				}
-				id := ingestBenchBoxID(b)
+				id := obsBenchBoxID(b)
 				if instrumented {
 					// The production serve path: an ingest root span the
 					// store adopts, so the engine's step span links back
@@ -170,7 +208,7 @@ func ObsBench(opts Options) (*ObsBenchResult, error) {
 	if reps <= 0 {
 		reps = 3
 	}
-	cfg, _ := ingestBenchConfig()
+	cfg, _ := obsBenchConfig()
 	res := &ObsBenchResult{
 		Boxes:          obsBenchBoxes,
 		VMsPerBox:      obsBenchVMs,
@@ -253,7 +291,7 @@ func ObsBench(opts Options) (*ObsBenchResult, error) {
 	// Fidelity: observability must never change a decision.
 	res.PlansMatch = true
 	for b := 0; b < obsBenchBoxes; b++ {
-		id := ingestBenchBoxID(b)
+		id := obsBenchBoxID(b)
 		res.StepsPerRun += inst.Steps(id)
 		bp, bok := bare.Plan(id)
 		ip, iok := inst.Plan(id)

@@ -6,7 +6,9 @@ import (
 
 	"atm/internal/control"
 	"atm/internal/core"
+	"atm/internal/predict"
 	"atm/internal/report"
+	"atm/internal/spatial"
 	"atm/internal/trace"
 )
 
@@ -91,22 +93,34 @@ type RobustBenchResult struct {
 }
 
 // robustBenchConfig is the pipeline configuration for the robustness
-// sweep: the rolling bench's seasonal-naive + DTW-reuse setup plus
-// degraded mode (the worst-case families must degrade, not abort) —
-// reuse also arms the drift detector whose severe-drift signal floors
+// sweep: a seasonal-naive forecaster (the MLP would dominate a 20-step
+// sweep per family), the LB_Keogh-pruned DTW search with model reuse —
+// one full search per 10 windows, the rest rolled incrementally — and
+// degraded mode (the worst-case families must degrade, not abort).
+// Reuse also arms the drift detector whose severe-drift signal floors
 // the controller's trust.
 func robustBenchConfig(spd int) core.Config {
-	cfg := rollingBenchConfig(spd, true)
-	cfg.Degraded = true
-	return cfg
+	return core.Config{
+		Spatial: spatial.Config{
+			Method:    spatial.MethodDTW,
+			DTWApprox: true,
+			DTWWindow: spd / 8,
+		},
+		Temporal:     func() predict.Model { return &predict.SeasonalNaive{Period: spd} },
+		TrainWindows: 2 * spd,
+		Horizon:      spd / 2,
+		Threshold:    0.6,
+		Epsilon:      0.1,
+		Reuse:        core.ReusePolicy{Enabled: true, MaxAge: 10},
+		Degraded:     true,
+	}
 }
 
 // RobustBench sweeps fixed and adaptive trust against every adversary
-// family on the rolling-bench workload.
+// family on one stationary box.
 func RobustBench(opts Options) (*RobustBenchResult, error) {
 	opts = opts.withDefaults()
-	// Same stationary substrate as RollingBench: 12 days at 96
-	// samples/day → T = 192, H = 48, 20 rolling steps.
+	// 12 days at 96 samples/day → T = 192, H = 48, 20 rolling steps.
 	gen := trace.GenConfig{Boxes: 4, Days: 12, SamplesPerDay: 96, Seed: 7}
 	base := trace.Generate(gen)
 	gapFree := base.GapFree()

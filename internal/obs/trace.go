@@ -402,8 +402,7 @@ func (r *RingExporter) Dropped() int {
 }
 
 // JSONLExporter writes each finished span as one JSON line — the
-// file-dump format `atmbench -trace` emits and external span viewers
-// ingest.
+// file-dump format external span viewers ingest.
 type JSONLExporter struct {
 	mu  sync.Mutex
 	enc *json.Encoder

@@ -24,6 +24,16 @@ func sinPattern(period int) func(int) float64 {
 	}
 }
 
+// noisySeasonal is the sin pattern plus seeded Gaussian noise.
+func noisySeasonal(seed int64, days, period int, sigma float64) timeseries.Series {
+	r := rand.New(rand.NewSource(seed))
+	s := seasonal(days, period, sinPattern(period))
+	for i := range s {
+		s[i] += sigma * r.NormFloat64()
+	}
+	return s
+}
+
 func TestSeasonalNaivePerfectPeriodicity(t *testing.T) {
 	period := 24
 	hist := seasonal(3, period, sinPattern(period))

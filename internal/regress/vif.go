@@ -38,7 +38,7 @@ const DefaultVIFCutoff = 4
 // correlation matrix of the series: one pass to accumulate R, one
 // Cholesky factorization and one inverse — O(T·p² + p³). Degenerate
 // inputs (constant series, length mismatches, too few samples, a
-// singular correlation matrix) fall back to VIFNaive so error and ±Inf
+// singular correlation matrix) fall back to vifNaive so error and ±Inf
 // semantics are exactly those of the per-fit definition.
 func VIF(series []timeseries.Series) ([]float64, error) {
 	p := len(series)
@@ -52,7 +52,7 @@ func VIF(series []timeseries.Series) ([]float64, error) {
 	st, ok := newVIFState(series)
 	if !ok {
 		vifFallbacks.Inc()
-		return VIFNaive(series)
+		return vifNaive(series)
 	}
 	out := make([]float64, p)
 	for i := 0; i < p; i++ {
@@ -73,7 +73,7 @@ func VIF(series []timeseries.Series) ([]float64, error) {
 // removes the worst series with a Schur-complement downdate
 // A'_ij = A_ij − A_iw·A_wj/A_ww — O(p²) per round instead of a fresh
 // O(T·p³) VIF sweep. Degenerate inputs fall back to
-// StepwiseVIFNaive.
+// stepwiseVIFNaive.
 func StepwiseVIF(series []timeseries.Series, cutoff float64) (keep, removed []int, err error) {
 	if len(series) < 2 {
 		keep = make([]int, len(series))
@@ -85,7 +85,7 @@ func StepwiseVIF(series []timeseries.Series, cutoff float64) (keep, removed []in
 	st, ok := newVIFState(series)
 	if !ok {
 		vifFallbacks.Inc()
-		keep, removed, err = StepwiseVIFNaive(series, cutoff)
+		keep, removed, err = stepwiseVIFNaive(series, cutoff)
 		vifEliminations.Add(float64(len(removed)))
 		return keep, removed, err
 	}
@@ -216,11 +216,16 @@ func downdateInverse(a *linalg.Matrix, w int) *linalg.Matrix {
 	return out
 }
 
-// VIFNaive is the textbook reference implementation: p independent OLS
-// fits, each regressing one series on all the others. It is retained
-// as the equality oracle for VIF's factored path and for degenerate
-// inputs the factored path cannot handle.
-func VIFNaive(series []timeseries.Series) ([]float64, error) {
+// vifNaive and stepwiseVIFNaive are the per-fit definition — p
+// independent OLS fits, each regressing one series on all the others —
+// and the fallback of VIF and StepwiseVIF (counted by
+// atm_vif_fallbacks_total). The fallback exists because the factored
+// path is only defined for well-posed input: on constant series,
+// mismatched lengths, too few samples or a singular correlation
+// matrix, only the per-fit definition yields the errors and +Inf
+// factors the callers rely on. The tests also hold the factored path
+// equal to them.
+func vifNaive(series []timeseries.Series) ([]float64, error) {
 	n := len(series)
 	out := make([]float64, n)
 	if n < 2 {
@@ -254,10 +259,9 @@ func VIFNaive(series []timeseries.Series) ([]float64, error) {
 	return out, nil
 }
 
-// StepwiseVIFNaive is the reference backward elimination: it recomputes
-// a full VIFNaive sweep per round. Retained as the equality oracle for
-// StepwiseVIF's downdating path and as its degenerate-input fallback.
-func StepwiseVIFNaive(series []timeseries.Series, cutoff float64) (keep, removed []int, err error) {
+// stepwiseVIFNaive recomputes a full vifNaive sweep per elimination
+// round.
+func stepwiseVIFNaive(series []timeseries.Series, cutoff float64) (keep, removed []int, err error) {
 	idx := make([]int, len(series))
 	for i := range idx {
 		idx[i] = i
@@ -265,7 +269,7 @@ func StepwiseVIFNaive(series []timeseries.Series, cutoff float64) (keep, removed
 	cur := make([]timeseries.Series, len(series))
 	copy(cur, series)
 	for len(cur) >= 2 {
-		vifs, err := VIFNaive(cur)
+		vifs, err := vifNaive(cur)
 		if err != nil {
 			return nil, nil, err
 		}

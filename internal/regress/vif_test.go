@@ -53,9 +53,9 @@ func TestVIFMatchesNaive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: VIF: %v", seed, err)
 		}
-		naive, err := VIFNaive(series)
+		naive, err := vifNaive(series)
 		if err != nil {
-			t.Fatalf("seed %d: VIFNaive: %v", seed, err)
+			t.Fatalf("seed %d: vifNaive: %v", seed, err)
 		}
 		for i := range fast {
 			diff := math.Abs(fast[i] - naive[i])
@@ -82,9 +82,9 @@ func TestStepwiseVIFMatchesNaive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: StepwiseVIF: %v", seed, err)
 		}
-		keepN, removedN, err := StepwiseVIFNaive(series, DefaultVIFCutoff)
+		keepN, removedN, err := stepwiseVIFNaive(series, DefaultVIFCutoff)
 		if err != nil {
-			t.Fatalf("seed %d: StepwiseVIFNaive: %v", seed, err)
+			t.Fatalf("seed %d: stepwiseVIFNaive: %v", seed, err)
 		}
 		if !equalInts(keepF, keepN) || !equalInts(removedF, removedN) {
 			t.Errorf("seed %d: keep %v removed %v, naive keep %v removed %v",
@@ -144,7 +144,7 @@ func TestVIFDegenerateFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := VIFNaive([]timeseries.Series{x, c})
+	naive, err := vifNaive([]timeseries.Series{x, c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,12 +161,12 @@ func TestVIFDegenerateFallback(t *testing.T) {
 	}
 
 	// Stepwise on exactly collinear input agrees with the naive
-	// reference (both route through VIFNaive's Inf handling).
+	// reference (both route through vifNaive's Inf handling).
 	keepF, removedF, err := StepwiseVIF([]timeseries.Series{x, double, y}, DefaultVIFCutoff)
 	if err != nil {
 		t.Fatal(err)
 	}
-	keepN, removedN, err := StepwiseVIFNaive([]timeseries.Series{x, double, y}, DefaultVIFCutoff)
+	keepN, removedN, err := stepwiseVIFNaive([]timeseries.Series{x, double, y}, DefaultVIFCutoff)
 	if err != nil {
 		t.Fatal(err)
 	}

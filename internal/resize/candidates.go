@@ -3,10 +3,7 @@ package resize
 import (
 	"math"
 	"slices"
-	"sort"
 	"sync"
-
-	"atm/internal/ticket"
 )
 
 // candScratch holds the per-call working slices of candidate
@@ -126,39 +123,4 @@ func sortDesc(v []float64) {
 	for i, j := 0, len(v)-1; i < j; i, j = i+1, j-1 {
 		v[i], v[j] = v[j], v[i]
 	}
-}
-
-// candidatesNaive is the original reference implementation — map-based
-// deduplication and one ticket.Count pass per candidate. Retained as
-// the equality oracle for the pooled merge-counting path.
-func (p *Problem) candidatesNaive(i int) (sizes []float64, tickets []int) {
-	vm := p.VMs[i]
-	seen := map[float64]bool{}
-	var vals []float64
-	add := func(v float64) {
-		if v < vm.LowerBound {
-			v = vm.LowerBound
-		}
-		if v > p.Capacity {
-			v = p.Capacity
-		}
-		if !seen[v] {
-			seen[v] = true
-			vals = append(vals, v)
-		}
-	}
-	for _, d := range vm.Demand {
-		c := d / p.Threshold * (1 + 1e-12)
-		if p.Epsilon > 0 {
-			c = math.Ceil(c/p.Epsilon) * p.Epsilon
-		}
-		add(c)
-	}
-	add(vm.LowerBound)
-	sort.Sort(sort.Reverse(sort.Float64Slice(vals)))
-	tickets = make([]int, len(vals))
-	for k, v := range vals {
-		tickets[k] = ticket.Count(vm.Demand, v, p.Threshold)
-	}
-	return vals, tickets
 }

@@ -58,7 +58,7 @@ func (sc *Scratch) grow(n int) {
 // the per-step scan, so the path is bit-identical — and races the
 // per-VM hull edges in a min-heap keyed (MTRV asc, freed capacity desc,
 // VM index asc): O(log n) per descent step instead of an O(n·K) rescan.
-// GreedyNaive retains the rescan loop as the equality reference.
+// The tests keep the rescan loop (GreedyNaive) as the equality reference.
 //
 // All intermediate and result state lives in the scratch: the returned
 // Allocation's Sizes slice aliases scratch memory and stays valid only

@@ -450,21 +450,6 @@ func (s *Store) BoxesInto(dst []string) []string {
 	return dst
 }
 
-// ShardBoxesInto appends shard i's registered box ids to dst in sorted
-// order and returns the extended slice — the full-rescan counterpart
-// of DrainDirty, used by the engine's legacy scan mode.
-func (s *Store) ShardBoxesInto(i int, dst []string) []string {
-	n := len(dst)
-	sh := &s.shards[i]
-	sh.mu.RLock()
-	for id := range sh.boxes {
-		dst = append(dst, id)
-	}
-	sh.mu.RUnlock()
-	slices.Sort(dst[n:])
-	return dst
-}
-
 // Window materializes the box restricted to absolute tick range
 // [from, to) as a trace.Box whose usage series are zero-copy ring
 // views. The append-only ring storage makes the views stable

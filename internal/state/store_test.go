@@ -236,23 +236,6 @@ func TestStoreShardingBasics(t *testing.T) {
 	if len(all) != 100 || !slices.IsSorted(all) {
 		t.Fatalf("Boxes() = %d ids, sorted=%v", len(all), slices.IsSorted(all))
 	}
-	// Per-shard listings partition the fleet.
-	n := 0
-	for i := 0; i < s.Shards(); i++ {
-		ids := s.ShardBoxesInto(i, nil)
-		if !slices.IsSorted(ids) {
-			t.Fatalf("shard %d ids unsorted", i)
-		}
-		for _, id := range ids {
-			if s.ShardOf(id) != i {
-				t.Fatalf("box %s listed on shard %d, owned by %d", id, i, s.ShardOf(id))
-			}
-		}
-		n += len(ids)
-	}
-	if n != 100 {
-		t.Fatalf("shard listings cover %d boxes, want 100", n)
-	}
 }
 
 func TestStoreDirtyDrain(t *testing.T) {
