@@ -48,8 +48,8 @@ chaos:
 # Backend-conformance suite under the race detector: the same
 # transactional, classification and chaos scenarios (30% seeded fault
 # rate) against every actuation backend — cgroups daemon over HTTP,
-# the Kubernetes in-place resize fake, the simulated testbed cluster
-# and the in-process registry. Seeded, so a failure is a bug.
+# the simulated testbed cluster and the in-process registry. Seeded,
+# so a failure is a bug.
 conformance:
 	$(GO) test -race -count=1 -v -run 'Conformance' ./internal/actuator/conformance/
 

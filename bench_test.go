@@ -270,20 +270,6 @@ func BenchmarkAblationTemporalModels(b *testing.B) {
 
 // --- Micro-benchmarks ------------------------------------------------
 
-func BenchmarkDTWDistance(b *testing.B) {
-	rng := rand.New(rand.NewSource(12))
-	p := make(timeseries.Series, 96)
-	q := make(timeseries.Series, 96)
-	for i := range p {
-		p[i] = rng.Float64()
-		q[i] = rng.Float64()
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cluster.DTW(p, q)
-	}
-}
-
 func BenchmarkPearson(b *testing.B) {
 	rng := rand.New(rand.NewSource(13))
 	p := make(timeseries.Series, 672)

@@ -56,8 +56,8 @@ func TestApplyCleanRound(t *testing.T) {
 	if code != exitOK {
 		t.Fatalf("exit %d, want %d\nstdout: %s\nstderr: %s", code, exitOK, stdout, stderr)
 	}
-	if writes.Load() == 0 || len(reg.List()) == 0 {
-		t.Fatalf("clean apply wrote nothing (writes=%d, cgroups=%d)", writes.Load(), len(reg.List()))
+	if writes.Load() == 0 || len(reg.Snapshot()) == 0 {
+		t.Fatalf("clean apply wrote nothing (writes=%d, cgroups=%d)", writes.Load(), len(reg.Snapshot()))
 	}
 	if !strings.Contains(stdout, "applied 2/2 boxes") {
 		t.Errorf("summary missing: %q", stdout)
@@ -79,8 +79,8 @@ func TestApplyDryRunZeroWrites(t *testing.T) {
 	if n := writes.Load(); n != 0 {
 		t.Fatalf("dry run issued %d mutating requests, want 0", n)
 	}
-	if len(reg.List()) != 0 {
-		t.Fatalf("dry run created cgroups: %v", reg.List())
+	if len(reg.Snapshot()) != 0 {
+		t.Fatalf("dry run created cgroups: %v", reg.Snapshot())
 	}
 	if !strings.Contains(stdout, "nothing written") {
 		t.Errorf("dry-run summary missing: %q", stdout)

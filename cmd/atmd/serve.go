@@ -59,8 +59,8 @@ func (c serveConfig) build(backend actuator.Backend) (serve.Config, error) {
 		cfg.Control = control.Config{Enabled: true}
 	}
 	if c.actuate || c.dryRun {
-		// Backend (not the legacy Setter) so policy rails compose in
-		// front and the what-if route can read current limits.
+		// Policy rails compose in front of Backend, and the what-if
+		// route reads current limits through it.
 		cfg.Backend = backend
 	}
 	cfg.DryRun = c.dryRun

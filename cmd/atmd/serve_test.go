@@ -25,7 +25,7 @@ import (
 // testService builds a service with a cheap temporal model and an
 // engine that is driven manually (no background loop), so the test is
 // deterministic.
-func testService(t *testing.T, setter core.LimitSetter) (*serve.Service, int) {
+func testService(t *testing.T, backend actuator.Backend) (*serve.Service, int) {
 	t.Helper()
 	spd := 32
 	cfg := engine.Config{
@@ -39,7 +39,7 @@ func testService(t *testing.T, setter core.LimitSetter) (*serve.Service, int) {
 			Degraded:     true,
 		},
 		SamplesPerDay: spd,
-		Setter:        setter,
+		Backend:       backend,
 	}
 	svc, err := serve.New(serve.Config{
 		History: 2 * (cfg.Core.TrainWindows + cfg.Core.Horizon),
@@ -232,7 +232,7 @@ func TestServeActuation(t *testing.T) {
 	if _, ok := svc.Engine().Plan(b.ID); !ok {
 		t.Fatal("no plan after sync")
 	}
-	ids := reg.List()
+	ids := reg.Snapshot()
 	if len(ids) != len(b.VMs) {
 		t.Fatalf("registry has %d cgroups, want %d (one per VM)", len(ids), len(b.VMs))
 	}
@@ -305,7 +305,7 @@ func TestServeConfigBuild(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	if plain.Engine.Backend != nil || plain.Engine.Setter != nil {
+	if plain.Engine.Backend != nil {
 		t.Error("plain build wired an actuation target")
 	}
 

@@ -1,8 +1,11 @@
 package actuator
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -50,19 +53,27 @@ func TestRegistryValidation(t *testing.T) {
 	}
 }
 
+// TestRegistryListSorted: the daemon's GET /cgroups lists every group
+// in id order.
 func TestRegistryListSorted(t *testing.T) {
-	r := NewRegistry()
+	c, r := newTestDaemon(t)
 	for _, id := range []string{"c", "a", "b"} {
 		if err := r.Set(id, Limits{CPUGHz: 1, RAMGB: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got := r.List()
-	want := []string{"a", "b", "c"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("List = %v, want %v", got, want)
-		}
+	resp, err := c.http.Get(c.base + "/cgroups")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, cc := bytes.Index(body, []byte(`"a"`)), bytes.Index(body, []byte(`"b"`)), bytes.Index(body, []byte(`"c"`))
+	if a < 0 || !(a < b && b < cc) {
+		t.Fatalf("GET /cgroups = %s, want groups a, b, c in order", body)
 	}
 }
 
@@ -77,14 +88,13 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 			for j := 0; j < 100; j++ {
 				_ = r.Set(id, Limits{CPUGHz: float64(j + 1), RAMGB: 1})
 				_, _ = r.Get(id)
-				_ = r.List()
 				_ = r.Snapshot()
 			}
 		}(i)
 	}
 	wg.Wait() // run with -race to verify
-	if len(r.List()) != 4 {
-		t.Errorf("List = %v", r.List())
+	if snap := r.Snapshot(); len(snap) != 4 {
+		t.Errorf("Snapshot = %v", snap)
 	}
 }
 
@@ -132,9 +142,15 @@ func TestClientRoundTrip(t *testing.T) {
 		t.Errorf("limits = %+v, want %+v", got, want)
 	}
 
-	all, err := c.ListLimits(ctx)
+	resp, err := c.http.Get(c.base + "/cgroups")
 	if err != nil {
-		t.Fatalf("ListLimits: %v", err)
+		t.Fatalf("GET /cgroups: %v", err)
+	}
+	var all map[string]Limits
+	err = json.NewDecoder(resp.Body).Decode(&all)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("decode /cgroups: %v", err)
 	}
 	if len(all) != 1 || all["wiki-one-apache-1"] != want {
 		t.Errorf("list = %+v", all)

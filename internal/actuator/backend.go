@@ -1,9 +1,6 @@
 package actuator
 
-import (
-	"context"
-	"sync/atomic"
-)
+import "context"
 
 // Capabilities describes what one actuation backend can do, so the
 // layers above it — the transactional core.ApplyBox, the policy guard
@@ -12,11 +9,11 @@ import (
 // conformance suite asserts every advertised capability actually
 // works and every denied one actually fails.
 type Capabilities struct {
-	// Name is the backend family: "cgroups-daemon", "kubernetes",
-	// "testbed", "registry".
+	// Name is the backend family: "cgroups-daemon", "testbed",
+	// "registry".
 	Name string `json:"name"`
-	// Endpoint identifies the instance — the daemon base URL, the
-	// Kubernetes namespace — and may be empty for in-process backends.
+	// Endpoint identifies the instance — the daemon base URL — and may
+	// be empty for in-process backends.
 	Endpoint string `json:"endpoint,omitempty"`
 	// Snapshot reports that GetLimits works, which is what lets the
 	// transactional apply path record pre-push state and roll back.
@@ -26,20 +23,19 @@ type Capabilities struct {
 	Delete bool `json:"delete"`
 	// CreateOnSet reports that SetLimits on an unknown id creates the
 	// group (cgroups semantics). Backends that cannot conjure targets —
-	// Kubernetes pods, testbed VMs — reject unknown ids instead.
+	// testbed VMs — reject unknown ids instead.
 	CreateOnSet bool `json:"create_on_set"`
 	// InPlace reports that a resize lands without restarting the
-	// guest. Kubernetes containers whose resize policy demands a
-	// restart make this conditional there; cgroups are always in-place.
+	// guest; cgroups are always in-place.
 	InPlace bool `json:"in_place"`
 }
 
-// Backend is the pluggable actuation target: the write path every
-// deployment flavor implements — the cgroups-daemon Client, the
-// in-process Registry, the Kubernetes in-place resize backend and the
-// testbed simulator. The transactional core.ApplyBox, the resilience
-// decorators and the policy guard rails all sit above this interface,
-// so one resilient apply path serves N actuation targets.
+// Backend is the actuation write interface every deployment flavor
+// implements — the cgroups-daemon Client, the in-process Registry and
+// the testbed simulator. The transactional core.ApplyBox, the
+// resilience decorators and the policy guard rails all sit above this
+// interface and adapt to a backend through its Capabilities, so one
+// resilient apply path serves every actuation target.
 type Backend interface {
 	// SetLimits creates or updates one group's limits.
 	SetLimits(ctx context.Context, id string, l Limits) error
@@ -50,12 +46,6 @@ type Backend interface {
 	DeleteGroup(ctx context.Context, id string) error
 	// Capabilities describes the backend.
 	Capabilities() Capabilities
-}
-
-// Lister is the optional fleet-read capability some backends add on
-// top of Backend (the cgroups daemon's GET /cgroups).
-type Lister interface {
-	ListLimits(ctx context.Context) (map[string]Limits, error)
 }
 
 // Capabilities implements Backend for the HTTP client: a remote
@@ -84,53 +74,9 @@ func (r *Registry) Capabilities() Capabilities {
 	}
 }
 
-// CountingBackend wraps a Backend and counts reads and mutations —
-// the dry-run proof harness: a what-if pass over it must leave
-// Writes() at zero. Safe for concurrent use.
-type CountingBackend struct {
-	b      Backend
-	reads  atomic.Int64
-	writes atomic.Int64
-}
-
-// NewCountingBackend wraps b.
-func NewCountingBackend(b Backend) *CountingBackend {
-	return &CountingBackend{b: b}
-}
-
-// SetLimits counts one mutation and forwards.
-func (c *CountingBackend) SetLimits(ctx context.Context, id string, l Limits) error {
-	c.writes.Add(1)
-	return c.b.SetLimits(ctx, id, l)
-}
-
-// GetLimits counts one read and forwards.
-func (c *CountingBackend) GetLimits(ctx context.Context, id string) (Limits, error) {
-	c.reads.Add(1)
-	return c.b.GetLimits(ctx, id)
-}
-
-// DeleteGroup counts one mutation and forwards.
-func (c *CountingBackend) DeleteGroup(ctx context.Context, id string) error {
-	c.writes.Add(1)
-	return c.b.DeleteGroup(ctx, id)
-}
-
-// Capabilities forwards to the wrapped backend.
-func (c *CountingBackend) Capabilities() Capabilities { return c.b.Capabilities() }
-
-// Reads returns how many GetLimits calls passed through.
-func (c *CountingBackend) Reads() int64 { return c.reads.Load() }
-
-// Writes returns how many mutating calls (SetLimits + DeleteGroup)
-// passed through.
-func (c *CountingBackend) Writes() int64 { return c.writes.Load() }
-
 // Interface conformance pins: every in-package actuation flavor is a
 // Backend.
 var (
 	_ Backend = (*Client)(nil)
 	_ Backend = (*Registry)(nil)
-	_ Backend = (*CountingBackend)(nil)
-	_ Lister  = (*Client)(nil)
 )

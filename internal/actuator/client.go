@@ -149,33 +149,6 @@ func (c *Client) GetLimits(ctx context.Context, id string) (Limits, error) {
 	return l, nil
 }
 
-// ListLimits reads the daemon's full cgroup tree.
-func (c *Client) ListLimits(ctx context.Context) (map[string]Limits, error) {
-	var out map[string]Limits
-	err := c.instrumented(ctx, "list_limits", "", func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/cgroups", nil)
-		if err != nil {
-			return fmt.Errorf("actuator: build request: %w", err)
-		}
-		resp, err := c.http.Do(req)
-		if err != nil {
-			return &Error{Op: "list_limits", Err: err}
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return &Error{Op: "list_limits", Status: resp.StatusCode, Err: errors.New(readBody(resp))}
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			return fmt.Errorf("actuator: decode list: %w", err)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // DeleteGroup removes a VM cgroup on the daemon.
 func (c *Client) DeleteGroup(ctx context.Context, id string) error {
 	return c.instrumented(ctx, "delete_group", id, func(ctx context.Context) error {

@@ -5,8 +5,8 @@
 // trusts its sizing models enough to actuate them; operators running
 // the loop against production hypervisors get a declarative place to
 // say "no model output may halve a database VM in one step" without
-// caring whether the write lands on a cgroups daemon, a Kubernetes
-// pod or the simulated testbed.
+// caring whether the write lands on a cgroups daemon or the simulated
+// testbed.
 package policy
 
 import (

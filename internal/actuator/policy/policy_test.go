@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -204,16 +205,16 @@ func TestWhatIfPlan(t *testing.T) {
 	if err := reg.Set("vm-1", actuator.Limits{CPUGHz: 2, RAMGB: 8}); err != nil {
 		t.Fatal(err)
 	}
-	counting := actuator.NewCountingBackend(reg)
+	counting := &countingBackend{Backend: reg}
 	cfg := Config{Rules: []Rule{{Match: "*", MaxCPUGHz: 4}}}
 
 	plan := WhatIf(context.Background(), counting, cfg, "box-1",
 		[]string{"vm-1", "vm-2"}, []float64{9, 0}, []float64{8, 2})
 
-	if counting.Writes() != 0 {
-		t.Fatalf("WhatIf issued %d writes, want 0", counting.Writes())
+	if counting.writes.Load() != 0 {
+		t.Fatalf("WhatIf issued %d writes, want 0", counting.writes.Load())
 	}
-	if counting.Reads() == 0 {
+	if counting.reads.Load() == 0 {
 		t.Error("WhatIf never read current limits from a snapshot-capable backend")
 	}
 	if plan.Writes != 2 || plan.Rejects != 0 {
@@ -253,4 +254,26 @@ func TestWhatIfRejects(t *testing.T) {
 	if plan.Rejects != 1 || plan.Rows[0].Action != ActionReject || plan.Rows[0].Reason == "" {
 		t.Errorf("reject-mode plan = %+v", plan)
 	}
+}
+
+// countingBackend counts the reads and writes that reach the wrapped
+// backend; a what-if pass over it must leave writes at zero.
+type countingBackend struct {
+	actuator.Backend
+	reads, writes atomic.Int64
+}
+
+func (c *countingBackend) SetLimits(ctx context.Context, id string, l actuator.Limits) error {
+	c.writes.Add(1)
+	return c.Backend.SetLimits(ctx, id, l)
+}
+
+func (c *countingBackend) GetLimits(ctx context.Context, id string) (actuator.Limits, error) {
+	c.reads.Add(1)
+	return c.Backend.GetLimits(ctx, id)
+}
+
+func (c *countingBackend) DeleteGroup(ctx context.Context, id string) error {
+	c.writes.Add(1)
+	return c.Backend.DeleteGroup(ctx, id)
 }

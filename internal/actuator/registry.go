@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 
@@ -117,18 +116,6 @@ func (r *Registry) Delete(id string) {
 		gaugeAllocRAM.Add(-old.RAMGB)
 	}
 	delete(r.groups, id)
-}
-
-// List returns all cgroup ids in sorted order.
-func (r *Registry) List() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.groups))
-	for id := range r.groups {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Snapshot returns a copy of the whole tree.

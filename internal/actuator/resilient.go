@@ -3,13 +3,12 @@ package actuator
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"atm/internal/resilience"
 )
 
-// ResilientConfig parameterizes NewResilient. Zero values select the
-// resilience package defaults.
+// ResilientConfig parameterizes NewResilientBackend. Zero values
+// select the resilience package defaults.
 type ResilientConfig struct {
 	// Retry is the per-call retry policy. Its Retryable hook defaults
 	// to the actuator classification (transient errors retry, terminal
@@ -27,20 +26,10 @@ type ResilientConfig struct {
 // circuit breaker, presenting the same Backend interface. Controllers
 // hold one Resilient per actuation target, so a flapping daemon trips
 // only its own breaker while the rest of the fleet actuates normally.
-// Because it wraps the Backend interface rather than a concrete
-// client, the same decorator guards the cgroups daemon, the
-// Kubernetes resize backend and the testbed simulator.
 type Resilient struct {
 	b       Backend
 	policy  resilience.Policy
 	breaker *resilience.Breaker
-}
-
-// NewResilient wraps the cgroups-daemon client — the historical entry
-// point, kept for its dominant call sites. See NewResilientBackend
-// for the general form.
-func NewResilient(c *Client, cfg ResilientConfig) *Resilient {
-	return NewResilientBackend(c, cfg)
 }
 
 // NewResilientBackend wraps any Backend. The zero ResilientConfig
@@ -102,26 +91,6 @@ func (r *Resilient) GetLimits(ctx context.Context, id string) (Limits, error) {
 	})
 	if err != nil {
 		return Limits{}, err
-	}
-	return out, nil
-}
-
-// ListLimits reads the target's full group tree, with retries. It
-// requires the wrapped backend to be a Lister (the cgroups daemon
-// is; the Kubernetes and testbed backends are not).
-func (r *Resilient) ListLimits(ctx context.Context) (map[string]Limits, error) {
-	lister, ok := r.b.(Lister)
-	if !ok {
-		return nil, fmt.Errorf("actuator: backend %q does not support list_limits", r.b.Capabilities().Name)
-	}
-	var out map[string]Limits
-	err := r.do(ctx, "list_limits", func(ctx context.Context) error {
-		m, err := lister.ListLimits(ctx)
-		out = m
-		return err
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }

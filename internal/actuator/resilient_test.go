@@ -139,7 +139,7 @@ func flakyDaemon(t *testing.T, failN int) (*httptest.Server, *Registry, *int) {
 
 func TestResilientRetriesTransient(t *testing.T) {
 	srv, reg, calls := flakyDaemon(t, 2)
-	rc := NewResilient(mustClient(t, srv.URL, srv.Client()), ResilientConfig{
+	rc := NewResilientBackend(mustClient(t, srv.URL, srv.Client()), ResilientConfig{
 		Retry:   fastRetry(4),
 		Breaker: resilience.BreakerConfig{Name: "t-resilient-retry", FailureThreshold: 10},
 	})
@@ -166,7 +166,7 @@ func TestResilientTerminalNotRetried(t *testing.T) {
 		http.Error(w, "bad request", http.StatusBadRequest)
 	}))
 	t.Cleanup(srv.Close)
-	rc := NewResilient(mustClient(t, srv.URL, srv.Client()), ResilientConfig{
+	rc := NewResilientBackend(mustClient(t, srv.URL, srv.Client()), ResilientConfig{
 		Retry:   fastRetry(5),
 		Breaker: resilience.BreakerConfig{Name: "t-resilient-terminal"},
 	})
@@ -216,7 +216,7 @@ func TestResilientBreakerLifecycle(t *testing.T) {
 	now := func() time.Time { clockMu.Lock(); defer clockMu.Unlock(); return clock }
 	advance := func(d time.Duration) { clockMu.Lock(); clock = clock.Add(d); clockMu.Unlock() }
 
-	rc := NewResilient(mustClient(t, srv.URL, srv.Client()), ResilientConfig{
+	rc := NewResilientBackend(mustClient(t, srv.URL, srv.Client()), ResilientConfig{
 		Retry: fastRetry(3),
 		Breaker: resilience.BreakerConfig{
 			Name: "t-lifecycle", FailureThreshold: 3, OpenTimeout: 30 * time.Second, Now: now,
@@ -271,33 +271,6 @@ func TestResilientBreakerLifecycle(t *testing.T) {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("/metrics missing %q", want)
 		}
-	}
-}
-
-func TestFlakySetterDeterministicAndTransient(t *testing.T) {
-	ctx := context.Background()
-	run := func() (int, error) {
-		reg := NewRegistry()
-		f := NewFlakySetter(reg, 0.5, 11)
-		var firstErr error
-		for i := 0; i < 20; i++ {
-			if err := f.SetLimits(ctx, "vm", Limits{CPUGHz: 1, RAMGB: 1}); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		_, failures := f.Stats()
-		return failures, firstErr
-	}
-	f1, err1 := run()
-	f2, _ := run()
-	if f1 != f2 {
-		t.Fatalf("failure schedule not deterministic: %d vs %d", f1, f2)
-	}
-	if f1 == 0 || f1 == 20 {
-		t.Fatalf("failures = %d, want a mix at p=0.5", f1)
-	}
-	if !errors.Is(err1, ErrTransient) {
-		t.Errorf("injected failure %v not classified transient", err1)
 	}
 }
 

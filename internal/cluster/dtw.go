@@ -71,33 +71,6 @@ type dtwScratch struct {
 	row []uint64
 }
 
-// scratchPool recycles dtwScratch values across DTW/DTWWindow calls so
-// the public entry points are allocation-free in steady state.
-var scratchPool = sync.Pool{New: func() any { return new(dtwScratch) }}
-
-// DTW returns the dynamic-time-warping dissimilarity between two series
-// using squared pointwise distance d(p_i, q_j) = (p_i - q_j)^2 and the
-// standard cumulative recurrence (paper Eq. 2). Either series being
-// empty yields +Inf (no warping path exists); a NaN or infinite sample
-// in either yields NaN.
-func DTW(p, q timeseries.Series) float64 {
-	return DTWWindow(p, q, -1)
-}
-
-// DTWWindow is DTW constrained to a Sakoe-Chiba band of half-width w
-// (|i-j| <= w). A negative w means unconstrained. The band is widened
-// to at least |len(p)-len(q)| so a path always exists. Like DTW it
-// returns NaN when either series holds a non-finite sample.
-func DTWWindow(p, q timeseries.Series, w int) float64 {
-	if checkFinite(p) != nil || checkFinite(q) != nil {
-		return math.NaN()
-	}
-	sc := scratchPool.Get().(*dtwScratch)
-	v, _ := dtwKernel(p, q, w, math.Inf(1), sc)
-	scratchPool.Put(sc)
-	return v
-}
-
 const (
 	// dtwRows is how many matrix rows advance together. A cell's
 	// min+add is a ~10-cycle dependency chain through its left
@@ -358,12 +331,12 @@ func envelopeRange(q timeseries.Series, w, from, to int, lower, upper []float64,
 	// at most once, so write positions stay below m.
 }
 
-// lbKeogh returns the LB_Keogh lower bound on DTWWindow(p, q, w) given
-// q's envelope for half-width w. Both series must be the same length.
-// Every warping path matches each p[i] to some q[j] with |i-j| <= w, at
-// squared cost at least p[i]'s squared distance to the envelope
-// interval [lower[i], upper[i]]; summing over i bounds the path cost
-// from below: LB_Keogh(p, q) <= DTW(p, q).
+// lbKeogh returns the LB_Keogh lower bound on the band-w DTW of p and
+// q, given q's envelope for half-width w. Both series must be the same
+// length. Every warping path matches each p[i] to some q[j] with
+// |i-j| <= w, at squared cost at least p[i]'s squared distance to the
+// envelope interval [lower[i], upper[i]]; summing over i bounds the
+// path cost from below: LB_Keogh(p, q) <= DTW_w(p, q).
 func lbKeogh(p timeseries.Series, lower, upper []float64) float64 {
 	var sum float64
 	for i, v := range p {
@@ -419,33 +392,12 @@ func (d *DistMatrix) Set(i, j int, v float64) {
 	d.data[j*d.n+i] = v
 }
 
-// Equal reports whether o has the same size and bit-identical entries.
-func (d *DistMatrix) Equal(o *DistMatrix) bool {
-	if d.n != o.n {
-		return false
-	}
-	for i, v := range d.data {
-		if v != o.data[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // MatrixOption configures DTWMatrix / DTWMatrixApprox.
 type MatrixOption func(*matrixConfig)
 
 type matrixConfig struct {
 	workers int
 	bank    *EnvelopeBank
-}
-
-// WithWorkers bounds the number of concurrent workers computing matrix
-// cells. n <= 0 (the default) uses one worker per core. One worker
-// reproduces the sequential order exactly; results are bit-identical at
-// any worker count because every cell is an independent computation.
-func WithWorkers(n int) MatrixOption {
-	return func(c *matrixConfig) { c.workers = n }
 }
 
 // WithEnvelopeBank routes DTWMatrixApprox's normalization and
@@ -508,7 +460,8 @@ func pairAt(n, t int) (i, j int) {
 // DTWMatrix computes all pairwise DTW dissimilarities between the
 // series. Series are z-normalized first so that DTW groups by shape
 // rather than by level, which is what makes co-moving usage series
-// cluster together. The window parameter is passed to DTWWindow.
+// cluster together. The window parameter is the Sakoe-Chiba band
+// half-width (negative: unconstrained).
 //
 // Upper-triangle cells are computed concurrently on the shared worker
 // pool; each worker reuses its own scratch rows, so the inner loop

@@ -117,14 +117,6 @@ func NewEnvelopeBank(shift int) *EnvelopeBank {
 	return &EnvelopeBank{shift: shift}
 }
 
-// Reset discards all window state; the next update recomputes from
-// scratch. Buffers are retained.
-func (b *EnvelopeBank) Reset() { b.ready = false }
-
-// Stats returns how many series-window updates were handled
-// incrementally vs fully recomputed.
-func (b *EnvelopeBank) Stats() (rolled, full int) { return b.rolled, b.full }
-
 // update writes each series' normalization and normalized envelope
 // into norm, lower and upper, rolling the raw envelopes it retains
 // forward when the windows moved by the configured shift. The series

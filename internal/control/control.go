@@ -218,9 +218,6 @@ func New(shards int, cfg Config) *Controller {
 	return c
 }
 
-// Config returns the controller's configuration with defaults applied.
-func (c *Controller) Config() Config { return c.cfg }
-
 // shard maps an engine shard index onto the controller's layout.
 func (c *Controller) shard(i int) *ctlShard {
 	return &c.shards[((i%len(c.shards))+len(c.shards))%len(c.shards)]
@@ -308,26 +305,6 @@ func (c *Controller) publishLambda(l float64) {
 	}
 	lambdaGauge.Set(c.fleetEWMA)
 	c.fleetMu.Unlock()
-}
-
-// Lambda returns the box's current trust, reporting false when the
-// controller has never seen the box. Fixed controllers report the
-// pinned λ for any box.
-func (c *Controller) Lambda(id string) (float64, bool) {
-	if c.cfg.Fixed {
-		return c.cfg.Lambda, true
-	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		if st, ok := sh.boxes[id]; ok {
-			l := st.lambda
-			sh.mu.Unlock()
-			return l, true
-		}
-		sh.mu.Unlock()
-	}
-	return 0, false
 }
 
 // Blend mixes the step's forecast plan toward the stingy safe

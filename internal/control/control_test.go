@@ -78,8 +78,8 @@ func TestControllerFixed(t *testing.T) {
 	if dec.Lambda != 0.4 || dec.Reason != ReasonFixed {
 		t.Fatalf("fixed decision = %+v, want λ=0.4 reason=fixed", dec)
 	}
-	if l, ok := c.Lambda("anything"); !ok || l != 0.4 {
-		t.Fatalf("fixed Lambda() = (%v, %v), want (0.4, true)", l, ok)
+	if dec := c.Update("box-2", 0, Observation{}); dec.Lambda != 0.4 {
+		t.Fatalf("fixed decision for a fresh box = %+v, want λ=0.4", dec)
 	}
 }
 

@@ -22,30 +22,6 @@ var (
 		"Per-VM rollback writes that themselves failed, leaving drift.")
 )
 
-// LimitSetter is the actuation interface ApplyBox drives: the
-// in-process actuator.Registry, the HTTP actuator.Client and the
-// retried actuator.Resilient all satisfy it.
-type LimitSetter interface {
-	SetLimits(ctx context.Context, id string, l Limits) error
-}
-
-// LimitGetter is the optional snapshot capability: when the actuator
-// also implements it, ApplyBox records every VM's current limits
-// before writing and can restore them on partial failure.
-type LimitGetter interface {
-	GetLimits(ctx context.Context, id string) (Limits, error)
-}
-
-// GroupDeleter is the optional teardown capability, used to roll back
-// cgroups that ApplyBox created (VMs with no prior limits).
-type GroupDeleter interface {
-	DeleteGroup(ctx context.Context, id string) error
-}
-
-// Limits aliases the actuator limit type so callers implementing
-// LimitSetter need not import the actuator package themselves.
-type Limits = actuator.Limits
-
 // minLimit floors actuated capacities: the MCKP solver may assign a
 // VM a zero (or denormal) size when its predicted demand vanishes,
 // but cgroup limits must stay positive for the guest to keep running.
@@ -134,20 +110,20 @@ func (e *PartialApplyError) RolledBackClean() bool {
 
 // applySnapshot is one VM's pre-push daemon state.
 type applySnapshot struct {
-	limits  Limits
+	limits  actuator.Limits
 	existed bool
 }
 
-// ApplyBox pushes one box's resize decision to the actuation layer as
-// a transaction: when the actuator supports reads (LimitGetter), it
-// snapshots every VM's current limits first, applies all VMs, and on
-// a partial failure restores the already-applied VMs to their
-// snapshots in reverse order (removing cgroups the push created, when
-// the actuator supports GroupDeleter). The outcome of a partial
-// failure is a *PartialApplyError carrying per-VM detail; a clean
-// rollback leaves the box exactly as it was.
+// ApplyBox pushes one box's resize decision to the actuation backend
+// as a transaction: when the backend advertises Snapshot, it records
+// every VM's current limits first, applies all VMs, and on a partial
+// failure restores the already-applied VMs to their snapshots in
+// reverse order (removing groups the push created, when the backend
+// advertises Delete). The outcome of a partial failure is a
+// *PartialApplyError carrying per-VM detail; a clean rollback leaves
+// the box exactly as it was.
 //
-// With a write-only actuator the push degenerates to the non-
+// With a write-only backend the push degenerates to the non-
 // transactional behavior: the first failing VM aborts it and the
 // outcomes report ErrNoSnapshot for the VMs that could not be
 // restored.
@@ -155,7 +131,7 @@ type applySnapshot struct {
 // Under an obs.Tracer the push is a "core.actuate" span whose children
 // are the per-VM actuator calls, completing the search→fit→resize→
 // actuate trace of a box.
-func ApplyBox(ctx context.Context, act LimitSetter, res *BoxResult) error {
+func ApplyBox(ctx context.Context, b actuator.Backend, res *BoxResult) error {
 	if res.CPU == nil || res.RAM == nil {
 		return fmt.Errorf("core: %s: incomplete resize result: %w", res.Box.ID, ErrBadConfig)
 	}
@@ -171,13 +147,13 @@ func ApplyBox(ctx context.Context, act LimitSetter, res *BoxResult) error {
 	// Snapshot before mutating anything. A snapshot read failure
 	// aborts the push with the daemon untouched — never half-apply a
 	// box whose rollback state is unknown.
-	getter, canSnapshot := act.(LimitGetter)
+	caps := b.Capabilities()
 	var snaps []applySnapshot
-	if canSnapshot {
+	if caps.Snapshot {
 		snaps = make([]applySnapshot, len(res.Box.VMs))
 		for v := range res.Box.VMs {
 			id := res.Box.VMs[v].ID
-			l, err := getter.GetLimits(ctx, id)
+			l, err := b.GetLimits(ctx, id)
 			switch {
 			case errors.Is(err, actuator.ErrNotFound):
 				snaps[v] = applySnapshot{existed: false}
@@ -193,12 +169,12 @@ func ApplyBox(ctx context.Context, act LimitSetter, res *BoxResult) error {
 	failedAt := -1
 	for v := range res.Box.VMs {
 		id := res.Box.VMs[v].ID
-		l := Limits{
+		l := actuator.Limits{
 			CPUGHz: math.Max(res.CPU.Sizes[v], minLimit),
 			RAMGB:  math.Max(res.RAM.Sizes[v], minLimit),
 		}
 		o := VMOutcome{VM: id}
-		if err := act.SetLimits(ctx, id, l); err != nil {
+		if err := b.SetLimits(ctx, id, l); err != nil {
 			o.Err = fmt.Errorf("core: actuate %s/%s: %w", res.Box.ID, id, err)
 			outcomes = append(outcomes, o)
 			failedAt = v
@@ -218,26 +194,25 @@ func ApplyBox(ctx context.Context, act LimitSetter, res *BoxResult) error {
 	// returns the box to the snapshot.
 	applyRollbacks.Inc()
 	span.SetAttr("rollback", true)
-	deleter, canDelete := act.(GroupDeleter)
 	for v := failedAt; v >= 0; v-- {
 		id := res.Box.VMs[v].ID
 		switch {
-		case !canSnapshot:
+		case !caps.Snapshot:
 			outcomes[v].RollbackErr = ErrNoSnapshot
 		case snaps[v].existed:
-			if err := act.SetLimits(ctx, id, snaps[v].limits); err != nil {
+			if err := b.SetLimits(ctx, id, snaps[v].limits); err != nil {
 				outcomes[v].RollbackErr = err
 			} else {
 				outcomes[v].RolledBack = true
 			}
-		case canDelete:
-			if err := deleter.DeleteGroup(ctx, id); err != nil {
+		case caps.Delete:
+			if err := b.DeleteGroup(ctx, id); err != nil {
 				outcomes[v].RollbackErr = err
 			} else {
 				outcomes[v].RolledBack = true
 			}
 		default:
-			// The push created this cgroup and the actuator cannot
+			// The push created this cgroup and the backend cannot
 			// remove it again.
 			outcomes[v].RollbackErr = ErrNoSnapshot
 		}

@@ -4,8 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"math/rand/v2"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -54,7 +58,7 @@ func (s *scriptedActuator) script(id string, outcomes ...error) {
 	s.fail[id] = append(s.fail[id], outcomes...)
 }
 
-func (s *scriptedActuator) SetLimits(ctx context.Context, id string, l Limits) error {
+func (s *scriptedActuator) SetLimits(ctx context.Context, id string, l actuator.Limits) error {
 	s.mu.Lock()
 	var err error
 	if q := s.fail[id]; len(q) > 0 {
@@ -68,34 +72,36 @@ func (s *scriptedActuator) SetLimits(ctx context.Context, id string, l Limits) e
 	return s.Registry.SetLimits(ctx, id, l)
 }
 
-// setterOnly hides every capability but SetLimits, modelling a
-// write-only actuation path.
-type setterOnly struct{ inner LimitSetter }
-
-func (s setterOnly) SetLimits(ctx context.Context, id string, l Limits) error {
-	return s.inner.SetLimits(ctx, id, l)
+// capsBackend advertises caps over a full backend and counts the
+// snapshot reads that reach it: ApplyBox must go by what a backend
+// advertises, not by the methods it happens to have.
+type capsBackend struct {
+	actuator.Backend
+	caps actuator.Capabilities
+	gets int
 }
 
-// noDelete exposes snapshot reads but no group teardown.
-type noDelete struct {
-	LimitSetter
-	LimitGetter
+func (c *capsBackend) Capabilities() actuator.Capabilities { return c.caps }
+
+func (c *capsBackend) GetLimits(ctx context.Context, id string) (actuator.Limits, error) {
+	c.gets++
+	return c.Backend.GetLimits(ctx, id)
 }
 
 // badGetter fails every snapshot read with a non-NotFound error.
-type badGetter struct{ LimitSetter }
+type badGetter struct{ actuator.Backend }
 
-func (badGetter) GetLimits(context.Context, string) (Limits, error) {
-	return Limits{}, errors.New("snapshot boom")
+func (badGetter) GetLimits(context.Context, string) (actuator.Limits, error) {
+	return actuator.Limits{}, errors.New("snapshot boom")
 }
 
 // seed populates the registry with each VM's original capacities — the
 // pre-push daemon state a rollback must restore.
-func seed(t *testing.T, reg *actuator.Registry, b *trace.Box) map[string]Limits {
+func seed(t *testing.T, reg *actuator.Registry, b *trace.Box) map[string]actuator.Limits {
 	t.Helper()
-	snap := make(map[string]Limits, len(b.VMs))
+	snap := make(map[string]actuator.Limits, len(b.VMs))
 	for _, vm := range b.VMs {
-		l := Limits{CPUGHz: vm.CPUCapGHz, RAMGB: vm.RAMCapGB}
+		l := actuator.Limits{CPUGHz: vm.CPUCapGHz, RAMGB: vm.RAMCapGB}
 		if err := reg.Set(vm.ID, l); err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +251,7 @@ func TestApplyBoxCreatedGroupWithoutDeleter(t *testing.T) {
 	act := newScripted()
 	act.script("vm-1", errors.New("boom"))
 
-	err := ApplyBox(context.Background(), noDelete{LimitSetter: act, LimitGetter: act}, res)
+	err := ApplyBox(context.Background(), &capsBackend{Backend: act, caps: actuator.Capabilities{Name: "no-delete", Snapshot: true}}, res)
 	var pe *PartialApplyError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PartialApplyError", err)
@@ -264,7 +270,10 @@ func TestApplyBoxWriteOnlySetter(t *testing.T) {
 	seed(t, act.Registry, res.Box)
 	act.script("vm-1", errors.New("boom"))
 
-	err := ApplyBox(context.Background(), setterOnly{act}, res)
+	// The backend has GetLimits but advertises no Snapshot: ApplyBox
+	// must go by the advertisement and never read.
+	b := &capsBackend{Backend: act, caps: actuator.Capabilities{Name: "write-only"}}
+	err := ApplyBox(context.Background(), b, res)
 	var pe *PartialApplyError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PartialApplyError", err)
@@ -274,6 +283,9 @@ func TestApplyBoxWriteOnlySetter(t *testing.T) {
 	}
 	if o := pe.Outcomes[0]; !o.Applied || !errors.Is(o.RollbackErr, ErrNoSnapshot) {
 		t.Errorf("vm-0 outcome = %+v, want applied with ErrNoSnapshot", o)
+	}
+	if b.gets != 0 {
+		t.Errorf("ApplyBox read %d snapshots from a backend that advertises none", b.gets)
 	}
 }
 
@@ -343,25 +355,27 @@ func TestChaosRoundTrip(t *testing.T) {
 	reg := actuator.NewRegistry()
 	srv := httptest.NewServer(reg.Handler())
 	defer srv.Close()
-	snaps := make(map[string]Limits)
+	snaps := make(map[string]actuator.Limits)
 	for _, b := range boxes {
 		for k, v := range seed(t, reg, b) {
 			snaps[k] = v
 		}
 	}
-	chaos := resilience.NewChaosTransport(srv.Client().Transport, resilience.ChaosConfig{
-		Seed:       99,
-		DropProb:   0.10,
-		Err5xxProb: 0.15,
-		ResetProb:  0.05,
-	})
+	chaos := &chaosTransport{
+		base:   srv.Client().Transport,
+		rng:    rand.New(rand.NewPCG(99, 99^0x9e3779b97f4a7c15)),
+		drop:   0.10,
+		err5xx: 0.15,
+		reset:  0.05,
+		counts: map[string]int{},
+	}
 	httpc := *srv.Client()
 	httpc.Transport = chaos
 	client, err := actuator.NewClient(srv.URL, &httpc)
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
 	}
-	rc := actuator.NewResilient(client, actuator.ResilientConfig{
+	rc := actuator.NewResilientBackend(client, actuator.ResilientConfig{
 		Retry: resilience.Policy{
 			MaxAttempts: 6,
 			Seed:        1,
@@ -381,7 +395,7 @@ func TestChaosRoundTrip(t *testing.T) {
 				if gerr != nil {
 					t.Fatalf("box %d %s: %v", i, vm.ID, gerr)
 				}
-				want := Limits{
+				want := actuator.Limits{
 					CPUGHz: math.Max(res.CPU.Sizes[v], minLimit),
 					RAMGB:  math.Max(res.RAM.Sizes[v], minLimit),
 				}
@@ -405,13 +419,52 @@ func TestChaosRoundTrip(t *testing.T) {
 	}
 
 	// The round must have actually exercised the fault paths.
-	calls, injected := chaos.Stats()
 	total := 0
-	for _, n := range injected {
+	for _, n := range chaos.counts {
 		total += n
 	}
-	if calls == 0 || total == 0 {
-		t.Fatalf("chaos injected nothing (calls=%d injected=%v)", calls, injected)
+	if chaos.calls == 0 || total == 0 {
+		t.Fatalf("chaos injected nothing (calls=%d injected=%v)", chaos.calls, chaos.counts)
 	}
-	t.Logf("chaos: %d transport calls, injected %v", calls, injected)
+	t.Logf("chaos: %d transport calls, injected %v", chaos.calls, chaos.counts)
+}
+
+// chaosTransport injects seeded faults in front of the daemon: a
+// request is dropped before it is sent, answered with a synthetic 503,
+// or sent with its response lost — the daemon may have applied the
+// write the caller sees fail. Not safe for concurrent use; ApplyBox
+// drives it sequentially.
+type chaosTransport struct {
+	base                http.RoundTripper
+	rng                 *rand.Rand
+	drop, err5xx, reset float64
+	calls               int
+	counts              map[string]int
+}
+
+func (c *chaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	c.calls++
+	drop, err5xx, reset := c.rng.Float64() < c.drop, c.rng.Float64() < c.err5xx, c.rng.Float64() < c.reset
+	if drop || err5xx {
+		if req.Body != nil {
+			req.Body.Close()
+		}
+	}
+	switch {
+	case drop:
+		c.counts["drop"]++
+		return nil, errors.New("chaos: connection reset before send")
+	case err5xx:
+		c.counts["5xx"]++
+		return &http.Response{StatusCode: http.StatusServiceUnavailable, Header: http.Header{},
+			Body: io.NopCloser(strings.NewReader("chaos: injected 503")), Request: req}, nil
+	}
+	resp, err := c.base.RoundTrip(req)
+	if err != nil || !reset {
+		return resp, err
+	}
+	c.counts["reset"]++
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return nil, errors.New("chaos: connection reset awaiting response")
 }

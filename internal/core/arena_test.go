@@ -153,58 +153,6 @@ func TestStepIntoAllocFree(t *testing.T) {
 	}
 }
 
-// TestResetModelClearsIncrementalState checks ResetModel drops the
-// roller and temporal models: the next step must research from
-// scratch and still produce results matching a fresh pipeline.
-func TestResetModelClearsIncrementalState(t *testing.T) {
-	b, spd := stationaryBox(t, 12)
-	cfg := fastConfig(spd)
-	cfg.Workers = 1
-	cfg.Reuse = ReusePolicy{Enabled: true, MaxAge: 100}
-	p, err := NewPipeline(spd, cfg)
-	if err != nil {
-		t.Fatalf("pipeline: %v", err)
-	}
-	ctx := context.Background()
-	windows := rollingWindows(t, b, cfg)
-	for _, wb := range windows[:3] {
-		if _, err := p.StepInto(ctx, wb); err != nil {
-			t.Fatalf("step: %v", err)
-		}
-	}
-	if p.LastResearch() {
-		t.Fatal("third step should have reused the model")
-	}
-	if p.roller == nil {
-		t.Fatal("no roller retained before reset")
-	}
-	p.ResetModel()
-	if p.roller != nil {
-		t.Fatal("roller survived ResetModel")
-	}
-	for _, m := range p.arena.models {
-		if m != nil {
-			t.Fatal("temporal model instance survived ResetModel")
-		}
-	}
-	got, err := p.StepInto(ctx, windows[3])
-	if err != nil {
-		t.Fatalf("post-reset step: %v", err)
-	}
-	if !p.LastResearch() {
-		t.Fatal("post-reset step did not research")
-	}
-	fresh, err := NewPipeline(spd, cfg)
-	if err != nil {
-		t.Fatalf("fresh pipeline: %v", err)
-	}
-	want, err := fresh.StepInto(ctx, windows[3])
-	if err != nil {
-		t.Fatalf("fresh step: %v", err)
-	}
-	compareResults(t, 3, want, got, 0)
-}
-
 // TestRunRollingResultsOwnTheirMemory: RunRolling's retained results
 // are clones, not views of the pipeline's arena — scribbling over step
 // k's sizes, model and prediction changes neither step k+1 nor a

@@ -8,8 +8,8 @@ const (
 	// ReasonReuseDisabled: reuse is off; every window re-searches
 	// (batch-identical behavior).
 	ReasonReuseDisabled = "reuse_disabled"
-	// ReasonColdStart: no signature set retained yet (first step, or
-	// first after ResetModel).
+	// ReasonColdStart: no signature set retained yet (the pipeline's
+	// first step).
 	ReasonColdStart = "cold_start"
 	// ReasonDriftMAPE: the realized prediction error grew past
 	// MAPEGrowth × the baseline recorded at the last research.

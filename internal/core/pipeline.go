@@ -196,9 +196,6 @@ func NewPipeline(samplesPerDay int, cfg Config) (*Pipeline, error) {
 	return &Pipeline{cfg: cfg, samplesPerDay: samplesPerDay, factory: factory}, nil
 }
 
-// Config returns the pipeline's configuration.
-func (p *Pipeline) Config() Config { return p.cfg }
-
 // LastResearch reports whether the most recent step ran a full
 // signature search (vs a refit of the retained set).
 func (p *Pipeline) LastResearch() bool { return p.lastResearch }
@@ -211,11 +208,6 @@ func (p *Pipeline) LastResearch() bool { return p.lastResearch }
 // per-step signal: the next observation within bounds clears it.
 // Always false with reuse disabled (there is no drift baseline).
 func (p *Pipeline) SevereDrift() bool { return p.severeDrift }
-
-// Signatures returns the retained signature set (nil before the first
-// step). The slice is the pipeline's own copy; callers must not
-// mutate it.
-func (p *Pipeline) Signatures() []int { return p.sigs }
 
 // meanDependentR2 averages the training R² of the model's dependent
 // fits; a model whose every series is a signature scores 1.
@@ -266,30 +258,5 @@ func (p *Pipeline) observe(pred *BoxPrediction) {
 		}
 	default:
 		p.driftStreak = 0
-	}
-}
-
-// ResetModel drops the retained signature set and drift state, forcing
-// the next step to run a full signature search — e.g. after a box's
-// VM population changes. It also discards the incremental step state:
-// the roller's cached Cholesky factorization, the envelope bank's
-// rolled-window history, and the retained temporal model instances.
-// Arena buffers are kept (they carry no model state, only capacity); a
-// prepared model phase is discarded with the model it was fitted from.
-func (p *Pipeline) ResetModel() {
-	p.held.set = false
-	p.sigs = nil
-	p.age = 0
-	p.haveBase = false
-	p.driftStreak = 0
-	p.researchNext = false
-	p.researchCause = ""
-	p.severeDrift = false
-	p.roller = nil
-	if p.bank != nil {
-		p.bank.Reset()
-	}
-	for i := range p.arena.models {
-		p.arena.models[i] = nil
 	}
 }

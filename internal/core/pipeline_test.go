@@ -99,8 +99,8 @@ func TestWindowBoxAliasing(t *testing.T) {
 	b, _ := stationaryBox(t, 3)
 	wb := windowBox(t, b, 8, 24)
 	for v := range wb.VMs {
-		if wb.VMs[v].CPU.Len() != 16 {
-			t.Fatalf("vm %d window len = %d", v, wb.VMs[v].CPU.Len())
+		if len(wb.VMs[v].CPU) != 16 {
+			t.Fatalf("vm %d window len = %d", v, len(wb.VMs[v].CPU))
 		}
 		if &wb.VMs[v].CPU[0] != &b.VMs[v].CPU[8] || &wb.VMs[v].RAM[0] != &b.VMs[v].RAM[8] {
 			t.Errorf("vm %d window does not alias parent storage", v)
@@ -114,43 +114,6 @@ func TestWindowBoxAliasing(t *testing.T) {
 	}
 	if err := windowInto(wb, b, 4, 4); err == nil {
 		t.Error("empty window accepted")
-	}
-}
-
-// TestPipelineResetModel checks ResetModel forces a research on the
-// next step.
-func TestPipelineResetModel(t *testing.T) {
-	b, spd := stationaryBox(t, 4) // 64 samples: exactly T+2H
-	cfg := fastConfig(spd)
-	cfg.Reuse = ReusePolicy{Enabled: true}
-	p, err := NewPipeline(spd, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	wb := windowBox(t, b, 0, cfg.TrainWindows+cfg.Horizon)
-	if _, err := p.StepInto(ctx, wb); err != nil {
-		t.Fatalf("step 1: %v", err)
-	}
-	if !p.LastResearch() || p.Signatures() == nil {
-		t.Fatal("cold step did not research")
-	}
-	wb2 := windowBox(t, b, cfg.Horizon, cfg.TrainWindows+2*cfg.Horizon)
-	if _, err := p.StepInto(ctx, wb2); err != nil {
-		t.Fatalf("step 2: %v", err)
-	}
-	if p.LastResearch() {
-		t.Error("second step on stationary window researched instead of refitting")
-	}
-	p.ResetModel()
-	if p.Signatures() != nil {
-		t.Error("ResetModel kept signatures")
-	}
-	if _, err := p.StepInto(ctx, wb2); err != nil {
-		t.Fatalf("step 3: %v", err)
-	}
-	if !p.LastResearch() {
-		t.Error("step after ResetModel did not research")
 	}
 }
 

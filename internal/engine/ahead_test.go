@@ -19,9 +19,8 @@ func modelPhases(outcome string) float64 {
 // spanStart returns when the named span of the box's given step began.
 func (f *schedFixture) spanStart(name string, box, step int) time.Time {
 	f.t.Helper()
-	for _, sp := range f.spans.Spans() {
-		id, _ := sp.Attrs.Get("box")
-		if n, _ := sp.Attrs.Get("step"); sp.Name == name && id == f.boxes[box].ID && n == step {
+	for _, sp := range f.spans.all() {
+		if sp.Name == name && attr(sp, "box") == f.boxes[box].ID && attr(sp, "step") == step {
 			return sp.Start
 		}
 	}

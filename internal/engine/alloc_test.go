@@ -29,7 +29,7 @@ func TestEngineSyncAllocFree(t *testing.T) {
 	cfg.Reuse = core.ReusePolicy{Enabled: true, MaxAge: 1 << 30, MAPEGrowth: 1e12}
 
 	total := len(b.VMs[0].CPU)
-	st, err := state.NewStore(total)
+	st, err := state.NewStoreSharded(total, 1)
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
 	}
@@ -44,6 +44,7 @@ func TestEngineSyncAllocFree(t *testing.T) {
 	ctx := context.Background()
 	cpu := make([]float64, len(b.VMs))
 	ram := make([]float64, len(b.VMs))
+	cpuTick, ramTick := [][]float64{cpu}, [][]float64{ram}
 	tick := 0
 	ingest := func(n int) {
 		for ; n > 0; n-- {
@@ -51,7 +52,7 @@ func TestEngineSyncAllocFree(t *testing.T) {
 				cpu[v] = b.VMs[v].CPU[tick]
 				ram[v] = b.VMs[v].RAM[tick]
 			}
-			if _, err := st.Append(b.ID, cpu, ram); err != nil {
+			if _, err := st.AppendBatch(b.ID, cpuTick, ramTick); err != nil {
 				t.Fatalf("append tick %d: %v", tick, err)
 			}
 			tick++

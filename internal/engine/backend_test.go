@@ -3,7 +3,9 @@ package engine
 import (
 	"context"
 	"errors"
+	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"atm/internal/actuator"
@@ -15,16 +17,16 @@ import (
 // backendFixture builds a store + engine over a generated box with the
 // given actuation wiring, replays the trace and returns the counting
 // wrapper around the registry target.
-func backendFixture(t *testing.T, mutate func(*Config)) (*actuator.Registry, *actuator.CountingBackend, *Engine, *trace.Box) {
+func backendFixture(t *testing.T, mutate func(*Config)) (*actuator.Registry, *countingBackend, *Engine, *trace.Box) {
 	t.Helper()
 	b, spd := genBox(29)
 	core := fastConfig(spd, false)
-	st, err := state.NewStore(core.TrainWindows + 2*core.Horizon)
+	st, err := state.NewStoreSharded(core.TrainWindows+2*core.Horizon, 1)
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
 	}
 	reg := actuator.NewRegistry()
-	cb := actuator.NewCountingBackend(reg)
+	cb := &countingBackend{Backend: reg}
 	cfg := Config{Core: core, SamplesPerDay: spd, Backend: cb}
 	if mutate != nil {
 		mutate(&cfg)
@@ -37,12 +39,12 @@ func backendFixture(t *testing.T, mutate func(*Config)) (*actuator.Registry, *ac
 	return reg, cb, e, b
 }
 
-// TestEngineBackendActuates wires an actuator.Backend (not the legacy
-// Setter) into the engine and requires published plans to land in the
-// target: the registry must hold exactly the latest plan's sizes.
+// TestEngineBackendActuates wires an actuator.Backend into the engine
+// and requires published plans to land in the target: the registry
+// must hold exactly the latest plan's sizes.
 func TestEngineBackendActuates(t *testing.T) {
 	reg, cb, e, b := backendFixture(t, nil)
-	if cb.Writes() == 0 {
+	if cb.writes.Load() == 0 {
 		t.Fatal("backend saw no writes despite Config.Backend")
 	}
 	plan, ok := e.Plan(b.ID)
@@ -77,14 +79,11 @@ func TestEngineDryRunZeroWrites(t *testing.T) {
 	if _, ok := e.Plan(b.ID); !ok {
 		t.Fatal("dry-run engine published no plan")
 	}
-	if n := cb.Writes(); n != 0 {
+	if n := cb.writes.Load(); n != 0 {
 		t.Fatalf("dry-run backend saw %d writes, want 0", n)
 	}
 	if len(reg.Snapshot()) != 0 {
 		t.Fatal("dry-run engine mutated the registry")
-	}
-	if !e.DryRun() {
-		t.Fatal("DryRun() = false")
 	}
 }
 
@@ -95,7 +94,7 @@ func TestEnginePolicyClamps(t *testing.T) {
 	const maxCPU = 0.5
 	pc := policy.Config{Rules: []policy.Rule{{Match: "*", MaxCPUGHz: maxCPU}}}
 	reg, cb, e, b := backendFixture(t, func(c *Config) { c.Policy = &pc })
-	if cb.Writes() == 0 {
+	if cb.writes.Load() == 0 {
 		t.Fatal("no writes reached the backend")
 	}
 	for vm, l := range reg.Snapshot() {
@@ -111,18 +110,14 @@ func TestEnginePolicyClamps(t *testing.T) {
 	}
 }
 
-// TestEngineBackendConfigValidation pins the Config invariants:
-// Backend and Setter are mutually exclusive, Policy needs Backend.
+// TestEngineBackendConfigValidation pins the Config invariant: Policy
+// needs Backend.
 func TestEngineBackendConfigValidation(t *testing.T) {
 	_, spd := genBox(31)
 	core := fastConfig(spd, false)
-	st, err := state.NewStore(core.TrainWindows + 2*core.Horizon)
+	st, err := state.NewStoreSharded(core.TrainWindows+2*core.Horizon, 1)
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
-	}
-	reg := actuator.NewRegistry()
-	if _, err := New(st, Config{Core: core, SamplesPerDay: spd, Backend: reg, Setter: reg}); err == nil {
-		t.Error("Backend+Setter accepted, want error")
 	}
 	if _, err := New(st, Config{Core: core, SamplesPerDay: spd, Policy: &policy.Config{}}); err == nil {
 		t.Error("Policy without Backend accepted, want error")
@@ -136,11 +131,11 @@ func TestEngineBackendConfigValidation(t *testing.T) {
 func TestEngineApplyErrorInLastErr(t *testing.T) {
 	b, spd := genBox(29)
 	core := fastConfig(spd, false)
-	st, err := state.NewStore(core.TrainWindows + 2*core.Horizon)
+	st, err := state.NewStoreSharded(core.TrainWindows+2*core.Horizon, 1)
 	if err != nil {
 		t.Fatalf("NewStore: %v", err)
 	}
-	failing := actuator.NewFlakyBackend(actuator.NewRegistry(), 1, 1)
+	failing := &refusingBackend{Backend: actuator.NewRegistry()}
 	e, err := New(st, Config{Core: core, SamplesPerDay: spd, Backend: failing})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -155,7 +150,7 @@ func TestEngineApplyErrorInLastErr(t *testing.T) {
 			cpu[v] = b.VMs[v].CPU[tick]
 			ram[v] = b.VMs[v].RAM[tick]
 		}
-		if _, err := st.Append(b.ID, cpu, ram); err != nil {
+		if _, err := st.AppendBatch(b.ID, [][]float64{cpu}, [][]float64{ram}); err != nil {
 			t.Fatalf("append tick %d: %v", tick, err)
 		}
 	}
@@ -171,7 +166,42 @@ func TestEngineApplyErrorInLastErr(t *testing.T) {
 	if dbg, ok := e.Debug(b.ID); !ok || !strings.Contains(dbg.LastErr, "injected failure") {
 		t.Fatalf("debug last_err = %q, want the apply failure", dbg.LastErr)
 	}
-	if _, failures := failing.Stats(); failures == 0 {
+	if failing.refused.Load() == 0 {
 		t.Fatal("backend never refused a write")
 	}
+}
+
+// countingBackend counts the reads and writes that reach the wrapped
+// backend; a what-if pass over it must leave writes at zero.
+type countingBackend struct {
+	actuator.Backend
+	reads, writes atomic.Int64
+}
+
+func (c *countingBackend) SetLimits(ctx context.Context, id string, l actuator.Limits) error {
+	c.writes.Add(1)
+	return c.Backend.SetLimits(ctx, id, l)
+}
+
+func (c *countingBackend) GetLimits(ctx context.Context, id string) (actuator.Limits, error) {
+	c.reads.Add(1)
+	return c.Backend.GetLimits(ctx, id)
+}
+
+func (c *countingBackend) DeleteGroup(ctx context.Context, id string) error {
+	c.writes.Add(1)
+	return c.Backend.DeleteGroup(ctx, id)
+}
+
+// refusingBackend fails every write with a transient 503 before it
+// reaches the wrapped backend.
+type refusingBackend struct {
+	actuator.Backend
+	refused atomic.Int64
+}
+
+func (r *refusingBackend) SetLimits(_ context.Context, id string, _ actuator.Limits) error {
+	r.refused.Add(1)
+	return &actuator.Error{Op: "set_limits", ID: id, Status: http.StatusServiceUnavailable,
+		Err: errors.New("injected failure")}
 }

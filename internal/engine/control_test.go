@@ -7,6 +7,7 @@ import (
 	"atm/internal/core"
 	"atm/internal/obs"
 	"atm/internal/state"
+	"atm/internal/trace"
 )
 
 // TestEngineControlParity is the tentpole's consistency guarantee at
@@ -73,8 +74,8 @@ func TestEngineControlBlends(t *testing.T) {
 	// λ=0 ships the stingy allocation of the plan's window: every VM at
 	// its training-peak demand (modulo the proportional capacity fit).
 	from := plan.Step * cfg.Horizon
-	wb, err := st.Window(b.ID, from, cfg.TrainWindows+(plan.Step+1)*cfg.Horizon)
-	if err != nil {
+	wb := &trace.Box{}
+	if err := st.WindowInto(b.ID, from, cfg.TrainWindows+(plan.Step+1)*cfg.Horizon, wb); err != nil {
 		t.Fatalf("window: %v", err)
 	}
 	for r, want := range [][]float64{

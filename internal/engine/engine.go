@@ -105,26 +105,19 @@ type Config struct {
 	// stays inline (Core.Workers pinned to 1), like core.Run's fleet
 	// fan-out.
 	Workers int
-	// Setter, when non-nil, receives each completed plan through the
-	// transactional core.ApplyBox push (snapshot, apply, rollback on
-	// partial failure). Wrap it in actuator.Resilient for retry +
-	// circuit breaking. A nil Setter leaves the engine plan-only.
-	// Mutually exclusive with Backend.
-	Setter core.LimitSetter
-	// Backend, when non-nil, is the pluggable actuation target plans
-	// are pushed to — the cgroups-daemon client, the Kubernetes
-	// in-place resize backend, the testbed simulator, or any other
-	// actuator.Backend (wrap it in actuator.NewResilientBackend for
-	// retry + circuit breaking first). Unlike the legacy Setter field
-	// it also powers the what-if route: the serve layer reads current
-	// limits through it to build dry-run plans. Mutually exclusive
-	// with Setter.
+	// Backend, when non-nil, is the actuation target plans are pushed
+	// to through the transactional core.ApplyBox (snapshot, apply,
+	// rollback on partial failure) — the cgroups-daemon client, the
+	// testbed simulator, or any other actuator.Backend (wrap it in
+	// actuator.NewResilientBackend for retry + circuit breaking first).
+	// The serve layer also reads current limits through it to build
+	// what-if plans. A nil Backend leaves the engine plan-only.
 	Backend actuator.Backend
 	// Policy, when non-nil, applies the operator's min/max/step clamps
 	// and write rate limits (actuator/policy) in front of Backend
 	// before any write. Requires Backend.
 	Policy *policy.Config
-	// DryRun keeps the engine plan-only even with a Backend or Setter
+	// DryRun keeps the engine plan-only even with a Backend
 	// configured: every plan publishes, the what-if route works, and
 	// nothing is ever written to the actuation target.
 	DryRun bool
@@ -257,6 +250,9 @@ func (sh *engineShard) quiesce() {
 type Engine struct {
 	store *state.Store
 	cfg   Config
+	// write is the policy-guarded Backend plans are applied through;
+	// nil when the engine is plan-only or DryRun.
+	write actuator.Backend
 
 	shards   []engineShard
 	passHist []*obs.Histogram // per-shard pass timer, resolved once (With allocates)
@@ -301,32 +297,26 @@ func New(store *state.Store, cfg Config) (*Engine, error) {
 	if cfg.Poll <= 0 {
 		cfg.Poll = time.Second
 	}
-	// Compose the effective actuation path. Backend is the pluggable
-	// route: policy rails wrap it first (so every write — engine apply
-	// or rollback — passes the same clamps), and the result feeds the
-	// unchanged transactional Setter path. DryRun severs the write path
-	// entirely while keeping Backend readable for what-if plans.
-	if cfg.Backend != nil && cfg.Setter != nil {
-		return nil, errors.New("engine: Backend and Setter are mutually exclusive")
-	}
+	// Compose the write path: policy rails wrap Backend, so every write
+	// — engine apply or rollback — passes the same clamps. DryRun severs
+	// the write path entirely while keeping Backend readable for
+	// what-if plans.
 	if cfg.Policy != nil && cfg.Backend == nil {
 		return nil, errors.New("engine: Policy requires Backend")
 	}
-	if cfg.Backend != nil {
-		var b actuator.Backend = cfg.Backend
+	var write actuator.Backend
+	if cfg.Backend != nil && !cfg.DryRun {
+		write = cfg.Backend
 		if cfg.Policy != nil {
-			b = policy.NewGuard(b, *cfg.Policy)
+			write = policy.NewGuard(write, *cfg.Policy)
 		}
-		cfg.Setter = b
-	}
-	if cfg.DryRun {
-		cfg.Setter = nil
 	}
 	// The step scheduler owns the parallelism; per-box work stays inline.
 	cfg.Core.Workers = 1
 	e := &Engine{
 		store:    store,
 		cfg:      cfg,
+		write:    write,
 		shards:   make([]engineShard, store.Shards()),
 		passHist: make([]*obs.Histogram, store.Shards()),
 		sched:    sched{slots: parallel.ResolveWorkers(math.MaxInt, cfg.Workers), lastAppend: store.LastAppend},
@@ -703,8 +693,8 @@ func (e *Engine) finish(ctx context.Context, br *boxRun, dispatched, ready time.
 	e.release(timed, dispatched, 2*len(wb.VMs))
 	step := br.steps
 	var applyErr error
-	if e.cfg.Setter != nil && !res.Degraded {
-		applyErr = core.ApplyBox(ctx, e.cfg.Setter, res)
+	if e.write != nil && !res.Degraded {
+		applyErr = core.ApplyBox(ctx, e.write, res)
 	}
 	dec := br.pipe.LastDecision()
 	sh.mu.Lock()
@@ -915,9 +905,9 @@ func (e *Engine) Plan(id string) (Plan, bool) {
 }
 
 // Backend returns the configured actuation backend, or nil when the
-// engine runs plan-only or through the legacy Setter field. The serve
-// layer uses it to answer what-if queries; writes still go through the
-// policy-guarded transactional path composed in New.
+// engine runs plan-only. The serve layer uses it to answer what-if
+// queries; writes go through the policy-guarded transactional path
+// composed in New.
 func (e *Engine) Backend() actuator.Backend { return e.cfg.Backend }
 
 // PolicyConfig returns the policy rails in force and whether any were
@@ -929,10 +919,6 @@ func (e *Engine) PolicyConfig() (policy.Config, bool) {
 	return *e.cfg.Policy, true
 }
 
-// DryRun reports whether the engine is pinned plan-only despite a
-// configured actuation target.
-func (e *Engine) DryRun() bool { return e.cfg.DryRun }
-
 // Steps returns how many rolling steps have fired for the box.
 func (e *Engine) Steps(id string) int {
 	sh := e.shardOf(id)
@@ -942,18 +928,6 @@ func (e *Engine) Steps(id string) int {
 		return br.steps
 	}
 	return 0
-}
-
-// LastErr returns the box's most recent step/apply error (nil when
-// the last step succeeded cleanly).
-func (e *Engine) LastErr(id string) error {
-	sh := e.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if br := sh.boxes[id]; br != nil {
-		return br.lastErr
-	}
-	return nil
 }
 
 // Scores returns the engine's forecast scoring board.

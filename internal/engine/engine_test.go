@@ -71,7 +71,7 @@ func replay(t *testing.T, e *Engine, st *state.Store, b *trace.Box) []Plan {
 			cpu[v] = b.VMs[v].CPU[tick]
 			ram[v] = b.VMs[v].RAM[tick]
 		}
-		if _, err := st.Append(b.ID, cpu, ram); err != nil {
+		if _, err := st.AppendBatch(b.ID, [][]float64{cpu}, [][]float64{ram}); err != nil {
 			t.Fatalf("append tick %d: %v", tick, err)
 		}
 		e.Sync(ctx)
@@ -172,7 +172,7 @@ func TestEngineBatchParity(t *testing.T) {
 func TestEngineCatchUp(t *testing.T) {
 	b, spd := genBox(17)
 	cfg := fastConfig(spd, false)
-	st, _ := state.NewStore(len(b.VMs[0].CPU)) // retain everything
+	st, _ := state.NewStoreSharded(len(b.VMs[0].CPU), 1) // retain everything
 	if err := st.Register(state.MetaOf(b)); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestEngineCatchUp(t *testing.T) {
 			cpu[v] = b.VMs[v].CPU[tick]
 			ram[v] = b.VMs[v].RAM[tick]
 		}
-		if _, err := st.Append(b.ID, cpu, ram); err != nil {
+		if _, err := st.AppendBatch(b.ID, [][]float64{cpu}, [][]float64{ram}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -205,11 +205,11 @@ func TestEngineConfigErrors(t *testing.T) {
 	if _, err := New(nil, Config{Core: cfg, SamplesPerDay: spd}); err == nil {
 		t.Error("nil store accepted")
 	}
-	st, _ := state.NewStore(8) // too small for train+horizon
+	st, _ := state.NewStoreSharded(8, 1) // too small for train+horizon
 	if _, err := New(st, Config{Core: cfg, SamplesPerDay: spd}); err == nil {
 		t.Error("undersized store accepted")
 	}
-	big, _ := state.NewStore(cfg.TrainWindows + cfg.Horizon)
+	big, _ := state.NewStoreSharded(cfg.TrainWindows+cfg.Horizon, 1)
 	bad := cfg
 	bad.Horizon = 0
 	if _, err := New(big, Config{Core: bad, SamplesPerDay: spd}); err == nil {
@@ -259,7 +259,7 @@ func TestEngineSoak(t *testing.T) {
 					cpu[v] = b.VMs[v].CPU[tick]
 					ram[v] = b.VMs[v].RAM[tick]
 				}
-				if _, err := st.Append(b.ID, cpu, ram); err != nil {
+				if _, err := st.AppendBatch(b.ID, [][]float64{cpu}, [][]float64{ram}); err != nil {
 					t.Errorf("append %s: %v", b.ID, err)
 					return
 				}

@@ -116,7 +116,7 @@ func TestEngineDecisionObservability(t *testing.T) {
 // TestEngineDebugUnknownBox: Debug on a never-seen box reports false.
 func TestEngineDebugUnknownBox(t *testing.T) {
 	b, spd := genBox(3)
-	st, err := state.NewStore(len(b.VMs[0].CPU))
+	st, err := state.NewStoreSharded(len(b.VMs[0].CPU), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

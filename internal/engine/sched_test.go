@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"atm/internal/actuator"
 	"atm/internal/core"
 	"atm/internal/obs"
 	"atm/internal/predict"
@@ -154,13 +155,41 @@ func (m *hookModel) Fit(h timeseries.Series) error {
 	return m.SeasonalNaive.Fit(h)
 }
 
+// spanLog keeps every finished span, in the order they ended.
+type spanLog struct {
+	mu    sync.Mutex
+	spans []obs.SpanData
+}
+
+func (l *spanLog) ExportSpan(s obs.SpanData) {
+	l.mu.Lock()
+	l.spans = append(l.spans, s)
+	l.mu.Unlock()
+}
+
+func (l *spanLog) all() []obs.SpanData {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]obs.SpanData(nil), l.spans...)
+}
+
+// attr returns the span's value for key, nil when unset.
+func attr(sp obs.SpanData, key string) any {
+	for _, a := range sp.Attrs {
+		if a.Key == key {
+			return a.Value
+		}
+	}
+	return nil
+}
+
 // schedFixture is a sharded store and engine over generated boxes of
 // chosen sizes, every box on a shard of its own.
 type schedFixture struct {
 	t     testing.TB
 	st    *state.Store
 	e     *Engine
-	spans *obs.RingExporter
+	spans *spanLog
 	boxes []trace.Box
 	fed   []int // ticks appended so far, per box
 
@@ -195,7 +224,7 @@ func newSchedFixture(t testing.TB, shards int, vms []int, fit func(), mutate fun
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &schedFixture{t: t, st: st, spans: obs.NewRingExporter(1024), boxes: tr.Boxes, fed: make([]int, len(vms))}
+	f := &schedFixture{t: t, st: st, spans: &spanLog{}, boxes: tr.Boxes, fed: make([]int, len(vms))}
 	cc.Temporal = func() predict.Model {
 		return &hookModel{SeasonalNaive: predict.SeasonalNaive{Period: spd}, fit: func(h timeseries.Series) {
 			if at, ok := f.phases[seriesHash(h)]; ok && at[0] >= 0 && f.onFit != nil {
@@ -262,7 +291,7 @@ func (f *schedFixture) feed(i, to int) {
 			cpu[v] = b.VMs[v].CPU[tick]
 			ram[v] = b.VMs[v].RAM[tick]
 		}
-		if _, err := f.st.Append(b.ID, cpu, ram); err != nil {
+		if _, err := f.st.AppendBatch(b.ID, [][]float64{cpu}, [][]float64{ram}); err != nil {
 			f.t.Fatalf("append %s: %v", b.ID, err)
 		}
 	}
@@ -313,16 +342,15 @@ func (f *schedFixture) dispatchOrder(step int) []int {
 		index[f.boxes[i].ID] = i
 	}
 	var steps []obs.SpanData
-	for _, sp := range f.spans.Spans() {
-		if n, _ := sp.Attrs.Get("step"); sp.Name == "engine.step" && n == step {
+	for _, sp := range f.spans.all() {
+		if n := attr(sp, "step"); sp.Name == "engine.step" && n == step {
 			steps = append(steps, sp)
 		}
 	}
 	slices.SortFunc(steps, func(a, b obs.SpanData) int { return a.Start.Compare(b.Start) })
 	order := make([]int, len(steps))
 	for k, sp := range steps {
-		id, _ := sp.Attrs.Get("box")
-		order[k] = index[id.(string)]
+		order[k] = index[attr(sp, "box").(string)]
 	}
 	return order
 }
@@ -474,14 +502,15 @@ func TestEngineLargeStepNotStarved(t *testing.T) {
 	}
 }
 
-// blockingSetter is an actuation target whose first write blocks until
-// released.
-type blockingSetter struct {
+// blockingBackend is an actuation target whose first write blocks
+// until released.
+type blockingBackend struct {
+	actuator.Backend
 	written          atomic.Bool
 	blocked, unblock chan struct{}
 }
 
-func (s *blockingSetter) SetLimits(context.Context, string, core.Limits) error {
+func (s *blockingBackend) SetLimits(context.Context, string, actuator.Limits) error {
 	if s.written.CompareAndSwap(false, true) {
 		close(s.blocked)
 		<-s.unblock
@@ -493,10 +522,10 @@ func (s *blockingSetter) SetLimits(context.Context, string, core.Limits) error {
 // push is stuck in the backend has already given its slot back — a box
 // on another shard computes and publishes its step meanwhile.
 func TestEngineBlockedBackendHoldsNoSlot(t *testing.T) {
-	set := &blockingSetter{blocked: make(chan struct{}), unblock: make(chan struct{})}
+	set := &blockingBackend{Backend: actuator.NewRegistry(), blocked: make(chan struct{}), unblock: make(chan struct{})}
 	f := newSchedFixture(t, 2, []int{3, 3}, func() {}, func(c *Config) {
 		c.Workers = 1
-		c.Setter = set
+		c.Backend = set
 	})
 	stop := f.run()
 	f.feed(0, f.e.Need(0))

@@ -42,7 +42,7 @@ func replayFleet(t *testing.T, e *Engine, st *state.Store, tr *trace.Trace, ever
 				cpu[v] = b.VMs[v].CPU[tick]
 				ram[v] = b.VMs[v].RAM[tick]
 			}
-			if _, err := st.Append(b.ID, cpu, ram); err != nil {
+			if _, err := st.AppendBatch(b.ID, [][]float64{cpu}, [][]float64{ram}); err != nil {
 				t.Fatalf("append %s tick %d: %v", b.ID, tick, err)
 			}
 		}
@@ -137,7 +137,7 @@ func TestEngineDirtyPassInspectsOnlyDirty(t *testing.T) {
 
 	for i := 0; i < dirty; i++ {
 		id := fmt.Sprintf("box-%03d", i*7)
-		if _, err := st.Append(id, []float64{1}, []float64{2}); err != nil {
+		if _, err := st.AppendBatch(id, [][]float64{{1}}, [][]float64{{2}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -211,7 +211,7 @@ func TestEngineConcurrentSyncAndAppend(t *testing.T) {
 					cpu[v] = b.VMs[v].CPU[tick]
 					ram[v] = b.VMs[v].RAM[tick]
 				}
-				if _, err := st.Append(b.ID, cpu, ram); err != nil {
+				if _, err := st.AppendBatch(b.ID, [][]float64{cpu}, [][]float64{ram}); err != nil {
 					t.Errorf("append %s: %v", b.ID, err)
 					return
 				}

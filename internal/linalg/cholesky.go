@@ -5,9 +5,9 @@ import (
 	"math"
 )
 
-// Gram returns the Gram matrix A'A. The summation order matches what
-// Ridge historically used, so callers caching the Gram and adding a
-// ridge term later reproduce Ridge's results bit for bit.
+// Gram returns the Gram matrix A'A. The summation order is fixed, so
+// callers caching the Gram and adding a ridge term later reproduce a
+// fresh normal-equations solve bit for bit.
 func Gram(a *Matrix) *Matrix {
 	p := a.cols
 	g := NewMatrix(p, p)
@@ -79,9 +79,6 @@ func CholeskyDecompose(g *Matrix) (*Cholesky, error) {
 	}
 	return &Cholesky{l: l}, nil
 }
-
-// Size returns the dimension of the factored matrix.
-func (c *Cholesky) Size() int { return c.l.rows }
 
 // Solve returns x with G·x = b via forward substitution L·y = b and
 // back substitution L'·x = y.

@@ -8,12 +8,10 @@ import (
 // QR is a cached Householder QR factorization of a single design
 // matrix. Factoring costs O(n·p²); every subsequent Solve costs only
 // O(n·p) — the reflectors are replayed against the new right-hand side
-// and the cached upper triangle is back-substituted. The arithmetic is
-// exactly the sequence LeastSquares performs, so QRDecompose+Solve is
-// bit-identical to a fresh LeastSquares call; the type exists so
-// callers fitting many targets against one predictor set (the spatial
-// models fit every dependent series on the same signatures) stop
-// re-factorizing the same matrix.
+// and the cached upper triangle is back-substituted, so callers
+// fitting many targets against one predictor set (the spatial models
+// fit every dependent series on the same signatures) never
+// re-factorize the same matrix.
 type QR struct {
 	rows, cols int
 	// r holds the reduced matrix; its upper triangle is R.
@@ -28,10 +26,9 @@ type QR struct {
 	tol float64
 }
 
-// QRDecompose factors a by Householder reflections with the same
-// column checks for rank deficiency as LeastSquares. A must have at
-// least as many rows as columns; a (numerically) rank-deficient matrix
-// surfaces as ErrSingular.
+// QRDecompose factors a by Householder reflections with column checks
+// for rank deficiency. A must have at least as many rows as columns;
+// a (numerically) rank-deficient matrix surfaces as ErrSingular.
 func QRDecompose(a *Matrix) (*QR, error) {
 	if a.rows < a.cols {
 		return nil, fmt.Errorf("qr underdetermined %dx%d: %w", a.rows, a.cols, ErrShape)
@@ -101,16 +98,9 @@ func QRDecompose(a *Matrix) (*QR, error) {
 	return q, nil
 }
 
-// Rows returns the row count of the factored matrix.
-func (q *QR) Rows() int { return q.rows }
-
-// Cols returns the column count of the factored matrix.
-func (q *QR) Cols() int { return q.cols }
-
 // Solve returns the least-squares solution of min ||Ax - b||2 for the
 // factored A: it replays the cached reflectors onto b and
-// back-substitutes the cached R. The result is bit-identical to
-// LeastSquares(A, b).
+// back-substitutes the cached R.
 func (q *QR) Solve(b []float64) ([]float64, error) {
 	if q.rows != len(b) {
 		return nil, fmt.Errorf("qr solve %dx%d with %d-vector: %w", q.rows, q.cols, len(b), ErrShape)

@@ -13,11 +13,6 @@ import (
 // The from-scratch Gram/CholeskyDecompose path remains the reference;
 // callers fall back to it whenever a downdate breaks down.
 
-// Clone returns an independent copy of the factor.
-func (c *Cholesky) Clone() *Cholesky {
-	return &Cholesky{l: c.l.Clone()}
-}
-
 // scratch returns a p-length work vector owned by the factor, so the
 // up/downdate recurrences and SolveInto never allocate. The factor is
 // not safe for concurrent use anyway (it is mutated in place), so a
@@ -227,12 +222,6 @@ func (sg *SlidingGram) rankOne(row []float64, sign float64) {
 
 // N returns the current row count.
 func (sg *SlidingGram) N() int { return sg.n }
-
-// Cols returns the design width p.
-func (sg *SlidingGram) Cols() int { return sg.p }
-
-// Targets returns the number of regression targets.
-func (sg *SlidingGram) Targets() int { return sg.targets }
 
 // Gram returns the live accumulator matrix. Callers must not mutate
 // it; Clone before adding ridge terms.

@@ -110,7 +110,7 @@ type io_discard struct{}
 
 func (io_discard) Write(p []byte) (int, error) { return len(p), nil }
 
-func TestStartSpanLinkedAdoptsTrace(t *testing.T) {
+func TestLinkedSpanAdoptsTrace(t *testing.T) {
 	ring := NewRingExporter(16)
 	tr := NewTracer(ring)
 	ctx := WithTracer(context.Background(), tr)
@@ -122,8 +122,8 @@ func TestStartSpanLinkedAdoptsTrace(t *testing.T) {
 	}
 	root.End()
 
-	// A later, unrelated context adopts the recorded ids.
-	_, linked := StartSpanLinked(WithTracer(context.Background(), tr), "engine.step", rootTrace, rootSpan)
+	// A later, unrelated span adopts the recorded ids.
+	linked := tr.LinkedSpan("engine.step", rootTrace, rootSpan)
 	if linked.TraceID() != rootTrace {
 		t.Fatalf("linked trace = %q, want %q", linked.TraceID(), rootTrace)
 	}
@@ -138,20 +138,21 @@ func TestStartSpanLinkedAdoptsTrace(t *testing.T) {
 	}
 
 	// Empty trace id degrades to a fresh root.
-	_, fresh := StartSpanLinked(WithTracer(context.Background(), tr), "engine.step", "", "")
+	fresh := tr.LinkedSpan("engine.step", "", "")
 	if fresh.TraceID() == rootTrace || fresh.TraceID() == "" {
 		t.Fatalf("fresh linked span trace = %q", fresh.TraceID())
 	}
 	fresh.End()
 
 	// No tracer: nil span, all methods safe.
-	_, none := StartSpanLinked(context.Background(), "x", rootTrace, rootSpan)
+	var none *Span = (*Tracer)(nil).LinkedSpan("x", rootTrace, rootSpan)
 	if none != nil {
 		t.Fatal("expected nil span without a tracer")
 	}
 	if none.TraceID() != "" || none.SpanID() != "" {
 		t.Fatal("nil span ids must be empty")
 	}
+	none.End()
 }
 
 func TestRingExporterCountsOverwrites(t *testing.T) {

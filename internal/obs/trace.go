@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -12,15 +11,14 @@ import (
 )
 
 // Exporter loss accounting: the ring drops its oldest span on every
-// overwrite, the JSONL/file exporters drop on write or rotation
-// failure. One counter, labeled by exporter kind.
+// overwrite, the file exporter drops on write or rotation failure. One
+// counter, labeled by exporter kind.
 var (
 	traceDropped = Default().CounterVec("atm_trace_dropped_total",
-		"Finished spans dropped by exporters: ring overwrites of the oldest span, JSONL/file write or rotation failures.",
+		"Finished spans dropped by exporters: ring overwrites of the oldest span, file write or rotation failures.",
 		"exporter")
-	ringSpansDropped  = traceDropped.With("ring")
-	jsonlSpansDropped = traceDropped.With("jsonl")
-	fileSpansDropped  = traceDropped.With("file")
+	ringSpansDropped = traceDropped.With("ring")
+	fileSpansDropped = traceDropped.With("file")
 )
 
 // SpanData is the exported record of one finished span. Parent/child
@@ -44,9 +42,6 @@ type SpanData struct {
 	Attrs Attrs `json:"attrs,omitempty"`
 }
 
-// Duration returns the span duration.
-func (s SpanData) Duration() time.Duration { return time.Duration(s.DurationNS) }
-
 // Attr is one span attribute.
 type Attr struct {
 	Key   string
@@ -59,16 +54,6 @@ type Attr struct {
 // several plus per-key hashing. It still reads and writes as a JSON
 // object, so exported span dumps are unchanged.
 type Attrs []Attr
-
-// Get returns the value set for key.
-func (a Attrs) Get(key string) (any, bool) {
-	for i := range a {
-		if a[i].Key == key {
-			return a[i].Value, true
-		}
-	}
-	return nil, false
-}
 
 // MarshalJSON renders the attribute list as a JSON object in set
 // order.
@@ -204,36 +189,14 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	return context.WithValue(ctx, spanKey, s), s
 }
 
-// StartSpanLinked is StartSpan for cross-request propagation: when the
-// context has no enclosing span, the new span adopts the given trace
-// id with parentID as its parent edge — linking, say, an engine step
-// to the ingest request whose samples made the box ready, even though
-// the two ran on different goroutines at different times. An enclosing
-// span in the context wins over the link; an empty traceID starts a
-// fresh trace, exactly like StartSpan.
-func StartSpanLinked(ctx context.Context, name, traceID, parentID string) (context.Context, *Span) {
-	if parent := SpanFrom(ctx); parent != nil || traceID == "" {
-		return StartSpan(ctx, name)
-	}
-	t := TracerFrom(ctx)
-	if t == nil {
-		return ctx, nil
-	}
-	s := &Span{tracer: t, start: time.Now()}
-	s.data.Name = name
-	s.data.Start = s.start
-	s.data.SpanID = t.nextID()
-	s.data.TraceID = traceID
-	s.data.ParentID = parentID
-	return context.WithValue(ctx, spanKey, s), s
-}
-
-// LinkedSpan is StartSpanLinked without context plumbing: a standalone
-// span adopting the given trace id (or opening a fresh trace when
-// empty). For hot paths that need the span itself but will not hang
-// child spans off a context — it skips the two context allocations
-// StartSpanLinked pays per call. Nil tracers return nil spans, whose
-// methods are all no-ops.
+// LinkedSpan starts a standalone span for cross-request propagation:
+// it adopts the given trace id with parentID as its parent edge —
+// linking, say, an engine step to the ingest request whose samples made
+// the box ready, even though the two ran on different goroutines at
+// different times — or opens a fresh trace when traceID is empty. It
+// hangs nothing off a context, so hot paths pay no context
+// allocations. Nil tracers return nil spans, whose methods are all
+// no-ops.
 func (t *Tracer) LinkedSpan(name, traceID, parentID string) *Span {
 	if t == nil {
 		return nil
@@ -348,22 +311,6 @@ func (r *RingExporter) ExportSpan(s SpanData) {
 	r.total++
 }
 
-// Spans returns the retained spans, oldest first.
-func (r *RingExporter) Spans() []SpanData {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.total
-	if n > len(r.buf) {
-		n = len(r.buf)
-	}
-	out := make([]SpanData, 0, n)
-	start := (r.next - n + len(r.buf)) % len(r.buf)
-	for i := 0; i < n; i++ {
-		out = append(out, r.buf[(start+i)%len(r.buf)])
-	}
-	return out
-}
-
 // Trace returns the retained spans of one trace, oldest first — the
 // span tree the debug endpoint renders for a published plan.
 func (r *RingExporter) Trace(traceID string) []SpanData {
@@ -401,41 +348,6 @@ func (r *RingExporter) Dropped() int {
 	return r.dropped
 }
 
-// JSONLExporter writes each finished span as one JSON line — the
-// file-dump format external span viewers ingest.
-type JSONLExporter struct {
-	mu  sync.Mutex
-	enc *json.Encoder
-	err error
-}
-
-// NewJSONLExporter returns an exporter writing JSON lines to w.
-func NewJSONLExporter(w io.Writer) *JSONLExporter {
-	return &JSONLExporter{enc: json.NewEncoder(w)}
-}
-
-// ExportSpan implements Exporter. After the first write error the
-// exporter stops writing and counts every subsequent span as dropped
-// (atm_trace_dropped_total{exporter="jsonl"}).
-func (e *JSONLExporter) ExportSpan(s SpanData) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.err != nil {
-		jsonlSpansDropped.Inc()
-		return
-	}
-	if e.err = e.enc.Encode(s); e.err != nil {
-		jsonlSpansDropped.Inc()
-	}
-}
-
-// Err returns the first write error, if any.
-func (e *JSONLExporter) Err() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.err
-}
-
 // DefaultSpanFileMax bounds a FileSpanExporter segment at 64 MiB
 // before rotation when the caller does not choose a cap.
 const DefaultSpanFileMax = 64 << 20
@@ -443,10 +355,9 @@ const DefaultSpanFileMax = 64 << 20
 // FileSpanExporter writes spans as JSON lines to a file with
 // size-bounded rotation: when the active segment would exceed the
 // byte cap it is renamed to path+".1" (replacing the previous rotated
-// segment) and a fresh segment starts — the daemon-lifetime variant of
-// JSONLExporter, whose unbounded growth is only acceptable for one-shot
-// bench dumps. Disk is bounded at ~2x the cap. Spans lost to write or
-// rotation failures are counted, not retried.
+// segment) and a fresh segment starts, so disk is bounded at ~2x the
+// cap. Spans lost to write or rotation failures are counted, not
+// retried.
 type FileSpanExporter struct {
 	mu      sync.Mutex
 	path    string
@@ -534,20 +445,6 @@ func (e *FileSpanExporter) dropLocked(err error) {
 	e.err = err
 	e.dropped++
 	fileSpansDropped.Inc()
-}
-
-// Dropped returns how many spans were lost to write/rotation failures.
-func (e *FileSpanExporter) Dropped() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.dropped
-}
-
-// Err returns the most recent write/rotation error, if any.
-func (e *FileSpanExporter) Err() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.err
 }
 
 // Close flushes and closes the active segment. Spans exported after

@@ -1,10 +1,7 @@
 package obs
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
-	"strings"
 	"testing"
 	"time"
 )
@@ -115,39 +112,5 @@ func TestRingExporterWrap(t *testing.T) {
 	}
 	if ring.Total() != 3 {
 		t.Errorf("total = %d, want 3", ring.Total())
-	}
-}
-
-// TestJSONLExporter checks every finished span becomes one valid JSON
-// line that decodes back to the span data.
-func TestJSONLExporter(t *testing.T) {
-	var sb strings.Builder
-	exp := NewJSONLExporter(&sb)
-	tracer := NewTracer(exp)
-	ctx := WithTracer(context.Background(), tracer)
-	rctx, root := StartSpan(ctx, "resize")
-	_, child := StartSpan(rctx, "greedy")
-	child.End()
-	root.End()
-	if err := exp.Err(); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(strings.NewReader(sb.String()))
-	var lines []SpanData
-	for sc.Scan() {
-		var s SpanData
-		if err := json.Unmarshal(sc.Bytes(), &s); err != nil {
-			t.Fatalf("bad JSON line %q: %v", sc.Text(), err)
-		}
-		lines = append(lines, s)
-	}
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 2", len(lines))
-	}
-	if lines[0].Name != "greedy" || lines[1].Name != "resize" {
-		t.Errorf("names = %v, %v", lines[0].Name, lines[1].Name)
-	}
-	if lines[0].ParentID != lines[1].SpanID {
-		t.Error("JSONL parent/child ids do not reassemble")
 	}
 }

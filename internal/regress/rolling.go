@@ -110,12 +110,6 @@ func (rd *RollingDesigner) fillRow(row, ys []float64, predictors, targets []time
 	}
 }
 
-// N returns the (constant) window length.
-func (rd *RollingDesigner) N() int { return rd.n }
-
-// Targets returns the number of dependent series.
-func (rd *RollingDesigner) Targets() int { return rd.targets }
-
 // Roll advances the window by one sample: oldPredictors/oldTargets
 // supply the values of the sample leaving the window (their element
 // [oldIdx]), newPredictors/newTargets the sample entering ([newIdx]).

@@ -5,10 +5,9 @@
 // mid-restart, so the controller treats every daemon call as a retried
 // operation behind a per-daemon circuit breaker instead of assuming it
 // lands. The package is generic — it knows nothing about the actuator
-// protocol beyond an error-classification hook — and ships its own
-// deterministic fault-injection harness (ChaosTransport) so the
-// retry/breaker/rollback behavior is provable in tests rather than
-// asserted in prose.
+// protocol beyond an error-classification hook. Its tests drive it
+// through a seeded fault-injecting transport, so the retry/breaker
+// behavior is proven rather than asserted in prose.
 package resilience
 
 import (

@@ -286,15 +286,3 @@ func (b *Board) Snapshot(id string) (Card, bool) {
 	}
 	return Card{}, false
 }
-
-// Boxes returns how many boxes the board has scored at least once.
-func (b *Board) Boxes() int {
-	n := 0
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.mu.Lock()
-		n += len(sh.boxes)
-		sh.mu.Unlock()
-	}
-	return n
-}

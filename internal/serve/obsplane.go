@@ -19,17 +19,6 @@ const DefaultEventTail = 100
 // the debug payload.
 const debugEventTail = 32
 
-// Events exposes the service's decision event log.
-func (s *Service) Events() *obs.EventLog { return s.events }
-
-// SpanRing exposes the in-memory span ring backing the debug
-// endpoint's trace lookup.
-func (s *Service) SpanRing() *obs.RingExporter { return s.ring }
-
-// Tracer exposes the service's tracer (the load harness spans its own
-// client work into the same ring).
-func (s *Service) Tracer() *obs.Tracer { return s.tracer }
-
 // Ready reports whether the service can take traffic: started, not
 // draining, every shard scheduler loop live. The reason explains a
 // false verdict.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"atm/internal/actuator"
@@ -18,11 +19,11 @@ import (
 // whatIfService builds a dry-run service over a counting registry
 // backend with a CPU clamp rail, so the whatif route has a backend to
 // read and rails to report.
-func whatIfService(t *testing.T, maxCPU float64) (*Service, *actuator.CountingBackend) {
+func whatIfService(t *testing.T, maxCPU float64) (*Service, *countingBackend) {
 	t.Helper()
 	spd := 8
 	reg := actuator.NewRegistry()
-	cb := actuator.NewCountingBackend(reg)
+	cb := &countingBackend{Backend: reg}
 	cfg := engine.Config{
 		Core: core.Config{
 			Spatial:      spatial.Config{Method: spatial.MethodCBC},
@@ -107,10 +108,10 @@ func TestWhatIfRoute(t *testing.T) {
 			t.Errorf("row %d: clamped write reported no violations", i)
 		}
 	}
-	if n := cb.Writes(); n != 0 {
+	if n := cb.writes.Load(); n != 0 {
 		t.Fatalf("backend saw %d writes across ingest+whatif, want 0", n)
 	}
-	if cb.Reads() == 0 {
+	if cb.reads.Load() == 0 {
 		t.Fatal("whatif issued no reads — did it consult the backend?")
 	}
 }
@@ -145,4 +146,26 @@ func TestWhatIfRouteErrors(t *testing.T) {
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("POST whatif status %d", rec.Code)
 	}
+}
+
+// countingBackend counts the reads and writes that reach the wrapped
+// backend; a what-if pass over it must leave writes at zero.
+type countingBackend struct {
+	actuator.Backend
+	reads, writes atomic.Int64
+}
+
+func (c *countingBackend) SetLimits(ctx context.Context, id string, l actuator.Limits) error {
+	c.writes.Add(1)
+	return c.Backend.SetLimits(ctx, id, l)
+}
+
+func (c *countingBackend) GetLimits(ctx context.Context, id string) (actuator.Limits, error) {
+	c.reads.Add(1)
+	return c.Backend.GetLimits(ctx, id)
+}
+
+func (c *countingBackend) DeleteGroup(ctx context.Context, id string) error {
+	c.writes.Add(1)
+	return c.Backend.DeleteGroup(ctx, id)
 }

@@ -278,16 +278,6 @@ func fitDependents(ctx context.Context, series []timeseries.Series, final []int)
 	return deps, nil
 }
 
-// Refit rebuilds a spatial model over a new window of the same box
-// with a fixed, previously-searched signature set: the expensive
-// clustering and stepwise-VIF steps are skipped and only the cheap
-// dependent OLS fits are recomputed. This is the model-reuse fast
-// path of rolling/streaming runs — a full Search is only needed again
-// when drift invalidates the signature set.
-func Refit(series []timeseries.Series, signatures []int) (*Model, error) {
-	return RefitContext(context.Background(), series, signatures)
-}
-
 // RefitContext is Refit with tracing: under an obs.Tracer it emits a
 // "spatial.refit" span wrapping the dependent fits.
 func RefitContext(ctx context.Context, series []timeseries.Series, signatures []int) (*Model, error) {
@@ -334,13 +324,6 @@ func (m *Model) Ratio() float64 {
 		return 0
 	}
 	return float64(len(m.Signatures)) / float64(m.N)
-}
-
-// IsSignature reports whether series index i is in the final signature
-// set.
-func (m *Model) IsSignature(i int) bool {
-	j := sort.SearchInts(m.Signatures, i)
-	return j < len(m.Signatures) && m.Signatures[j] == i
 }
 
 // Reconstruct produces a full set of N series given values for the

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"atm/internal/timeseries"
@@ -137,28 +138,6 @@ func TestMethodString(t *testing.T) {
 	}
 	if Method(9).String() == "" {
 		t.Error("unknown method has empty name")
-	}
-}
-
-func TestIsSignature(t *testing.T) {
-	series := boxSeries(6, 2, 3, 96, 1)
-	m, err := Search(series, Config{Method: MethodCBC})
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := 0
-	for i := 0; i < m.N; i++ {
-		if m.IsSignature(i) {
-			count++
-			if _, isDep := m.Dependents[i]; isDep {
-				t.Errorf("series %d is both signature and dependent", i)
-			}
-		} else if _, isDep := m.Dependents[i]; !isDep {
-			t.Errorf("series %d is neither signature nor dependent", i)
-		}
-	}
-	if count != len(m.Signatures) {
-		t.Errorf("IsSignature count %d != len(Signatures) %d", count, len(m.Signatures))
 	}
 }
 
@@ -320,5 +299,28 @@ func TestRefitErrors(t *testing.T) {
 	}
 	if _, err := Refit(nil, []int{0}); err == nil {
 		t.Error("no series accepted")
+	}
+}
+
+// TestIsSignature: the model partitions the box's series — every
+// series is a signature or a dependent, never both, and the signature
+// set is sorted without duplicates.
+func TestIsSignature(t *testing.T) {
+	series := boxSeries(6, 2, 3, 96, 1)
+	m, err := Search(series, Config{Method: MethodCBC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.IsSorted(m.Signatures) || len(slices.Compact(slices.Clone(m.Signatures))) != len(m.Signatures) {
+		t.Fatalf("signatures %v not strictly increasing", m.Signatures)
+	}
+	for i := 0; i < m.N; i++ {
+		_, isDep := m.Dependents[i]
+		if _, isSig := slices.BinarySearch(m.Signatures, i); isSig == isDep {
+			t.Errorf("series %d: signature=%v dependent=%v, want exactly one", i, isSig, isDep)
+		}
+	}
+	if len(m.Signatures)+len(m.Dependents) != m.N {
+		t.Errorf("%d signatures + %d dependents != %d series", len(m.Signatures), len(m.Dependents), m.N)
 	}
 }

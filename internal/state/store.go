@@ -3,7 +3,7 @@
 // usage samples and exposes bounded training windows to the pipeline
 // without cloning. Each (VM, resource) series lives in a
 // timeseries.Ring, so memory stays O(boxes × series × history) no
-// matter how long the stream runs, and a Window call materializes a
+// matter how long the stream runs, and a WindowInto call materializes a
 // trace.Box whose series are zero-copy views into the rings (safe
 // because ring storage is append-only — see timeseries.Ring).
 //
@@ -131,11 +131,6 @@ type Store struct {
 	history int
 	shards  []shard
 
-	// notify is the store-wide coalesced wake-up line, signaled on
-	// every append alongside the owning shard's channel — for
-	// consumers that watch the whole store rather than one shard.
-	notify chan struct{}
-
 	// lastAppend is when the latest accepted append landed (Unix ns).
 	lastAppend atomic.Int64
 }
@@ -144,15 +139,6 @@ type Store struct {
 // spread ingest lock traffic across cores at the paper's 6K-box scale
 // while keeping per-shard dirty lists dense.
 const DefaultShards = 16
-
-// NewStore returns an empty single-shard store retaining at most
-// history samples per series — the drop-in small-fleet configuration.
-// history must cover at least one pipeline window (TrainWindows +
-// Horizon) to be useful; the store itself only requires it to be
-// positive. Use NewStoreSharded to spread a large fleet across shards.
-func NewStore(history int) (*Store, error) {
-	return NewStoreSharded(history, 1)
-}
 
 // NewStoreSharded returns an empty store with the given shard count.
 // Box ids map to shards by FNV-1a hash; results are independent of the
@@ -167,7 +153,6 @@ func NewStoreSharded(history, shards int) (*Store, error) {
 	s := &Store{
 		history: history,
 		shards:  make([]shard, shards),
-		notify:  make(chan struct{}, 1),
 	}
 	for i := range s.shards {
 		s.shards[i].boxes = make(map[string]*boxState)
@@ -198,11 +183,6 @@ func (s *Store) ShardOf(id string) int {
 	return int(h % uint64(len(s.shards)))
 }
 
-// Notify returns the store-wide channel that receives (coalesced)
-// signals after appends on any shard. The channel has capacity one; a
-// signal may cover many appends.
-func (s *Store) Notify() <-chan struct{} { return s.notify }
-
 // NotifyShard returns the shard's own coalesced wake-up line — the
 // per-shard scheduler loop's sleep channel.
 func (s *Store) NotifyShard(i int) <-chan struct{} { return s.shards[i].notify }
@@ -220,8 +200,9 @@ func signal(ch chan struct{}) {
 }
 
 // Register adds a box. Registering an already-known box is a no-op
-// when the VM shape matches (idempotent re-announcement by a
-// reconnecting client) and ErrShapeMismatch otherwise.
+// when it lists the same VM ids in the same order (idempotent
+// re-announcement by a reconnecting client) and ErrShapeMismatch
+// otherwise.
 func (s *Store) Register(meta BoxMeta) error {
 	if meta.ID == "" {
 		return errors.New("state: empty box id")
@@ -236,6 +217,14 @@ func (s *Store) Register(meta BoxMeta) error {
 		if len(old.meta.VMs) != len(meta.VMs) {
 			return fmt.Errorf("state: box %s re-registered with %d VMs, had %d: %w",
 				meta.ID, len(meta.VMs), len(old.meta.VMs), ErrShapeMismatch)
+		}
+		// Same count, different VM: the new VM's telemetry would
+		// continue the old one's series.
+		for v := range meta.VMs {
+			if meta.VMs[v].ID != old.meta.VMs[v].ID {
+				return fmt.Errorf("state: box %s re-registered with VM %q at position %d, had %q: %w",
+					meta.ID, meta.VMs[v].ID, v, old.meta.VMs[v].ID, ErrShapeMismatch)
+			}
 		}
 		return nil
 	}
@@ -273,33 +262,6 @@ func (s *Store) markDirty(sh *shard, bs *boxState) {
 	}
 	s.lastAppend.Store(time.Now().UnixNano())
 	signal(sh.notify)
-	signal(s.notify)
-}
-
-// Append ingests one sampling tick for a box: cpu[i] and ram[i] are
-// VM i's usage percent for the tick, in the registered VM order. It
-// returns the box's new total sample count.
-func (s *Store) Append(id string, cpu, ram []float64) (int, error) {
-	sh, bs, err := s.box(id)
-	if err != nil {
-		return 0, err
-	}
-	bs.mu.Lock()
-	if len(cpu) != len(bs.meta.VMs) || len(ram) != len(bs.meta.VMs) {
-		n := len(bs.meta.VMs)
-		bs.mu.Unlock()
-		return 0, fmt.Errorf("state: box %s tick with %d cpu / %d ram values, want %d: %w",
-			id, len(cpu), len(ram), n, ErrShapeMismatch)
-	}
-	for v := range bs.meta.VMs {
-		bs.rings[trace.SeriesIndex(v, trace.CPU)].Append(cpu[v])
-		bs.rings[trace.SeriesIndex(v, trace.RAM)].Append(ram[v])
-	}
-	total := bs.rings[0].Total()
-	bs.mu.Unlock()
-	counterSamples.Add(float64(2 * len(cpu)))
-	s.markDirty(sh, bs)
-	return total, nil
 }
 
 // AppendBatch ingests many ticks for a box atomically: cpu[k][i] and
@@ -408,17 +370,6 @@ func (s *Store) Total(id string) (int, error) {
 	return bs.rings[0].Total(), nil
 }
 
-// First returns the absolute index of the oldest retained tick.
-func (s *Store) First(id string) (int, error) {
-	_, bs, err := s.box(id)
-	if err != nil {
-		return 0, err
-	}
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	return bs.rings[0].First(), nil
-}
-
 // Meta returns the box's registered configuration.
 func (s *Store) Meta(id string) (BoxMeta, error) {
 	_, bs, err := s.box(id)
@@ -428,47 +379,14 @@ func (s *Store) Meta(id string) (BoxMeta, error) {
 	return bs.meta, nil
 }
 
-// Boxes returns the registered box ids in sorted order.
-func (s *Store) Boxes() []string {
-	return s.BoxesInto(nil)
-}
-
-// BoxesInto appends the registered box ids of every shard to dst in
-// sorted order and returns the extended slice — the allocation-free
-// variant of Boxes for callers that poll and reuse the id buffer.
-func (s *Store) BoxesInto(dst []string) []string {
-	n := len(dst)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for id := range sh.boxes {
-			dst = append(dst, id)
-		}
-		sh.mu.RUnlock()
-	}
-	slices.Sort(dst[n:])
-	return dst
-}
-
-// Window materializes the box restricted to absolute tick range
-// [from, to) as a trace.Box whose usage series are zero-copy ring
-// views. The append-only ring storage makes the views stable
-// snapshots: concurrent ingest never mutates samples the returned box
-// can see. timeseries.ErrEvicted surfaces when the range has aged out
-// of retention, timeseries.ErrFuture when it is not fully ingested
-// yet.
-func (s *Store) Window(id string, from, to int) (*trace.Box, error) {
-	out := &trace.Box{}
-	if err := s.WindowInto(id, from, to, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// WindowInto is the allocation-free variant of Window: it fills dst in
-// place, growing dst.VMs only when the box has more VMs than dst's
-// capacity. The series views have the same zero-copy snapshot
-// stability as Window's. On error dst is left in an unspecified state.
+// WindowInto materializes the box restricted to absolute tick range
+// [from, to) into dst, whose usage series become zero-copy ring views.
+// The append-only ring storage makes the views stable snapshots:
+// concurrent ingest never mutates samples dst can see.
+// timeseries.ErrEvicted surfaces when the range has aged out of
+// retention, timeseries.ErrFuture when it is not fully ingested yet.
+// dst is filled in place, growing dst.VMs only when the box has more
+// VMs than dst's capacity; on error it is left in an unspecified state.
 func (s *Store) WindowInto(id string, from, to int, dst *trace.Box) error {
 	_, bs, err := s.box(id)
 	if err != nil {

@@ -23,11 +23,11 @@ func meta(id string, vms int) BoxMeta {
 }
 
 func TestStoreRegisterAndAppend(t *testing.T) {
-	s, err := NewStore(8)
+	s, err := NewStoreSharded(8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewStore(0); err == nil {
+	if _, err := NewStoreSharded(0, 1); err == nil {
 		t.Error("zero history accepted")
 	}
 	if err := s.Register(meta("b1", 2)); err != nil {
@@ -39,6 +39,15 @@ func TestStoreRegisterAndAppend(t *testing.T) {
 	}
 	if err := s.Register(meta("b1", 3)); !errors.Is(err, ErrShapeMismatch) {
 		t.Errorf("re-register new shape: %v, want ErrShapeMismatch", err)
+	}
+	// Same VM count, one VM swapped: a mismatch, not a no-op.
+	swapped := meta("b1", 2)
+	swapped.VMs[1].ID = "z"
+	if err := s.Register(swapped); !errors.Is(err, ErrShapeMismatch) {
+		t.Errorf("re-register with a swapped VM: %v, want ErrShapeMismatch", err)
+	}
+	if m, _ := s.Meta("b1"); m.VMs[1].ID != "b" {
+		t.Errorf("swapped re-register replaced VM %q with %q", "b", m.VMs[1].ID)
 	}
 	if err := s.Register(BoxMeta{ID: "empty"}); !errors.Is(err, ErrShapeMismatch) {
 		t.Errorf("register no VMs: %v, want ErrShapeMismatch", err)
@@ -67,7 +76,7 @@ func TestStoreRegisterAndAppend(t *testing.T) {
 }
 
 func TestStoreWindowViewsAndEviction(t *testing.T) {
-	s, _ := NewStore(4)
+	s, _ := NewStoreSharded(4, 1)
 	if err := s.Register(meta("b", 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +94,7 @@ func TestStoreWindowViewsAndEviction(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Window: %v", err)
 	}
-	if len(wb.VMs) != 1 || wb.VMs[0].CPU.Len() != 4 {
+	if len(wb.VMs) != 1 || len(wb.VMs[0].CPU) != 4 {
 		t.Fatalf("window shape: %+v", wb)
 	}
 	for i, want := range []float64{2, 3, 4, 5} {
@@ -106,7 +115,7 @@ func TestStoreWindowViewsAndEviction(t *testing.T) {
 }
 
 func TestStoreNotifyCoalesces(t *testing.T) {
-	s, _ := NewStore(4)
+	s, _ := NewStoreSharded(4, 1)
 	if err := s.Register(meta("b", 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -116,12 +125,12 @@ func TestStoreNotifyCoalesces(t *testing.T) {
 		}
 	}
 	select {
-	case <-s.Notify():
+	case <-s.NotifyShard(0):
 	default:
 		t.Fatal("no signal after appends")
 	}
 	select {
-	case <-s.Notify():
+	case <-s.NotifyShard(0):
 		t.Fatal("signals not coalesced")
 	default:
 	}
@@ -145,7 +154,7 @@ func TestMetaOfRoundTrip(t *testing.T) {
 // a reader keeps materializing windows — the contract the engine
 // relies on, checked under -race in CI.
 func TestStoreConcurrentIngest(t *testing.T) {
-	s, _ := NewStore(32)
+	s, _ := NewStoreSharded(32, 1)
 	const boxes, ticks = 4, 200
 	ids := make([]string, boxes)
 	for i := range ids {
@@ -289,7 +298,7 @@ func TestStoreDirtyDrain(t *testing.T) {
 }
 
 func TestStoreAppendBatchAtomic(t *testing.T) {
-	s, _ := NewStore(16)
+	s, _ := NewStoreSharded(16, 1)
 	if err := s.Register(meta("b", 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +427,7 @@ func TestStoreDirtyNoLostWakeup(t *testing.T) {
 // usage value anywhere in a batch fails the validation pass, so the
 // batch appends nothing and does not mark the box dirty.
 func TestStoreAppendBatchRejectsBadSamples(t *testing.T) {
-	s, _ := NewStore(16)
+	s, _ := NewStoreSharded(16, 1)
 	if err := s.Register(meta("b", 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -458,8 +467,8 @@ func TestStoreAppendBatchRejectsBadSamples(t *testing.T) {
 // eviction and compaction and for batches longer than the history.
 func TestStoreAppendBatchMatchesAppend(t *testing.T) {
 	const history, vms = 12, 3
-	bulk, _ := NewStore(history)
-	ref, _ := NewStore(history)
+	bulk, _ := NewStoreSharded(history, 1)
+	ref, _ := NewStoreSharded(history, 1)
 	for _, s := range []*Store{bulk, ref} {
 		if err := s.Register(meta("b", vms)); err != nil {
 			t.Fatal(err)

@@ -6,20 +6,10 @@ import (
 	"atm/internal/obs"
 )
 
-// AppendCtx is Append with trace propagation: when ctx carries an
-// active obs span (the server's per-request ingest span), its trace
-// and span ids are retained on the box so the scheduler can link the
-// next engine step back to the ingest that made the box dirty.
-func (s *Store) AppendCtx(ctx context.Context, id string, cpu, ram []float64) (int, error) {
-	total, err := s.Append(id, cpu, ram)
-	if err == nil {
-		s.adoptSpan(ctx, id)
-	}
-	return total, err
-}
-
-// AppendBatchCtx is AppendBatch with the same trace propagation as
-// AppendCtx.
+// AppendBatchCtx is AppendBatch with trace propagation: when ctx
+// carries an active obs span (the server's per-request ingest span),
+// its trace and span ids are retained on the box so the scheduler can
+// link the next engine step back to the ingest that made the box dirty.
 func (s *Store) AppendBatchCtx(ctx context.Context, id string, cpu, ram [][]float64) (int, error) {
 	total, err := s.AppendBatch(id, cpu, ram)
 	if err == nil && len(cpu) > 0 {

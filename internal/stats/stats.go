@@ -1,17 +1,13 @@
-// Package stats provides the statistical hypothesis tests a trace
-// study leans on: the two-sample Kolmogorov-Smirnov test (comparing
-// empirical distributions, e.g. a synthetic trace's correlation CDF
-// against a reference) and the Ljung-Box test (whether a prediction
-// model's residuals are white noise, i.e. the model captured the
-// temporal structure).
+// Package stats provides the statistical hypothesis test a trace study
+// leans on: the two-sample Kolmogorov-Smirnov test, comparing empirical
+// distributions (e.g. a synthetic trace's correlation CDF against a
+// reference).
 package stats
 
 import (
 	"errors"
 	"math"
 	"sort"
-
-	"atm/internal/timeseries"
 )
 
 // ErrTooFewSamples indicates a test was invoked with insufficient data.
@@ -86,115 +82,4 @@ func ksPValue(lambda float64) float64 {
 		return 1
 	}
 	return p
-}
-
-// LBResult is the outcome of a Ljung-Box test.
-type LBResult struct {
-	// Statistic is the Q statistic over the tested lags.
-	Statistic float64
-	// DF is the degrees of freedom (the number of lags).
-	DF int
-	// PValue is P(χ²_DF >= Q): small values mean the series is NOT
-	// white noise (residual autocorrelation remains).
-	PValue float64
-}
-
-// LjungBox tests the first `lags` autocorrelations of the series for
-// joint significance.
-func LjungBox(s timeseries.Series, lags int) (LBResult, error) {
-	n := len(s)
-	if lags <= 0 || n <= lags+1 {
-		return LBResult{}, ErrTooFewSamples
-	}
-	m := s.Mean()
-	var den float64
-	for _, v := range s {
-		d := v - m
-		den += d * d
-	}
-	if den == 0 {
-		// A constant series has no autocorrelation structure at all.
-		return LBResult{Statistic: 0, DF: lags, PValue: 1}, nil
-	}
-	var q float64
-	for k := 1; k <= lags; k++ {
-		var num float64
-		for i := 0; i+k < n; i++ {
-			num += (s[i] - m) * (s[i+k] - m)
-		}
-		rho := num / den
-		q += rho * rho / float64(n-k)
-	}
-	q *= float64(n) * (float64(n) + 2)
-	return LBResult{Statistic: q, DF: lags, PValue: chiSquareSF(q, float64(lags))}, nil
-}
-
-// chiSquareSF is the chi-square survival function P(X >= x) with k
-// degrees of freedom, via the regularized upper incomplete gamma
-// function Q(k/2, x/2).
-func chiSquareSF(x, k float64) float64 {
-	if x <= 0 {
-		return 1
-	}
-	return upperGammaRegularized(k/2, x/2)
-}
-
-// upperGammaRegularized computes Q(a, x) = Γ(a,x)/Γ(a) using the
-// series for x < a+1 and the continued fraction otherwise (Numerical
-// Recipes style).
-func upperGammaRegularized(a, x float64) float64 {
-	if x < 0 || a <= 0 {
-		return math.NaN()
-	}
-	if x == 0 {
-		return 1
-	}
-	if x < a+1 {
-		return 1 - lowerGammaSeries(a, x)
-	}
-	return upperGammaCF(a, x)
-}
-
-func lowerGammaSeries(a, x float64) float64 {
-	lg, _ := math.Lgamma(a)
-	ap := a
-	sum := 1.0 / a
-	del := sum
-	for i := 0; i < 500; i++ {
-		ap++
-		del *= x / ap
-		sum += del
-		if math.Abs(del) < math.Abs(sum)*1e-14 {
-			break
-		}
-	}
-	return sum * math.Exp(-x+a*math.Log(x)-lg)
-}
-
-func upperGammaCF(a, x float64) float64 {
-	lg, _ := math.Lgamma(a)
-	const tiny = 1e-300
-	b := x + 1 - a
-	c := 1 / tiny
-	d := 1 / b
-	h := d
-	for i := 1; i <= 500; i++ {
-		an := -float64(i) * (float64(i) - a)
-		b += 2
-		d = an*d + b
-		if math.Abs(d) < tiny {
-			d = tiny
-		}
-		c = b + an/c
-		if math.Abs(c) < tiny {
-			c = tiny
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < 1e-14 {
-			break
-		}
-	}
-	return math.Exp(-x+a*math.Log(x)-lg) * h
 }

@@ -2,11 +2,8 @@ package stats
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
-
-	"atm/internal/timeseries"
 )
 
 func TestKSSameDistribution(t *testing.T) {
@@ -63,118 +60,5 @@ func TestKSIdenticalSamples(t *testing.T) {
 func TestKSErrors(t *testing.T) {
 	if _, err := KolmogorovSmirnov(nil, []float64{1}); !errors.Is(err, ErrTooFewSamples) {
 		t.Errorf("err = %v", err)
-	}
-}
-
-func TestLjungBoxWhiteNoise(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	s := make(timeseries.Series, 500)
-	for i := range s {
-		s[i] = r.NormFloat64()
-	}
-	res, err := LjungBox(s, 10)
-	if err != nil {
-		t.Fatalf("LjungBox: %v", err)
-	}
-	if res.PValue < 0.01 {
-		t.Errorf("white noise p = %v, should not reject", res.PValue)
-	}
-	if res.DF != 10 {
-		t.Errorf("DF = %d", res.DF)
-	}
-}
-
-func TestLjungBoxAutocorrelated(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	s := make(timeseries.Series, 500)
-	s[0] = r.NormFloat64()
-	for i := 1; i < len(s); i++ {
-		s[i] = 0.8*s[i-1] + 0.3*r.NormFloat64()
-	}
-	res, err := LjungBox(s, 10)
-	if err != nil {
-		t.Fatalf("LjungBox: %v", err)
-	}
-	if res.PValue > 1e-9 {
-		t.Errorf("AR(1) p = %v, should strongly reject whiteness", res.PValue)
-	}
-}
-
-func TestLjungBoxConstantSeries(t *testing.T) {
-	s := make(timeseries.Series, 50)
-	for i := range s {
-		s[i] = 3
-	}
-	res, err := LjungBox(s, 5)
-	if err != nil || res.PValue != 1 {
-		t.Errorf("constant series: %+v, %v", res, err)
-	}
-}
-
-func TestLjungBoxErrors(t *testing.T) {
-	if _, err := LjungBox(timeseries.Series{1, 2, 3}, 5); !errors.Is(err, ErrTooFewSamples) {
-		t.Errorf("err = %v", err)
-	}
-	if _, err := LjungBox(timeseries.Series{1, 2, 3}, 0); !errors.Is(err, ErrTooFewSamples) {
-		t.Errorf("err = %v", err)
-	}
-}
-
-// chiSquareSF reference values (from standard tables).
-func TestChiSquareSF(t *testing.T) {
-	cases := []struct {
-		x, k, want float64
-	}{
-		{3.841, 1, 0.05},
-		{5.991, 2, 0.05},
-		{18.307, 10, 0.05},
-		{2.706, 1, 0.10},
-		{23.209, 10, 0.01},
-	}
-	for _, c := range cases {
-		got := chiSquareSF(c.x, c.k)
-		if math.Abs(got-c.want) > 0.002 {
-			t.Errorf("chi2SF(%v, %v) = %v, want %v", c.x, c.k, got, c.want)
-		}
-	}
-	if got := chiSquareSF(0, 3); got != 1 {
-		t.Errorf("chi2SF(0) = %v", got)
-	}
-}
-
-// The model-diagnostics use case: residuals of a good seasonal fit are
-// closer to white noise than the raw seasonal series.
-func TestLjungBoxModelDiagnostics(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	period := 24
-	n := 480
-	raw := make(timeseries.Series, n)
-	for i := range raw {
-		raw[i] = 50 + 20*math.Sin(2*math.Pi*float64(i%period)/float64(period)) + r.NormFloat64()
-	}
-	// Residuals after removing per-slot means.
-	slot := make([]float64, period)
-	cnt := make([]int, period)
-	for i, v := range raw {
-		slot[i%period] += v
-		cnt[i%period]++
-	}
-	for i := range slot {
-		slot[i] /= float64(cnt[i])
-	}
-	resid := make(timeseries.Series, n)
-	for i, v := range raw {
-		resid[i] = v - slot[i%period]
-	}
-	rawQ, err := LjungBox(raw, period)
-	if err != nil {
-		t.Fatal(err)
-	}
-	residQ, err := LjungBox(resid, period)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if residQ.Statistic >= rawQ.Statistic {
-		t.Errorf("residual Q %v >= raw Q %v; seasonal fit should whiten", residQ.Statistic, rawQ.Statistic)
 	}
 }

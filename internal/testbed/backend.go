@@ -12,9 +12,7 @@ import (
 // actuator.Backend, with the semantics a simulated datacenter should
 // have: the VM inventory is fixed by the topology, so writes to ids
 // the cluster does not host are rejected terminally instead of
-// conjuring a cgroup no simulated VM reads — exactly the
-// CreateOnSet=false behavior of the Kubernetes backend, which makes
-// the testbed a faithful rehearsal target for it.
+// conjuring a cgroup no simulated VM reads (CreateOnSet=false).
 type ClusterBackend struct {
 	c     *Cluster
 	known map[string]bool

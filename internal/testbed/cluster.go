@@ -226,17 +226,6 @@ func (c *Cluster) ResetLimits() {
 	}
 }
 
-// NodeCapacity returns the capacity of the named node, or 0 if
-// unknown.
-func (c *Cluster) NodeCapacity(id string) float64 {
-	for _, n := range c.Nodes {
-		if n.ID == id {
-			return n.CapacityGHz
-		}
-	}
-	return 0
-}
-
 // VMsOnNode returns the indices (into c.VMs) of the node's VMs.
 func (c *Cluster) VMsOnNode(id string) []int {
 	var out []int

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -29,7 +30,7 @@ func TestDefaultTopologyShape(t *testing.T) {
 			counts[vm.App] = map[Tier]int{}
 		}
 		counts[vm.App][vm.Tier]++
-		if c.NodeCapacity(vm.Node) <= 0 {
+		if i := slices.IndexFunc(c.Nodes, func(n Node) bool { return n.ID == vm.Node }); i < 0 || c.Nodes[i].CapacityGHz <= 0 {
 			t.Errorf("vm %s on unknown node %s", vm.ID, vm.Node)
 		}
 		l, err := c.Limits.Get(vm.ID)

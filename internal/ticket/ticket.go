@@ -39,13 +39,6 @@ func Count(demand timeseries.Series, capacity, threshold float64) int {
 	return n
 }
 
-// CountUsage returns the number of windows in which a usage-percent
-// series (0–100) exceeds the threshold fraction. Equivalent to Count
-// with demand = usage*cap/100 and capacity = cap.
-func CountUsage(usage timeseries.Series, threshold float64) int {
-	return usage.CountAbove(threshold * 100)
-}
-
 // BoxStats summarizes ticket issuing on one box for one resource.
 type BoxStats struct {
 	// PerVM holds the ticket count of each co-located VM.

@@ -41,13 +41,15 @@ func TestCountBoundaryIsStrict(t *testing.T) {
 	}
 }
 
+// TestCountUsage: a usage-percent series is demand against a capacity
+// of 100, strictly above the threshold tickets.
 func TestCountUsage(t *testing.T) {
 	usage := timeseries.Series{59, 60, 61, 85}
-	if got := CountUsage(usage, 0.6); got != 2 {
-		t.Errorf("CountUsage = %d, want 2", got)
+	if got := Count(usage, 100, 0.6); got != 2 {
+		t.Errorf("Count(60%%) = %d, want 2", got)
 	}
-	if got := CountUsage(usage, 0.8); got != 1 {
-		t.Errorf("CountUsage(80) = %d, want 1", got)
+	if got := Count(usage, 100, 0.8); got != 1 {
+		t.Errorf("Count(80%%) = %d, want 1", got)
 	}
 }
 

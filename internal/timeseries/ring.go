@@ -16,20 +16,19 @@ var (
 )
 
 // Ring is a bounded append-only series buffer: it retains the most
-// recent Limit samples and evicts the oldest as new samples arrive.
+// recent limit samples and evicts the oldest as new samples arrive.
 // It is the per-series storage of the streaming state store, holding
 // exactly the training+horizon window the pipeline needs without the
 // unbounded growth of a plain Series.
 //
 // Samples are addressed in absolute stream coordinates: the i-th
 // sample ever appended has index i, whether or not it is still
-// retained. Total reports how many have been appended, First the
-// oldest index still retained.
+// retained. Total reports how many have been appended.
 //
 // Storage is append-only: a retained sample is never overwritten in
 // place. Eviction advances a start offset and compaction copies the
 // live window into a fresh array, leaving old arrays untouched. A
-// Series view returned by Tail, Values or Range therefore stays valid
+// Series view returned by Range therefore stays valid
 // — and data-race-free against concurrent appends serialized by the
 // caller's lock — for as long as the caller holds it; it is a stable
 // snapshot, not a window that slides under the reader.
@@ -44,7 +43,7 @@ type Ring struct {
 }
 
 // NewRing returns a ring retaining at most limit samples. It panics if
-// limit is not positive (a programmer error, like Series.Min on empty).
+// limit is not positive (a programmer error).
 func NewRing(limit int) *Ring {
 	if limit <= 0 {
 		panic(fmt.Sprintf("timeseries: ring limit %d: must be positive", limit))
@@ -55,44 +54,20 @@ func NewRing(limit int) *Ring {
 	return &Ring{limit: limit, buf: make([]float64, 0, 2*limit)}
 }
 
-// Append adds one sample, evicting the oldest retained sample if the
-// ring is full.
-func (r *Ring) Append(v float64) {
-	if len(r.buf) == cap(r.buf) {
-		r.Extend(1)[0] = v // compacts
-		return
-	}
-	// Extend(1) without the call: the per-tick Store.Append path lands
-	// here once per series.
-	if r.Len() == r.limit {
-		r.start++
-		r.dropped++
-	}
-	r.buf = append(r.buf, v)
-}
-
-// AppendSlice appends every sample of s in order as one bulk append.
-// When s is longer than Limit only its last Limit samples are stored;
-// the rest still count towards Total.
-func (r *Ring) AppendSlice(s Series) {
-	dst := r.Extend(len(s))
-	copy(dst, s[len(s)-len(dst):])
-}
-
 // Extend appends n samples whose values the caller fills in: it makes
 // one eviction and at most one compaction decision for the whole batch
 // and returns the new tail as a writable slice, which the caller must
 // fill before the next call on the ring (the slots hold garbage until
 // then). It is the reserve form of a bulk append for callers whose
 // samples are not contiguous in memory — the state store writes one
-// strided column of a tick-major batch into it. When n exceeds Limit
-// the first n-Limit samples of the batch would be evicted by its own
-// tail, so the returned slice has length min(n, Limit) and stands for
+// strided column of a tick-major batch into it. When n exceeds limit
+// the first n-limit samples of the batch would be evicted by its own
+// tail, so the returned slice has length min(n, limit) and stands for
 // the batch's last samples; Total still advances by n. It panics if n
 // is negative (programmer error).
 //
-// The view contract holds as for Append: the returned slots lie past
-// every outstanding view in the current array, or in a fresh one.
+// The view contract holds: the returned slots lie past every
+// outstanding view in the current array, or in a fresh one.
 func (r *Ring) Extend(n int) []float64 {
 	if n < 0 {
 		panic(fmt.Sprintf("timeseries: ring extend %d: must be non-negative", n))
@@ -115,30 +90,11 @@ func (r *Ring) Extend(n int) []float64 {
 	return r.buf[end:]
 }
 
-// Len returns the number of retained samples (≤ Limit).
+// Len returns the number of retained samples (≤ limit).
 func (r *Ring) Len() int { return len(r.buf) - r.start }
-
-// Limit returns the retention bound.
-func (r *Ring) Limit() int { return r.limit }
 
 // Total returns the number of samples ever appended.
 func (r *Ring) Total() int { return r.dropped + r.Len() }
-
-// First returns the absolute index of the oldest retained sample.
-func (r *Ring) First() int { return r.dropped }
-
-// Values returns the whole retained window as a zero-copy Series view
-// (see the type comment for the view stability contract).
-func (r *Ring) Values() Series { return Series(r.buf[r.start:]) }
-
-// Tail returns the most recent n samples as a zero-copy view. It
-// panics if n is negative or exceeds Len (programmer error).
-func (r *Ring) Tail(n int) Series {
-	if n < 0 || n > r.Len() {
-		panic(fmt.Sprintf("timeseries: ring tail %d of %d retained", n, r.Len()))
-	}
-	return Series(r.buf[len(r.buf)-n:])
-}
 
 // Range returns the samples with absolute indices [from, to) as a
 // zero-copy view. It returns ErrEvicted when the range starts before

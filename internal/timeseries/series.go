@@ -10,7 +10,6 @@ package timeseries
 
 import (
 	"errors"
-	"fmt"
 	"math"
 )
 
@@ -35,9 +34,6 @@ func (s Series) Clone() Series {
 	copy(out, s)
 	return out
 }
-
-// Len returns the number of samples.
-func (s Series) Len() int { return len(s) }
 
 // Slice returns the sub-series s[from:to] as a view (no copy).
 func (s Series) Slice(from, to int) Series { return s[from:to] }
@@ -76,20 +72,6 @@ func (s Series) Var() float64 {
 // Std returns the population standard deviation.
 func (s Series) Std() float64 { return math.Sqrt(s.Var()) }
 
-// Min returns the smallest sample. It panics on an empty series.
-func (s Series) Min() float64 {
-	if len(s) == 0 {
-		panic(ErrEmpty)
-	}
-	min := s[0]
-	for _, v := range s[1:] {
-		if v < min {
-			min = v
-		}
-	}
-	return min
-}
-
 // Max returns the largest sample. It panics on an empty series.
 func (s Series) Max() float64 {
 	if len(s) == 0 {
@@ -111,30 +93,6 @@ func (s Series) Scale(f float64) Series {
 		out[i] = v * f
 	}
 	return out
-}
-
-// Add returns the element-wise sum of s and t.
-func (s Series) Add(t Series) (Series, error) {
-	if len(s) != len(t) {
-		return nil, fmt.Errorf("add %d vs %d samples: %w", len(s), len(t), ErrLengthMismatch)
-	}
-	out := make(Series, len(s))
-	for i, v := range s {
-		out[i] = v + t[i]
-	}
-	return out, nil
-}
-
-// Sub returns the element-wise difference s - t.
-func (s Series) Sub(t Series) (Series, error) {
-	if len(s) != len(t) {
-		return nil, fmt.Errorf("sub %d vs %d samples: %w", len(s), len(t), ErrLengthMismatch)
-	}
-	out := make(Series, len(s))
-	for i, v := range s {
-		out[i] = v - t[i]
-	}
-	return out, nil
 }
 
 // Clamp returns a new series with every sample clamped into [lo, hi].
@@ -168,28 +126,6 @@ func (s Series) Normalize() Series {
 	return out
 }
 
-// Rescale returns s mapped linearly so its min becomes lo and its max
-// becomes hi. A constant series maps to the midpoint of [lo, hi].
-func (s Series) Rescale(lo, hi float64) Series {
-	if len(s) == 0 {
-		return Series{}
-	}
-	min, max := s.Min(), s.Max()
-	out := make(Series, len(s))
-	if max == min {
-		mid := (lo + hi) / 2
-		for i := range out {
-			out[i] = mid
-		}
-		return out
-	}
-	r := (hi - lo) / (max - min)
-	for i, v := range s {
-		out[i] = lo + (v-min)*r
-	}
-	return out
-}
-
 // CountAbove returns the number of samples strictly greater than x.
 func (s Series) CountAbove(x float64) int {
 	n := 0
@@ -199,40 +135,4 @@ func (s Series) CountAbove(x float64) int {
 		}
 	}
 	return n
-}
-
-// Lags returns the series shifted by k positions: out[i] = s[i-k] for
-// i >= k; the first k samples are filled with the first sample of s.
-// It is used to build autoregressive feature windows.
-func (s Series) Lags(k int) Series {
-	out := make(Series, len(s))
-	if len(s) == 0 {
-		return out
-	}
-	for i := range out {
-		j := i - k
-		if j < 0 {
-			j = 0
-		}
-		out[i] = s[j]
-	}
-	return out
-}
-
-// Downsample aggregates consecutive groups of factor samples by their
-// mean, mirroring how a monitoring system coarsens a ticketing window.
-// A trailing partial group is aggregated over its actual length.
-func (s Series) Downsample(factor int) Series {
-	if factor <= 1 {
-		return s.Clone()
-	}
-	out := make(Series, 0, (len(s)+factor-1)/factor)
-	for i := 0; i < len(s); i += factor {
-		j := i + factor
-		if j > len(s) {
-			j = len(s)
-		}
-		out = append(out, Series(s[i:j]).Mean())
-	}
-	return out
 }

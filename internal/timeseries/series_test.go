@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -58,36 +59,6 @@ func TestSeriesClone(t *testing.T) {
 	}
 }
 
-func TestSeriesAddSub(t *testing.T) {
-	a := Series{1, 2, 3}
-	b := Series{4, 5, 6}
-	sum, err := a.Add(b)
-	if err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	want := Series{5, 7, 9}
-	for i := range want {
-		if sum[i] != want[i] {
-			t.Errorf("Add[%d] = %v, want %v", i, sum[i], want[i])
-		}
-	}
-	diff, err := b.Sub(a)
-	if err != nil {
-		t.Fatalf("Sub: %v", err)
-	}
-	for i := range diff {
-		if diff[i] != 3 {
-			t.Errorf("Sub[%d] = %v, want 3", i, diff[i])
-		}
-	}
-	if _, err := a.Add(Series{1}); !errors.Is(err, ErrLengthMismatch) {
-		t.Errorf("Add length mismatch err = %v, want ErrLengthMismatch", err)
-	}
-	if _, err := a.Sub(Series{1}); !errors.Is(err, ErrLengthMismatch) {
-		t.Errorf("Sub length mismatch err = %v, want ErrLengthMismatch", err)
-	}
-}
-
 func TestSeriesClamp(t *testing.T) {
 	s := Series{-5, 0, 50, 150}
 	c := s.Clamp(0, 100)
@@ -117,63 +88,10 @@ func TestSeriesNormalize(t *testing.T) {
 	}
 }
 
-func TestSeriesRescale(t *testing.T) {
-	s := Series{0, 5, 10}
-	r := s.Rescale(20, 80)
-	want := Series{20, 50, 80}
-	for i := range want {
-		if !almostEqual(r[i], want[i], 1e-12) {
-			t.Errorf("Rescale[%d] = %v, want %v", i, r[i], want[i])
-		}
-	}
-	// Constant series maps to midpoint.
-	c := Series{3, 3}.Rescale(0, 10)
-	for _, v := range c {
-		if v != 5 {
-			t.Errorf("constant Rescale = %v, want 5", v)
-		}
-	}
-	if got := (Series{}).Rescale(0, 1); len(got) != 0 {
-		t.Errorf("empty Rescale len = %d, want 0", len(got))
-	}
-}
-
 func TestSeriesCountAbove(t *testing.T) {
 	s := Series{10, 60, 60.1, 90}
 	if got := s.CountAbove(60); got != 2 {
 		t.Errorf("CountAbove(60) = %d, want 2 (strictly greater)", got)
-	}
-}
-
-func TestSeriesLags(t *testing.T) {
-	s := Series{1, 2, 3, 4}
-	l := s.Lags(2)
-	want := Series{1, 1, 1, 2}
-	for i := range want {
-		if l[i] != want[i] {
-			t.Errorf("Lags(2)[%d] = %v, want %v", i, l[i], want[i])
-		}
-	}
-	if got := (Series{}).Lags(3); len(got) != 0 {
-		t.Errorf("empty Lags len = %d", len(got))
-	}
-}
-
-func TestSeriesDownsample(t *testing.T) {
-	s := Series{1, 3, 5, 7, 9}
-	d := s.Downsample(2)
-	want := Series{2, 6, 9}
-	if len(d) != len(want) {
-		t.Fatalf("Downsample len = %d, want %d", len(d), len(want))
-	}
-	for i := range want {
-		if d[i] != want[i] {
-			t.Errorf("Downsample[%d] = %v, want %v", i, d[i], want[i])
-		}
-	}
-	d1 := s.Downsample(1)
-	if len(d1) != len(s) {
-		t.Errorf("Downsample(1) should copy the series")
 	}
 }
 
@@ -292,23 +210,6 @@ func TestPeakMAPE(t *testing.T) {
 	}
 }
 
-func TestRMSE(t *testing.T) {
-	got, err := RMSE(Series{1, 2, 3}, Series{1, 2, 3})
-	if err != nil || got != 0 {
-		t.Errorf("identical RMSE = %v, %v; want 0, nil", got, err)
-	}
-	got, err = RMSE(Series{0, 0}, Series{3, 4})
-	if err != nil {
-		t.Fatalf("RMSE: %v", err)
-	}
-	if !almostEqual(got, math.Sqrt(12.5), 1e-12) {
-		t.Errorf("RMSE = %v, want sqrt(12.5)", got)
-	}
-	if _, err := RMSE(Series{}, Series{}); !errors.Is(err, ErrEmpty) {
-		t.Errorf("err = %v, want ErrEmpty", err)
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	vals := []float64{1, 2, 3, 4, 5}
 	tests := []struct {
@@ -392,19 +293,10 @@ func TestMeanStd(t *testing.T) {
 
 func TestCDF(t *testing.T) {
 	c := NewCDF([]float64{1, 2, 2, 3})
-	tests := []struct {
-		x    float64
-		want float64
-	}{
-		{0.5, 0}, {1, 0.25}, {2, 0.75}, {3, 1}, {10, 1},
-	}
-	for _, tt := range tests {
-		if got := c.At(tt.x); !almostEqual(got, tt.want, 1e-12) {
-			t.Errorf("CDF.At(%v) = %v, want %v", tt.x, got, tt.want)
+	for _, tt := range []struct{ q, want float64 }{{0, 1}, {0.5, 2}, {1, 3}} {
+		if got := c.Quantile(tt.q); !almostEqual(got, tt.want, 1e-12) {
+			t.Errorf("Quantile(%v) = %v, want %v", tt.q, got, tt.want)
 		}
-	}
-	if c.Len() != 4 {
-		t.Errorf("Len = %d, want 4", c.Len())
 	}
 	if got := c.Mean(); !almostEqual(got, 2, 1e-12) {
 		t.Errorf("Mean = %v, want 2", got)
@@ -418,7 +310,8 @@ func TestCDF(t *testing.T) {
 	}
 }
 
-// Property: CDF.At is monotone non-decreasing.
+// Property: the plotted CDF curve is monotone non-decreasing in both
+// coordinates and spans the sample from its minimum to its maximum.
 func TestCDFMonotone(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -427,16 +320,13 @@ func TestCDFMonotone(t *testing.T) {
 		for i := range vals {
 			vals[i] = r.Float64() * 100
 		}
-		c := NewCDF(vals)
-		prev := -1.0
-		for x := -10.0; x <= 110; x += 3.7 {
-			p := c.At(x)
-			if p < prev {
+		xs, ps := NewCDF(vals).Points(1 + r.Intn(20) + 1)
+		for i := 1; i < len(xs); i++ {
+			if xs[i] < xs[i-1] || ps[i] < ps[i-1] {
 				return false
 			}
-			prev = p
 		}
-		return prev == 1
+		return xs[0] == slices.Min(vals) && xs[len(xs)-1] == slices.Max(vals) && ps[len(ps)-1] == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -91,22 +91,6 @@ func PeakMAPE(actual, fitted Series, peak float64) (float64, error) {
 	return sum / float64(n), nil
 }
 
-// RMSE returns the root mean squared error between two series.
-func RMSE(actual, fitted Series) (float64, error) {
-	if len(actual) != len(fitted) {
-		return 0, fmt.Errorf("rmse %d vs %d samples: %w", len(actual), len(fitted), ErrLengthMismatch)
-	}
-	if len(actual) == 0 {
-		return 0, ErrEmpty
-	}
-	var ss float64
-	for i := range actual {
-		d := actual[i] - fitted[i]
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(actual))), nil
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of the values using
 // linear interpolation between order statistics (type-7 estimator, the
 // same default as R and NumPy). It panics if values is empty.
@@ -238,15 +222,6 @@ func NewCDF(values []float64) *CDF {
 	return &CDF{sorted: sorted}
 }
 
-// At returns P(X <= x) under the empirical distribution.
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(c.sorted))
-}
-
 // Quantile returns the q-quantile of the sample.
 func (c *CDF) Quantile(q float64) float64 {
 	if len(c.sorted) == 0 {
@@ -254,9 +229,6 @@ func (c *CDF) Quantile(q float64) float64 {
 	}
 	return quantileSorted(c.sorted, q)
 }
-
-// Len returns the sample size.
-func (c *CDF) Len() int { return len(c.sorted) }
 
 // Mean returns the sample mean.
 func (c *CDF) Mean() float64 { return Series(c.sorted).Mean() }

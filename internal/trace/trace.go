@@ -141,17 +141,6 @@ func (b *Box) DemandSeries() []timeseries.Series {
 	return out
 }
 
-// UsageSeries returns all M×N utilization-percent series of the box in
-// SeriesIndex order.
-func (b *Box) UsageSeries() []timeseries.Series {
-	out := make([]timeseries.Series, len(b.VMs)*NumResources)
-	for v := range b.VMs {
-		out[SeriesIndex(v, CPU)] = b.VMs[v].CPU
-		out[SeriesIndex(v, RAM)] = b.VMs[v].RAM
-	}
-	return out
-}
-
 // Capacities returns the per-VM allocated capacity of the resource, in
 // VM order.
 func (b *Box) Capacities(r Resource) []float64 {
@@ -205,31 +194,4 @@ func (t *Trace) GapFree() []*Box {
 		}
 	}
 	return out
-}
-
-// Window returns a copy of the trace restricted to sample range
-// [from, to) — e.g. a single day for the characterization experiments.
-func (t *Trace) Window(from, to int) (*Trace, error) {
-	if from < 0 || to > t.Samples() || from >= to {
-		return nil, fmt.Errorf("trace: window [%d,%d) out of range [0,%d)", from, to, t.Samples())
-	}
-	out := &Trace{SamplesPerDay: t.SamplesPerDay, Days: (to - from + t.SamplesPerDay - 1) / t.SamplesPerDay}
-	out.Boxes = make([]Box, len(t.Boxes))
-	for i := range t.Boxes {
-		b := t.Boxes[i]
-		nb := Box{ID: b.ID, CPUCapGHz: b.CPUCapGHz, RAMCapGB: b.RAMCapGB}
-		nb.VMs = make([]VM, len(b.VMs))
-		for j := range b.VMs {
-			vm := b.VMs[j]
-			nb.VMs[j] = VM{
-				ID:        vm.ID,
-				CPUCapGHz: vm.CPUCapGHz,
-				RAMCapGB:  vm.RAMCapGB,
-				CPU:       vm.CPU.Slice(from, to).Clone(),
-				RAM:       vm.RAM.Slice(from, to).Clone(),
-			}
-		}
-		out.Boxes[i] = nb
-	}
-	return out, nil
 }

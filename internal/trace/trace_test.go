@@ -131,34 +131,6 @@ func TestGapFree(t *testing.T) {
 	}
 }
 
-func TestWindow(t *testing.T) {
-	tr := smallTrace(t)
-	day, err := tr.Window(0, tr.SamplesPerDay)
-	if err != nil {
-		t.Fatalf("Window: %v", err)
-	}
-	if day.Samples() != tr.SamplesPerDay {
-		t.Errorf("day samples = %d, want %d", day.Samples(), tr.SamplesPerDay)
-	}
-	if len(day.Boxes) != len(tr.Boxes) {
-		t.Errorf("boxes = %d, want %d", len(day.Boxes), len(tr.Boxes))
-	}
-	// Windowing copies: mutating the window must not touch the source.
-	day.Boxes[0].VMs[0].CPU[0] = -123
-	if tr.Boxes[0].VMs[0].CPU[0] == -123 {
-		t.Error("Window aliases the source trace")
-	}
-	if _, err := tr.Window(-1, 10); err == nil {
-		t.Error("negative window accepted")
-	}
-	if _, err := tr.Window(0, tr.Samples()+1); err == nil {
-		t.Error("oversized window accepted")
-	}
-	if _, err := tr.Window(5, 5); err == nil {
-		t.Error("empty window accepted")
-	}
-}
-
 func TestNumVMs(t *testing.T) {
 	tr := smallTrace(t)
 	n := 0
