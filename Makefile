@@ -28,8 +28,10 @@ verify: build vet test race
 
 # Coverage-guided fuzzing, FUZZTIME per target (go test -fuzz takes one
 # target and one package at a time): the ingest wire decoder against
-# encoding/json, the CSV trace reader, the MCKP greedy solver, and the
-# DTW kernel against its row-by-row oracle. A crasher is written under
+# encoding/json, the CSV trace reader, the MCKP greedy solver, the DTW
+# kernel against its row-by-row oracle, and the state store's ring
+# (Extend/Range under wrap, eviction and growth) against a slice
+# model. A crasher is written under
 # the package's testdata/fuzz/ — commit it as a regression seed.
 FUZZTIME ?= 20s
 fuzz:
@@ -37,6 +39,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzGreedy$$' -fuzztime $(FUZZTIME) ./internal/resize/
 	$(GO) test -run '^$$' -fuzz '^FuzzDTWKernel$$' -fuzztime $(FUZZTIME) ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz '^FuzzRing$$' -fuzztime $(FUZZTIME) ./internal/timeseries/
 
 # Fault-injection suite under the race detector: retry/breaker state
 # machines, chaos transport, transactional apply/rollback and the

@@ -37,10 +37,6 @@ func WithWorkers(n int) MatrixOption {
 	return func(c *matrixConfig) { c.workers = n }
 }
 
-// Stats returns how many series-window updates were handled
-// incrementally vs fully recomputed.
-func (b *EnvelopeBank) Stats() (rolled, full int) { return b.rolled, b.full }
-
 // scratchPool recycles dtwScratch values across DTWWindow calls so
 // single-pair distances are allocation-free in steady state.
 var scratchPool = sync.Pool{New: func() any { return new(dtwScratch) }}
@@ -61,7 +57,3 @@ func DTWWindow(p, q timeseries.Series, w int) float64 {
 	scratchPool.Put(sc)
 	return v
 }
-
-// Reset discards all window state; the next update recomputes from
-// scratch. Buffers are retained.
-func (b *EnvelopeBank) Reset() { b.ready = false }

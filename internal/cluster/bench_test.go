@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-
-	"atm/internal/timeseries"
 )
 
 // benchSeries is the matrix-benchmark workload: 48 random-walk series
@@ -68,28 +66,6 @@ func BenchmarkEnvelopeAllocs(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			envelope(series[i%benchN], benchWindow, lower, upper)
-		}
-	})
-	b.Run("bank-rolled", func(b *testing.B) {
-		// Rolled windows over a long stream: the bank's incremental
-		// path, measured per matrix build.
-		const shift = 8
-		long := randomSeriesSet(rand.New(rand.NewSource(7)), benchN, benchM+shift*1024)
-		bank := NewEnvelopeBank(shift)
-		win := make([]timeseries.Series, benchN)
-		off := 0
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for j, s := range long {
-				win[j] = s.Slice(off, off+benchM)
-			}
-			if _, _, err := DTWMatrixApprox(win, benchWindow, 0, WithWorkers(1), WithEnvelopeBank(bank)); err != nil {
-				b.Fatal(err)
-			}
-			off += shift
-			if off+benchM > len(long[0]) {
-				off = 0
-			}
 		}
 	})
 }

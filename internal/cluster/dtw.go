@@ -284,29 +284,19 @@ func envelope(q timeseries.Series, w int, lower, upper []float64) {
 		return
 	}
 	sc := envPool.Get().(*envScratch)
-	envelopeRange(q, w, 0, m-1, lower, upper, sc)
+	envelopeBand(q, w, lower, upper, sc)
 	envPool.Put(sc)
 }
 
-// envelopeRange fills envelope positions [from, to] (band half-width
-// 0 <= w < len(q)) by running monotonic deques over exactly the
-// samples those positions depend on — O(to-from+w). envelope()
-// delegates to it for the full range; the incremental EnvelopeBank
-// uses it to recompute only the head/tail positions a window roll
-// invalidates. Values are bit-identical to a full-range computation:
-// each position's extremum is the min/max over the same sample set.
-func envelopeRange(q timeseries.Series, w, from, to int, lower, upper []float64, sc *envScratch) {
+// envelopeBand fills the band-w envelope (0 <= w < len(q)) by running
+// monotonic deques over q: each sample is pushed and popped at most
+// once, so it is O(m) whatever the band.
+func envelopeBand(q timeseries.Series, w int, lower, upper []float64, sc *envScratch) {
 	m := len(q)
 	minq, maxq := sc.deques(m)
-	next := from - w
-	if next < 0 {
-		next = 0
-	}
-	for j := from; j <= to; j++ {
-		end := j + w
-		if end > m-1 {
-			end = m - 1
-		}
+	next := 0
+	for j := 0; j < m; j++ {
+		end := min(j+w, m-1)
 		for ; next <= end; next++ {
 			for len(minq) > 0 && q[minq[len(minq)-1]] >= q[next] {
 				minq = minq[:len(minq)-1]
@@ -397,18 +387,6 @@ type MatrixOption func(*matrixConfig)
 
 type matrixConfig struct {
 	workers int
-	bank    *EnvelopeBank
-}
-
-// WithEnvelopeBank routes DTWMatrixApprox's normalization and
-// LB_Keogh envelope computation through an incremental EnvelopeBank:
-// when consecutive calls see windows rolled forward by the bank's
-// shift, envelopes are updated in O(shift + band) per series instead
-// of recomputed in O(m). Results are bit-identical either way. The
-// bank is stateful and not safe for concurrent use; share one per
-// pipeline, not across goroutines. DTWMatrix ignores the option.
-func WithEnvelopeBank(b *EnvelopeBank) MatrixOption {
-	return func(c *matrixConfig) { c.bank = b }
 }
 
 // validate checks the input of a pairwise matrix: every series must be
@@ -526,15 +504,9 @@ func DTWMatrixApprox(series []timeseries.Series, window int, cutoff float64, opt
 	// Per-series LB_Keogh envelopes, computed once: 2·n·m floats buy an
 	// O(m) bound per pair instead of the O(n·m) recurrence.
 	norm, lower, upper := sc.views(n, len(series[0]))
-	if mc.bank != nil {
-		// Incremental path: the bank keeps raw envelopes across rolled
-		// windows and maps them through this window's normalization.
-		mc.bank.update(series, window, norm, lower, upper)
-	} else {
-		for i, s := range series {
-			normalizeInto(norm[i], s)
-			envelope(norm[i], window, lower[i], upper[i])
-		}
+	for i, s := range series {
+		normalizeInto(norm[i], s)
+		envelope(norm[i], window, lower[i], upper[i])
 	}
 	pairs := n * (n - 1) / 2
 	lbs := sc.bounds(pairs)

@@ -506,15 +506,6 @@ func TestNonFiniteInput(t *testing.T) {
 		if _, _, err := DTWMatrixApprox(series, 4, 0); !errors.Is(err, ErrNonFinite) {
 			t.Errorf("DTWMatrixApprox with a %v sample: err = %v, want ErrNonFinite", bad, err)
 		}
-		bank := NewEnvelopeBank(4)
-		if _, _, err := DTWMatrixApprox(series, 4, 0, WithEnvelopeBank(bank)); !errors.Is(err, ErrNonFinite) {
-			t.Errorf("banked DTWMatrixApprox with a %v sample: err = %v, want ErrNonFinite", bad, err)
-		}
-		// The bank rejected the window before touching its state: the
-		// clean window that follows is a first, full update.
-		if _, _, err := DTWMatrixApprox(clean, 4, 0, WithEnvelopeBank(bank)); err != nil {
-			t.Errorf("clean window after a rejected one: %v", err)
-		}
 		if _, err := DTWSearch(series, -1); !errors.Is(err, ErrNonFinite) {
 			t.Errorf("DTWSearch with a %v sample: err = %v, want ErrNonFinite", bad, err)
 		}

@@ -5,9 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
-	"atm/internal/cluster"
 	"atm/internal/obs"
 	"atm/internal/parallel"
 	"atm/internal/predict"
@@ -18,12 +18,13 @@ import (
 	"atm/internal/trace"
 )
 
-// stepArena owns every buffer a pipeline step needs, so a steady-state
-// StepInto performs zero heap allocations: demand series, training
-// headers, per-signature temporal models and forecast buffers,
-// reconstruction output, and per-resource resize state. Buffers grow
-// on demand (the first step over a box shape allocates) and are reused
-// verbatim afterwards.
+// stepArena owns the buffers a pipeline step leaves its results in, so
+// a steady-state StepInto performs zero heap allocations: demand
+// series, training headers, per-signature temporal models and forecast
+// buffers, reconstruction output, and the sizes each resource's solve
+// chose. The solves' working state is pooled (solveScratch), not kept
+// per box. Buffers grow on demand (the first step over a box shape
+// allocates) and are reused verbatim afterwards.
 type stepArena struct {
 	demands []timeseries.Series // arena-owned demand series, SeriesIndex order
 	train   []timeseries.Series // training-window views of demands
@@ -31,10 +32,7 @@ type stepArena struct {
 	models  []predict.IntoForecaster // retained temporal model per signature slot
 	sigFC   []timeseries.Series      // per-signature forecast buffers
 	recon   []timeseries.Series      // reconstruction output, arena-owned backing
-	caps    [2][]float64             // current per-VM capacities, per resource
-	vms     [2][]resize.VM
-	prob    [2]resize.Problem
-	rs      [2]resize.Scratch
+	sizes   [2][]float64             // per-VM sizes each resource's solve chose
 	runs    [2]BoxRun
 	pred    BoxPrediction
 	result  BoxResult
@@ -88,22 +86,6 @@ func growFloats(dst []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return dst[:n]
-}
-
-// searchConfig is the spatial config handed to full searches: when the
-// method is approximate DTW, a pipeline-owned
-// envelope bank carries normalizations and LB_Keogh envelopes across
-// successive searches over rolled windows (bit-identical results; see
-// cluster.EnvelopeBank). A caller-provided bank is respected.
-func (p *Pipeline) searchConfig() spatial.Config {
-	cfg := p.cfg.Spatial
-	if cfg.Envelopes == nil && cfg.Method == spatial.MethodDTW && cfg.DTWApprox {
-		if p.bank == nil {
-			p.bank = cluster.NewEnvelopeBank(p.cfg.Horizon)
-		}
-		cfg.Envelopes = p.bank
-	}
-	return cfg
 }
 
 // rollModel attempts the incremental O(p²)-per-sample model update for
@@ -171,7 +153,7 @@ func (p *Pipeline) searchInto(ctx context.Context, train []timeseries.Series) (*
 		}
 	}
 	if research {
-		model, err = spatial.SearchContext(ctx, train, p.searchConfig())
+		model, err = spatial.SearchContext(ctx, train, p.cfg.Spatial)
 		if err == nil {
 			p.adoptRoller(train, model)
 		}
@@ -358,16 +340,29 @@ func (p *Pipeline) predictInto(ctx context.Context, demands []timeseries.Series)
 	return pred, nil
 }
 
+// solveScratch is the working state of one resource solve: the
+// problem, its VMs and the solver's candidate sets, hull paths and
+// heap. It is pooled, not held per box: a box keeps only the sizes its
+// solves chose, so a fleet holds one solveScratch per solve in flight.
+type solveScratch struct {
+	vms  []resize.VM
+	prob resize.Problem
+	rs   resize.Scratch
+}
+
+var solvePool = sync.Pool{New: func() any { return new(solveScratch) }}
+
 // solveInto solves the resizing problem for one resource of a box from
 // its predicted demands; the box's total capacity for the resource is
 // the constraint C. It reads the training part of the arena's demands
 // (filled by demandsInto) and the box's capacities, never the horizon's
-// actuals — countTickets evaluates the sizes against those. Candidate
-// sets, hull paths, the descent heap and the result all live in the
-// per-resource resize scratch, so the two resources can still solve
-// concurrently.
+// actuals — countTickets evaluates the sizes against those. The solve
+// runs on a pooled solveScratch of its own, so the two resources can
+// still solve concurrently; the chosen sizes land in the arena.
 func (a *stepArena) solveInto(ctx context.Context, cfg Config, b *trace.Box, pred *BoxPrediction, r trace.Resource) error {
 	slot := int(r)
+	sc := solvePool.Get().(*solveScratch)
+	defer sc.release()
 	_, span := obs.StartSpan(ctx, "core.resize")
 	defer span.End()
 	if span != nil {
@@ -383,10 +378,10 @@ func (a *stepArena) solveInto(ctx context.Context, cfg Config, b *trace.Box, pre
 	if r == trace.RAM {
 		capacity = b.RAMCapGB
 	}
-	if cap(a.vms[slot]) < m {
-		a.vms[slot] = make([]resize.VM, m)
+	if cap(sc.vms) < m {
+		sc.vms = make([]resize.VM, m)
 	}
-	vms := a.vms[slot][:m]
+	vms := sc.vms[:m]
 	var lbSum float64
 	for v := 0; v < m; v++ {
 		predicted := pred.Demand[trace.SeriesIndex(v, r)]
@@ -409,14 +404,14 @@ func (a *stepArena) solveInto(ctx context.Context, cfg Config, b *trace.Box, pre
 			vms[v].LowerBound *= f
 		}
 	}
-	prob := &a.prob[slot]
+	prob := &sc.prob
 	*prob = resize.Problem{
 		VMs:       vms,
 		Capacity:  capacity,
 		Threshold: cfg.Threshold,
 		Epsilon:   cfg.Epsilon,
 	}
-	alloc, err := prob.GreedyInto(&a.rs[slot])
+	alloc, err := prob.GreedyInto(&sc.rs)
 	if err != nil {
 		return fmt.Errorf("core: resize %s of %s: %w", r, b.ID, err)
 	}
@@ -425,21 +420,31 @@ func (a *stepArena) solveInto(ctx context.Context, cfg Config, b *trace.Box, pre
 	// is predicted to ticket no more than the optimized one, keep it.
 	// Prediction error can otherwise talk the optimizer into shrinking
 	// a perfectly healthy box.
-	current := growFloats(a.caps[slot], m)
-	a.caps[slot] = current
+	sizes := growFloats(a.sizes[slot], m)
+	a.sizes[slot] = sizes
 	var curSum float64
 	for v := 0; v < m; v++ {
-		current[v] = b.VMs[v].Capacity(r)
-		curSum += current[v]
+		sizes[v] = b.VMs[v].Capacity(r)
+		curSum += sizes[v]
 	}
+	keep := false
 	if curSum <= capacity {
-		curTickets, err := prob.Tickets(current)
-		if err == nil && curTickets <= alloc.Tickets {
-			alloc = resize.Allocation{Sizes: current, Tickets: curTickets}
-		}
+		curTickets, err := prob.Tickets(sizes)
+		keep = err == nil && curTickets <= alloc.Tickets
 	}
-	a.runs[slot] = BoxRun{Resource: r, Sizes: alloc.Sizes}
+	if !keep {
+		copy(sizes, alloc.Sizes)
+	}
+	a.runs[slot] = BoxRun{Resource: r, Sizes: sizes}
 	return nil
+}
+
+// release drops the scratch's references into the box it solved for
+// and returns it to the pool.
+func (sc *solveScratch) release() {
+	clear(sc.vms)
+	sc.prob = resize.Problem{}
+	solvePool.Put(sc)
 }
 
 // countTickets evaluates the sizes solveInto chose for the resource
@@ -531,8 +536,7 @@ func (p *Pipeline) Prepare(ctx context.Context, b *trace.Box) error {
 // Cholesky up/downdates on the dependent fits' normal equations),
 // which agrees with the reference refit within 1e-9; a window that
 // does not roll the previous one takes the reference refit itself.
-// Research steps run the full search, with envelope reuse when the
-// method is approximate DTW (bit-identical to a search without it).
+// Research steps run the full search.
 func (p *Pipeline) StepInto(ctx context.Context, b *trace.Box) (*BoxResult, error) {
 	ctx, span := obs.StartSpan(ctx, "core.box")
 	defer span.End()

@@ -222,3 +222,84 @@ func TestRunRollingResultsOwnTheirMemory(t *testing.T) {
 		}
 	}
 }
+
+// TestSolveScratchSharedAcrossPipelines: the resize working state is
+// pooled per solve, not held per box, so two pipelines over boxes of
+// different VM counts (3 and 17) that both prepare a step and then
+// both finish it solve on each other's leftover scratch, and each
+// finishes after the other has solved. Their sizes and tickets must be
+// bit-equal to each pipeline stepped alone, with the solves inline
+// (Workers 1: every solve reuses the one pooled scratch) and on the
+// pool.
+func TestSolveScratchSharedAcrossPipelines(t *testing.T) {
+	boxOf := func(vms int, seed int64) *trace.Box {
+		tr := trace.Generate(trace.GenConfig{
+			Boxes: 1, Days: 8, SamplesPerDay: 16, Seed: seed, GapFraction: 1e-9,
+			MeanVMs: vms, MinVMs: vms, MaxVMs: vms,
+		})
+		if got := len(tr.Boxes[0].VMs); got != vms {
+			t.Fatalf("generated %d VMs, want %d", got, vms)
+		}
+		return &tr.Boxes[0]
+	}
+	boxes := []*trace.Box{boxOf(3, 3), boxOf(17, 4)}
+	type outcome struct {
+		sizes   [2][]float64
+		tickets [2]int
+	}
+	ctx := context.Background()
+	for _, workers := range []int{1, 0} {
+		cfg := fastConfig(16)
+		cfg.Workers = workers
+		cfg.Reuse = ReusePolicy{Enabled: true, MaxAge: 3}
+		windows := make([][]*trace.Box, len(boxes))
+		trains := make([][]*trace.Box, len(boxes))
+		for i, b := range boxes {
+			windows[i] = rollingWindows(t, b, cfg)
+			for s := range windows[i] {
+				trains[i] = append(trains[i], windowBox(t, b, s*cfg.Horizon, s*cfg.Horizon+cfg.TrainWindows))
+			}
+		}
+		step := func(p *Pipeline, wb *trace.Box) outcome {
+			res, err := p.StepInto(ctx, wb)
+			if err != nil {
+				t.Fatalf("workers %d box %s: %v", workers, wb.ID, err)
+			}
+			return outcome{
+				sizes:   [2][]float64{append([]float64(nil), res.CPU.Sizes...), append([]float64(nil), res.RAM.Sizes...)},
+				tickets: [2]int{res.CPU.TicketsAfter, res.RAM.TicketsAfter},
+			}
+		}
+		newPipeline := func() *Pipeline {
+			p, err := NewPipeline(16, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+		alone := make([][]outcome, len(boxes))
+		for i := range boxes {
+			p := newPipeline()
+			for _, wb := range windows[i] {
+				alone[i] = append(alone[i], step(p, wb))
+			}
+		}
+		together := []*Pipeline{newPipeline(), newPipeline()}
+		for s := range windows[0] {
+			for i, p := range together {
+				if err := p.Prepare(ctx, trains[i][s]); err != nil {
+					t.Fatalf("workers %d step %d: prepare: %v", workers, s, err)
+				}
+			}
+			for i, p := range together {
+				got, want := step(p, windows[i][s]), alone[i][s]
+				for r := range got.sizes {
+					if !sameBits(got.sizes[r], want.sizes[r]) || got.tickets[r] != want.tickets[r] {
+						t.Fatalf("workers %d step %d box of %d VMs resource %d: interleaved %v (%d tickets), alone %v (%d tickets)",
+							workers, s, len(boxes[i].VMs), r, got.sizes[r], got.tickets[r], want.sizes[r], want.tickets[r])
+					}
+				}
+			}
+		}
+	}
+}

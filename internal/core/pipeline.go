@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"atm/internal/cluster"
 	"atm/internal/obs"
 	"atm/internal/predict"
 	"atm/internal/spatial"
@@ -112,11 +111,9 @@ type Pipeline struct {
 	reuseState
 
 	// Incremental step state: the roller maintains the dependent fits'
-	// normal equations across rolled windows, the bank carries DTW
-	// envelopes across searches, and the arena owns every buffer a
-	// steady-state step touches.
+	// normal equations across rolled windows, and the arena owns the
+	// buffers a steady-state step writes its results into.
 	roller *spatial.Roller
-	bank   *cluster.EnvelopeBank
 	arena  stepArena
 
 	held heldPhase

@@ -15,7 +15,9 @@ import (
 // scheduling pass — window materialization, the full arena pipeline
 // step, and plan publication — performs zero heap allocations. The
 // store retains the whole stream so ring compaction (amortized, one
-// array per Limit appends) stays out of the measured window.
+// array per Limit appends) stays out of the measured window, and the
+// warm-up ingests the first half of it as one batch, which grows each
+// ring (to twice what it holds) once for the whole stream.
 func TestEngineSyncAllocFree(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -61,14 +63,28 @@ func TestEngineSyncAllocFree(t *testing.T) {
 
 	// Warm up: the research step and the first incremental rolls grow
 	// the engine's scratch, the arena and the plan buffers.
-	ingest(e.Need(2))
+	warm := 0
+	for e.Need(warm) < total/2 {
+		warm++
+	}
+	var cpuWarm, ramWarm [][]float64
+	for ; tick < e.Need(warm); tick++ {
+		c, r := make([]float64, len(b.VMs)), make([]float64, len(b.VMs))
+		for v := range b.VMs {
+			c[v], r[v] = b.VMs[v].CPU[tick], b.VMs[v].RAM[tick]
+		}
+		cpuWarm, ramWarm = append(cpuWarm, c), append(ramWarm, r)
+	}
+	if _, err := st.AppendBatch(b.ID, cpuWarm, ramWarm); err != nil {
+		t.Fatalf("append warm-up: %v", err)
+	}
 	e.Sync(ctx)
-	if got := e.Steps(b.ID); got != 3 {
-		t.Fatalf("warm-up steps = %d, want 3", got)
+	if got := e.Steps(b.ID); got != warm+1 {
+		t.Fatalf("warm-up steps = %d, want %d", got, warm+1)
 	}
 
 	steps := (total - cfg.TrainWindows) / cfg.Horizon
-	runs := steps - 3 // one horizon ingested + one step fired per run
+	runs := steps - (warm + 1) // one horizon ingested + one step fired per run
 	allocs := testing.AllocsPerRun(runs-1, func() {
 		ingest(cfg.Horizon)
 		e.Sync(ctx)

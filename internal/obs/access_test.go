@@ -29,17 +29,3 @@ func (r *RingExporter) Spans() []SpanData {
 	}
 	return out
 }
-
-// Dropped returns how many spans were lost to write/rotation failures.
-func (e *FileSpanExporter) Dropped() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.dropped
-}
-
-// Err returns the most recent write/rotation error, if any.
-func (e *FileSpanExporter) Err() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.err
-}

@@ -3,7 +3,6 @@ package obs
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -356,16 +355,14 @@ const DefaultSpanFileMax = 64 << 20
 // size-bounded rotation: when the active segment would exceed the
 // byte cap it is renamed to path+".1" (replacing the previous rotated
 // segment) and a fresh segment starts, so disk is bounded at ~2x the
-// cap. Spans lost to write or rotation failures are counted, not
-// retried.
+// cap. Spans lost to write or rotation failures are counted
+// (atm_trace_dropped_total{exporter="file"}), not retried.
 type FileSpanExporter struct {
-	mu      sync.Mutex
-	path    string
-	max     int64
-	f       *os.File
-	size    int64
-	dropped int
-	err     error // most recent write/rotate error
+	mu   sync.Mutex
+	path string
+	max  int64
+	f    *os.File
+	size int64
 }
 
 // NewFileSpanExporter opens (truncating) path for span output, rotating
@@ -385,14 +382,14 @@ func NewFileSpanExporter(path string, maxBytes int64) (*FileSpanExporter, error)
 func (e *FileSpanExporter) ExportSpan(s SpanData) {
 	line, err := json.Marshal(s)
 	if err != nil {
-		e.drop(err)
+		fileSpansDropped.Inc()
 		return
 	}
 	line = append(line, '\n')
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.f == nil {
-		e.dropLocked(errFileClosed)
+		fileSpansDropped.Inc()
 		return
 	}
 	if e.size > 0 && e.size+int64(len(line)) > e.max {
@@ -401,50 +398,33 @@ func (e *FileSpanExporter) ExportSpan(s SpanData) {
 	n, err := e.f.Write(line)
 	e.size += int64(n)
 	if err != nil {
-		e.dropLocked(err)
-		return
+		fileSpansDropped.Inc()
 	}
-	e.err = nil
 }
-
-var errFileClosed = fmt.Errorf("obs: span file exporter closed")
 
 // rotateLocked renames the active segment to path+".1" and starts a
 // fresh one. On failure the active segment stays open (the current
 // span still lands; the size bound is temporarily exceeded rather than
-// losing data silently).
+// losing data silently); when no segment can be opened, every later
+// span is a counted drop.
 func (e *FileSpanExporter) rotateLocked() {
-	if err := e.f.Close(); err != nil {
-		e.err = err
-	}
-	if err := os.Rename(e.path, e.path+".1"); err != nil {
-		e.err = err
-	}
+	// A failed close or rename changes nothing the exporter does next:
+	// the fresh segment below is opened either way, and a write to a
+	// broken one is a counted drop.
+	_ = e.f.Close()
+	_ = os.Rename(e.path, e.path+".1")
 	f, err := os.Create(e.path)
 	if err != nil {
 		// Could not start a fresh segment: try to keep the old handle
 		// path alive by reopening in append mode; give up on failure.
 		f, err = os.OpenFile(e.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			e.err = err
 			e.f = nil
 			return
 		}
 	}
 	e.f = f
 	e.size = 0
-}
-
-func (e *FileSpanExporter) drop(err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.dropLocked(err)
-}
-
-func (e *FileSpanExporter) dropLocked(err error) {
-	e.err = err
-	e.dropped++
-	fileSpansDropped.Inc()
 }
 
 // Close flushes and closes the active segment. Spans exported after

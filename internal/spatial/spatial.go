@@ -77,13 +77,6 @@ type Config struct {
 	// SkipStepwise disables step 2, leaving the clustering-only
 	// signature set. Used by the paper's Figure 6 ablation.
 	SkipStepwise bool
-	// Envelopes, when non-nil, carries series normalizations and
-	// LB_Keogh envelopes across successive searches over rolled
-	// windows of the same box (MethodDTW with DTWApprox only).
-	// Results are bit-identical with or without it; the bank is
-	// stateful and must not be shared between boxes or concurrent
-	// searches.
-	Envelopes *cluster.EnvelopeBank
 }
 
 func (c Config) rhoTh() float64 {
@@ -178,12 +171,7 @@ func SearchContext(ctx context.Context, series []timeseries.Series, cfg Config) 
 	switch cfg.Method {
 	case MethodDTW:
 		if cfg.DTWApprox {
-			if cfg.Envelopes != nil {
-				res, err = cluster.DTWSearchApprox(series, cfg.dtwWindow(), 0,
-					cluster.WithEnvelopeBank(cfg.Envelopes))
-			} else {
-				res, err = cluster.DTWSearchApprox(series, cfg.dtwWindow(), 0)
-			}
+			res, err = cluster.DTWSearchApprox(series, cfg.dtwWindow(), 0)
 		} else {
 			res, err = cluster.DTWSearch(series, cfg.dtwWindow())
 		}

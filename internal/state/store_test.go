@@ -555,10 +555,16 @@ func TestStoreAppendBatchAllocFree(t *testing.T) {
 	if err := s.Register(meta("b", 3)); err != nil {
 		t.Fatal(err)
 	}
-	cpu := [][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {1, 2, 3}}
-	if _, err := s.AppendBatch("b", cpu, cpu); err != nil {
+	// A 1,024-tick warm-up grows each ring to 2,048 slots, room for
+	// every run below.
+	warm := make([][]float64, 1024)
+	for k := range warm {
+		warm[k] = []float64{1, 2, 3}
+	}
+	if _, err := s.AppendBatch("b", warm, warm); err != nil {
 		t.Fatal(err)
 	}
+	cpu := [][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}, {1, 2, 3}}
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := s.AppendBatch("b", cpu, cpu); err != nil {
 			t.Fatal(err)

@@ -26,12 +26,16 @@ var (
 // retained. Total reports how many have been appended.
 //
 // Storage is append-only: a retained sample is never overwritten in
-// place. Eviction advances a start offset and compaction copies the
-// live window into a fresh array, leaving old arrays untouched. A
+// place. Eviction advances a start offset; growth and compaction copy
+// the live window into a fresh array, leaving old arrays untouched. A
 // Series view returned by Range therefore stays valid
 // — and data-race-free against concurrent appends serialized by the
 // caller's lock — for as long as the caller holds it; it is a stable
 // snapshot, not a window that slides under the reader.
+//
+// Memory follows what the ring holds, not its limit: a fresh ring has
+// no array, and its array is never more than twice the retained
+// samples (or ringFloor) nor more than 2*limit.
 //
 // Ring itself is not safe for concurrent use; callers (the state
 // store) serialize access.
@@ -48,11 +52,14 @@ func NewRing(limit int) *Ring {
 	if limit <= 0 {
 		panic(fmt.Sprintf("timeseries: ring limit %d: must be positive", limit))
 	}
-	// Capacity 2*limit: appends fill the slack and compaction runs about
-	// once per limit appended samples, so eviction is amortized O(1) and
-	// never touches memory an outstanding view aliases.
-	return &Ring{limit: limit, buf: make([]float64, 0, 2*limit)}
+	// No array yet: Extend allocates the first when samples arrive and
+	// grows it with what the ring holds.
+	return &Ring{limit: limit}
 }
+
+// ringFloor is the smallest array a ring grows into, unless 2*limit is
+// smaller.
+const ringFloor = 16
 
 // Extend appends n samples whose values the caller fills in: it makes
 // one eviction and at most one compaction decision for the whole batch
@@ -80,11 +87,15 @@ func (r *Ring) Extend(n int) []float64 {
 	r.dropped += n - keep
 	end := len(r.buf)
 	if end+keep > cap(r.buf) {
-		// Compact into a fresh array so outstanding views (which alias
-		// the old one) remain valid.
-		nb := make([]float64, end-r.start, 2*r.limit)
+		// Grow or compact into a fresh array so outstanding views (which
+		// alias the old one) remain valid. The array holds twice what
+		// the ring will hold, like append's doubling, up to 2*limit: a
+		// filling ring copies each sample O(1) times amortized, and a
+		// full ring compacts about once per limit appended samples.
+		live := end - r.start
+		nb := make([]float64, live, min(max(2*(live+keep), ringFloor), 2*r.limit))
 		copy(nb, r.buf[r.start:])
-		r.buf, r.start, end = nb, 0, len(nb)
+		r.buf, r.start, end = nb, 0, live
 	}
 	r.buf = r.buf[:end+keep]
 	return r.buf[end:]

@@ -240,18 +240,153 @@ func TestRingExtendNegativePanics(t *testing.T) {
 	NewRing(4).Extend(-1)
 }
 
-// TestRingExtendAllocFree: a bulk append allocates only when it
-// compacts — once per Limit samples, never within the slack.
+// TestRingExtendAllocFree: a bulk append allocates only when it grows
+// or compacts — once per Limit samples on a full ring, never within
+// the slack.
 func TestRingExtendAllocFree(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
 	r := NewRing(1024)
+	r.Extend(1024) // full: the array is at its 2048 slots
 	batch := make(Series, 8)
-	allocs := testing.AllocsPerRun(100, func() { // 808 of the 2048 slots
+	allocs := testing.AllocsPerRun(100, func() { // 808 of the 1024 spare slots
 		r.AppendSlice(batch)
 	})
 	if allocs != 0 {
 		t.Fatalf("AppendSlice within capacity: %v allocs/op, want 0", allocs)
 	}
+}
+
+// TestRingCapacityFollowsContents is the memory property: a fresh ring
+// allocates no array; the array never exceeds 2*limit, nor twice what
+// the ring holds once past ringFloor; and a view held across a growth
+// and a later compaction keeps its values.
+func TestRingCapacityFollowsContents(t *testing.T) {
+	if r := NewRing(1 << 20); cap(r.buf) != 0 {
+		t.Fatalf("fresh ring holds a %d-slot array", cap(r.buf))
+	}
+	if !race.Enabled {
+		if allocs := testing.AllocsPerRun(10, func() { NewRing(1 << 20) }); allocs > 1 {
+			t.Fatalf("NewRing: %v allocs, want only the Ring itself", allocs)
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, limit := range []int{1, 5, 16, 100, 1152} {
+		r := NewRing(limit)
+		var all []float64
+		var view, snapshot Series
+		grewHeld, compactedHeld := false, false
+		for op := 0; op < 300; op++ {
+			n := []int{1, 1, 2, 7, limit / 3, limit + 1}[rng.Intn(6)]
+			if op == 0 {
+				n = min(2, limit) // a ring that still has to grow
+			}
+			oldBase, oldDropped := base(r), r.First()
+			dst := r.Extend(n)
+			for k := 0; k < n; k++ {
+				all = append(all, float64(len(all)))
+			}
+			copy(dst, all[len(all)-len(dst):])
+			c := cap(r.buf)
+			if c > 2*limit {
+				t.Fatalf("limit %d: capacity %d past 2*limit", limit, c)
+			}
+			if c > max(ringFloor, 2*r.Len()) {
+				t.Fatalf("limit %d: capacity %d for %d retained samples", limit, c, r.Len())
+			}
+			if view != nil && base(r) != oldBase {
+				if oldDropped == 0 {
+					grewHeld = true
+				} else {
+					compactedHeld = true
+				}
+			}
+			if view == nil && r.Len() >= 2 && r.Len() < limit {
+				view = r.Values()
+				snapshot = view.Clone()
+			}
+			for i := range snapshot {
+				if view[i] != snapshot[i] {
+					t.Fatalf("limit %d op %d: held view[%d] changed from %v to %v", limit, op, i, snapshot[i], view[i])
+				}
+			}
+		}
+		if limit >= ringFloor && (!grewHeld || !compactedHeld) {
+			t.Fatalf("limit %d: view held across growth %v, compaction %v; want both", limit, grewHeld, compactedHeld)
+		}
+	}
+}
+
+// base returns the first slot of the ring's array (nil before it has
+// one): it changes exactly when the ring moves to a fresh array.
+func base(r *Ring) *float64 {
+	if cap(r.buf) == 0 {
+		return nil
+	}
+	return &r.buf[:1][0]
+}
+
+// FuzzRing drives a ring with arbitrary Extend and Range calls and
+// checks it against a slice model holding every sample ever appended:
+// lengths, totals, values in absolute coordinates, and the ErrEvicted /
+// ErrFuture boundaries, across wrap, eviction and growth.
+func FuzzRing(f *testing.F) {
+	f.Add(uint8(4), []byte{3, 0x85, 9, 0x90, 1, 1, 0xff, 40})
+	f.Add(uint8(1), []byte{0, 1, 2, 0x81, 0x82})
+	f.Add(uint8(200), []byte{63, 63, 63, 63, 0xc0, 0x80, 63, 0xbf})
+	f.Fuzz(func(t *testing.T, lim uint8, ops []byte) {
+		limit := int(lim)%64 + 1
+		r := NewRing(limit)
+		var all []float64
+		for i, op := range ops {
+			if op&0x80 == 0 {
+				n := int(op)
+				dst := r.Extend(n)
+				if len(dst) != min(n, limit) {
+					t.Fatalf("op %d: Extend(%d) gave %d slots", i, n, len(dst))
+				}
+				for k := 0; k < n; k++ {
+					all = append(all, float64(len(all))+0.25)
+				}
+				copy(dst, all[len(all)-len(dst):])
+			} else {
+				// A range query whose bounds reach past both ends of
+				// the retained window.
+				span := limit + 4
+				from := len(all) - span + int(op>>3)&0x0f
+				to := from + 1 + int(op&0x07)
+				got, err := r.Range(from, to)
+				switch {
+				case from < 0:
+					if err == nil {
+						t.Fatalf("op %d: Range(%d,%d) accepted", i, from, to)
+					}
+				case from < len(all)-min(len(all), limit):
+					if !errors.Is(err, ErrEvicted) {
+						t.Fatalf("op %d: Range(%d,%d) = %v, want ErrEvicted", i, from, to, err)
+					}
+				case to > len(all):
+					if !errors.Is(err, ErrFuture) {
+						t.Fatalf("op %d: Range(%d,%d) = %v, want ErrFuture", i, from, to, err)
+					}
+				default:
+					if err != nil {
+						t.Fatalf("op %d: Range(%d,%d): %v", i, from, to, err)
+					}
+					for k, v := range got {
+						if v != all[from+k] {
+							t.Fatalf("op %d: Range(%d,%d)[%d] = %v, want %v", i, from, to, k, v, all[from+k])
+						}
+					}
+				}
+			}
+			if r.Total() != len(all) || r.Len() != min(len(all), limit) {
+				t.Fatalf("op %d: total %d len %d, model has %d", i, r.Total(), r.Len(), len(all))
+			}
+			if c := cap(r.buf); c > 2*limit || c > max(ringFloor, 2*r.Len()) {
+				t.Fatalf("op %d: capacity %d for limit %d, %d retained", i, c, limit, r.Len())
+			}
+		}
+	})
 }
