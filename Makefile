@@ -1,8 +1,9 @@
 # Build, verification and benchmark entry points. `make verify` is the
-# tier-1 path: build + vet + full tests, plus the race detector on the
-# packages that gained concurrency (the worker pool, the parallel DTW
-# matrix and the experiment drivers). Serving-path performance is
-# measured end to end by `go run ./benchmark` (see benchmark/README.md);
+# tier-1 path: build + vet + full tests, plus the whole module under the
+# race detector (as CI's "Test (race)" step runs it) and the engine's
+# and pipeline's concurrency tests repeated ten times. Serving-path
+# performance is measured end to end by `go run ./benchmark` (see
+# benchmark/README.md);
 # the targets here are the kernel microbenchmarks and the two guards
 # (obsguard, robustguard) that protect what that bench does not.
 
@@ -20,7 +21,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/parallel/... ./internal/cluster/... ./internal/predict/... ./internal/resize/... ./internal/regress/... ./internal/experiments/... ./internal/core/... ./internal/obs/... ./internal/score/... ./internal/control/... ./internal/resilience/... ./internal/actuator/... ./internal/timeseries/... ./internal/state/... ./internal/engine/... ./internal/serve/... ./cmd/atmd/... ./cmd/atmcli/... ./cmd/atmload/...
+	$(GO) test -race ./...
 	$(GO) test -race -count=10 -timeout 5m -run 'TestGate|TestEngineBurst|TestEngineLargeStepNotStarved|TestEngineBlockedBackend|TestEnginePassDoesNotWaitForSteps|TestEngineBoxNeverStepsConcurrently|TestEngineIngestHeadroom|TestEngineCancel|TestEngineStepPanic|TestEngineIdleGapBurst|TestEngineDueStepBefore|TestEngineAppendDuringModelPhase|TestEngineEstimateIsModelPhaseTime|TestEngineNoModelWork' ./internal/engine/
 	$(GO) test -race -count=10 -run 'TestPrepare' ./internal/core/
 

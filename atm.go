@@ -26,7 +26,12 @@
 package atm
 
 import (
+	"context"
+	"errors"
+	"fmt"
+
 	"atm/internal/core"
+	"atm/internal/engine"
 	"atm/internal/predict"
 	"atm/internal/spatial"
 	"atm/internal/timeseries"
@@ -92,7 +97,9 @@ func WithMethod(m Method) Option {
 
 // WithTemporal replaces the temporal model used for signature series
 // (default: the built-in MLP neural network, as in the paper). The
-// factory is invoked once per signature series.
+// factory is invoked once per signature series. Run calls it from one
+// goroutine per box, so a factory shared across boxes must be safe for
+// concurrent use; RunBox and RunRollingBox call it sequentially.
 func WithTemporal(factory func() TemporalModel) Option {
 	return func(s *System) { s.cfg.Temporal = core.TemporalFactory(factory) }
 }
@@ -259,21 +266,103 @@ func WithAutoModel() Option {
 	}
 }
 
-// RollingResult is one step of an online (sliding-window) ATM run.
-type RollingResult = core.RollingResult
-
-// RollingSummary aggregates an online run.
-type RollingSummary = core.RollingSummary
+// RollingResult is the outcome of one resizing window in an online
+// run.
+type RollingResult struct {
+	// Step is the zero-based resizing-window index.
+	Step int
+	// Result is the full per-box outcome for this window (prediction,
+	// CPU and RAM runs), evaluated against that window's actuals. Its
+	// Box is the window the step ran on.
+	Result *Result
+	// Research reports whether this step ran a full signature search
+	// (true) or reused the retained signature set with a cheap refit
+	// (false). Without WithModelReuse it is true on every step.
+	Research bool
+}
 
 // RunRollingBox drives ATM online over the box's whole trace: after
 // the training prefix, every successive horizon window is predicted
 // and resized from the most recent history — the paper's future-work
-// direction of online dynamic workload management.
+// direction of online dynamic workload management. The number of steps
+// is floor((samples - train) / horizon).
+//
+// The trace is replayed through the streaming engine the daemon runs,
+// one persistent pipeline per box, so WithModelReuse retains the
+// signature set across windows and refits only the cheap weights until
+// drift (or age) forces a re-search. A step that produces no result
+// aborts the run; a degraded step keeps its flagged stingy-fallback
+// result and its cause comes back in the joined error. A trace with
+// gap (NaN) samples is rejected before the first step.
 func (s *System) RunRollingBox(b *Box) ([]RollingResult, error) {
-	return core.RunRolling(b, s.spd, s.cfg)
+	var out []RollingResult
+	var errs []error
+	cfg := engine.Config{Core: s.cfg, SamplesPerDay: s.spd}
+	err := engine.Replay(context.Background(), b, cfg, func(p engine.Plan, res *Result, err error) error {
+		if err != nil {
+			err = fmt.Errorf("atm: rolling step %d: %w", p.Step, err)
+		}
+		if res == nil {
+			return err
+		}
+		errs = append(errs, err)
+		kept := res.Clone()
+		box := *res.Box
+		box.VMs = append([]VM(nil), res.Box.VMs...)
+		kept.Box = &box
+		out = append(out, RollingResult{Step: p.Step, Result: kept, Research: p.Research})
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, errors.Join(errs...)
+}
+
+// RollingSummary aggregates an online run.
+type RollingSummary struct {
+	// Steps is the number of resizing windows executed.
+	Steps int
+	// Researches counts the steps that ran a full signature search;
+	// Steps - Researches steps reused the retained model.
+	Researches int
+	// MeanMAPE is the average prediction error across steps.
+	MeanMAPE float64
+	// CPUReduction and RAMReduction aggregate tickets across all steps
+	// (total before vs total after), which is robust to zero-ticket
+	// windows.
+	CPUReduction float64
+	RAMReduction float64
+	// TicketsBefore and TicketsAfter are the aggregate CPU+RAM counts.
+	TicketsBefore, TicketsAfter int
 }
 
 // SummarizeRolling aggregates per-step rolling results.
 func SummarizeRolling(results []RollingResult) RollingSummary {
-	return core.SummarizeRolling(results)
+	s := RollingSummary{Steps: len(results)}
+	if s.Steps == 0 {
+		return s
+	}
+	var mape float64
+	var cpuBefore, cpuAfter, ramBefore, ramAfter int
+	for _, r := range results {
+		if r.Research {
+			s.Researches++
+		}
+		mape += r.Result.MeanMAPE()
+		cpuBefore += r.Result.CPU.TicketsBefore
+		cpuAfter += r.Result.CPU.TicketsAfter
+		ramBefore += r.Result.RAM.TicketsBefore
+		ramAfter += r.Result.RAM.TicketsAfter
+	}
+	s.MeanMAPE = mape / float64(s.Steps)
+	if cpuBefore > 0 {
+		s.CPUReduction = float64(cpuBefore-cpuAfter) / float64(cpuBefore)
+	}
+	if ramBefore > 0 {
+		s.RAMReduction = float64(ramBefore-ramAfter) / float64(ramBefore)
+	}
+	s.TicketsBefore = cpuBefore + ramBefore
+	s.TicketsAfter = cpuAfter + ramAfter
+	return s
 }

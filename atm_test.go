@@ -1,7 +1,13 @@
 package atm
 
 import (
+	"context"
+	"fmt"
+	"math"
+	"slices"
 	"testing"
+
+	"atm/internal/engine"
 )
 
 func fastSystem(spd int, opts ...Option) *System {
@@ -84,6 +90,112 @@ func TestSummarizeEmptyAndNil(t *testing.T) {
 	}
 	if got := Summarize([]*Result{nil, nil}); got.Boxes != 0 {
 		t.Errorf("nil-only summary = %+v", got)
+	}
+}
+
+func TestSummarizeRollingEmpty(t *testing.T) {
+	if s := SummarizeRolling(nil); s.Steps != 0 {
+		t.Errorf("empty summary = %+v", s)
+	}
+}
+
+// TestRunRollingBoxMatchesReplay: the facade's rolling run keeps, step
+// for step, what the engine's replay of the same trace visits — sizes,
+// tickets, MAPE and the research flag, bit for bit — with and without
+// model reuse, and what it keeps is its own: no two steps share a size
+// slice, and every step still holds its window of the trace once the
+// replay's store has moved on (ten days against a retention of four).
+// The replay itself is held to the reference rolling run in engine's
+// TestReplayMatchesOracle.
+func TestRunRollingBoxMatchesReplay(t *testing.T) {
+	tr := GenerateTrace(TraceConfig{Boxes: 1, Days: 10, SamplesPerDay: 32, Seed: 13, GapFraction: 1e-9})
+	b := &tr.Boxes[0]
+	type step struct {
+		sizes    [2][]float64
+		tickets  [4]int
+		mape     float64
+		research bool
+	}
+	for _, reuse := range []bool{false, true} {
+		t.Run(fmt.Sprintf("reuse=%v", reuse), func(t *testing.T) {
+			var opts []Option
+			if reuse {
+				opts = append(opts, WithModelReuse())
+			}
+			sys := fastSystem(tr.SamplesPerDay, opts...)
+			got, err := sys.RunRollingBox(b)
+			if err != nil {
+				t.Fatalf("RunRollingBox: %v", err)
+			}
+			var want []step
+			err = engine.Replay(context.Background(), b, engine.Config{Core: sys.Config(), SamplesPerDay: tr.SamplesPerDay},
+				func(p engine.Plan, res *Result, err error) error {
+					if err != nil {
+						return err
+					}
+					want = append(want, step{
+						sizes:    [2][]float64{slices.Clone(res.CPU.Sizes), slices.Clone(res.RAM.Sizes)},
+						tickets:  [4]int{res.CPU.TicketsBefore, res.CPU.TicketsAfter, res.RAM.TicketsBefore, res.RAM.TicketsAfter},
+						mape:     res.MeanMAPE(),
+						research: p.Research,
+					})
+					return nil
+				})
+			if err != nil {
+				t.Fatalf("Replay: %v", err)
+			}
+			if len(got) != len(want) || len(got) != 8 {
+				t.Fatalf("steps = %d, replay %d, want 8", len(got), len(want))
+			}
+			cfg := sys.Config()
+			refits := 0
+			for i, g := range got {
+				w, r := want[i], g.Result
+				if g.Step != i || g.Research != w.research {
+					t.Fatalf("step %d: (step %d, research %v), want (%d, %v)", i, g.Step, g.Research, i, w.research)
+				}
+				if !g.Research {
+					refits++
+				}
+				if math.Float64bits(r.MeanMAPE()) != math.Float64bits(w.mape) {
+					t.Fatalf("step %d: MAPE %v, want %v", i, r.MeanMAPE(), w.mape)
+				}
+				if tickets := [4]int{r.CPU.TicketsBefore, r.CPU.TicketsAfter, r.RAM.TicketsBefore, r.RAM.TicketsAfter}; tickets != w.tickets {
+					t.Fatalf("step %d: tickets %v, want %v", i, tickets, w.tickets)
+				}
+				for k, sizes := range [][]float64{r.CPU.Sizes, r.RAM.Sizes} {
+					if !slices.Equal(sizes, w.sizes[k]) {
+						t.Fatalf("step %d resource %d: sizes %v, want %v", i, k, sizes, w.sizes[k])
+					}
+				}
+				if i > 0 && &r.CPU.Sizes[0] == &got[i-1].Result.CPU.Sizes[0] {
+					t.Fatalf("steps %d and %d share a size slice", i-1, i)
+				}
+				from := i * cfg.Horizon
+				for v, vm := range r.Box.VMs {
+					if !slices.Equal(vm.CPU, b.VMs[v].CPU[from:from+cfg.TrainWindows+cfg.Horizon]) ||
+						!slices.Equal(vm.RAM, b.VMs[v].RAM[from:from+cfg.TrainWindows+cfg.Horizon]) {
+						t.Fatalf("step %d vm %d: window does not hold trace samples [%d, %d)", i, v, from, from+cfg.TrainWindows+cfg.Horizon)
+					}
+				}
+			}
+			if reuse && refits == 0 {
+				t.Fatal("model reuse on, yet every step re-searched")
+			}
+		})
+	}
+}
+
+// TestRunRollingBoxRejectsGaps: the rolling run replays the trace into
+// the streaming store, which accepts no gap (NaN) samples, so a box
+// with a gap fails before its first step.
+func TestRunRollingBoxRejectsGaps(t *testing.T) {
+	tr := GenerateTrace(TraceConfig{Boxes: 1, Days: 4, SamplesPerDay: 24, Seed: 8, GapFraction: 1e-9})
+	b := &tr.Boxes[0]
+	b.VMs[0].CPU[5] = math.NaN()
+	steps, err := fastSystem(24).RunRollingBox(b)
+	if err == nil || len(steps) != 0 {
+		t.Fatalf("%d steps, err = %v; want no steps and an error", len(steps), err)
 	}
 }
 

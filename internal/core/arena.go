@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"atm/internal/obs"
-	"atm/internal/parallel"
 	"atm/internal/predict"
 	"atm/internal/resize"
 	"atm/internal/spatial"
@@ -180,7 +179,6 @@ func (p *Pipeline) searchInto(ctx context.Context, train []timeseries.Series) (*
 			p.researchCause = ReasonLowR2
 		}
 	}
-	p.lastResearch = research
 	p.lastDecision = Decision{Research: research, Reason: reason, Age: age}
 	return model, nil
 }
@@ -223,10 +221,8 @@ func (p *Pipeline) fitSig(model *spatial.Model, train, fc []timeseries.Series, i
 // temporalInto fits one temporal model per signature series on the
 // training window and forecasts Horizon steps ahead into arena
 // buffers. Each signature gets its own model instance (models are
-// stateful), so the fits are independent and run on the worker pool —
-// the temporal fit dominates per-box latency with the paper's MLP.
-// With Workers == 1 the fits run inline (the worker-pool fan-out
-// allocates its coordination state even for one worker).
+// stateful). The fits run in turn on the caller's goroutine, so the
+// temporal factory is never called concurrently from within one box.
 func (p *Pipeline) temporalInto(ctx context.Context, model *spatial.Model, train []timeseries.Series) ([]timeseries.Series, error) {
 	_, tspan := obs.StartSpan(ctx, "core.temporal_fit")
 	if tspan != nil {
@@ -243,16 +239,8 @@ func (p *Pipeline) temporalInto(ctx context.Context, model *spatial.Model, train
 	}
 	fc := a.sigFC[:k]
 	var err error
-	if p.cfg.Workers == 1 {
-		for i := 0; i < k; i++ {
-			if err = p.fitSig(model, train, fc, i); err != nil {
-				break
-			}
-		}
-	} else {
-		err = parallel.ForEach(k, func(i int) error {
-			return p.fitSig(model, train, fc, i)
-		}, parallel.WithWorkers(p.cfg.Workers))
+	for i := 0; i < k && err == nil; i++ {
+		err = p.fitSig(model, train, fc, i)
 	}
 	temporalFitSeconds.Observe(time.Since(fitStart).Seconds())
 	tspan.End()
@@ -479,19 +467,11 @@ func (p *Pipeline) model(ctx context.Context, b *trace.Box, demands []timeseries
 		h.pred, h.err = nil, fmt.Errorf("core: %s: %w", b.ID, h.err)
 		return
 	}
-	// CPU and RAM resizing are independent MCKP solves: inline for one
-	// worker (RunContext and the engine pin per-box Workers to 1 and fan
-	// out over boxes instead), on the shared pool otherwise.
-	a := &p.arena
-	if p.cfg.Workers == 1 {
-		for r := trace.CPU; r <= trace.RAM && h.err == nil; r++ {
-			h.err = a.solveInto(ctx, p.cfg, b, h.pred, r)
-		}
-		return
+	// CPU and RAM resizing are independent MCKP solves, run in turn:
+	// callers fan out over boxes, not within one.
+	for r := trace.CPU; r <= trace.RAM && h.err == nil; r++ {
+		h.err = p.arena.solveInto(ctx, p.cfg, b, h.pred, r)
 	}
-	h.err = parallel.ForEach(trace.NumResources, func(i int) error {
-		return a.solveInto(ctx, p.cfg, b, h.pred, trace.Resource(i))
-	}, parallel.WithWorkers(p.cfg.Workers))
 }
 
 // Prepare runs the model phase of the box's next step ahead of time, on
@@ -526,9 +506,9 @@ func (p *Pipeline) Prepare(ctx context.Context, b *trace.Box) error {
 // alongside the causing error (see Config.Degraded).
 //
 // Every stage writes into pipeline-owned buffers: a steady-state call
-// performs zero heap allocations (Workers == 1, a temporal factory
-// producing predict.IntoForecaster models, and a window that rolls the
-// previous one). The returned result — its prediction, model, demand
+// performs zero heap allocations (a temporal factory producing
+// predict.IntoForecaster models, and a window that rolls the previous
+// one). The returned result — its prediction, model, demand
 // and size slices — is arena-owned and valid only until the next
 // StepInto or Prepare call; callers that retain results Clone them.
 //

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -9,14 +10,52 @@ import (
 	"atm/internal/trace"
 )
 
-// windowBox returns a fresh box viewing samples [from, to) of b.
+// windowBox returns a fresh box viewing samples [from, to) of b. Its
+// usage series alias b's backing arrays (timeseries.Series.Slice is
+// zero-copy), as the windows of every rolling run do: the pipeline
+// treats usage series as read-only (TestWindowBoxAliasing).
 func windowBox(t *testing.T, b *trace.Box, from, to int) *trace.Box {
 	t.Helper()
-	wb := new(trace.Box)
-	if err := windowInto(wb, b, from, to); err != nil {
-		t.Fatalf("window [%d,%d): %v", from, to, err)
+	wb := &trace.Box{ID: b.ID, CPUCapGHz: b.CPUCapGHz, RAMCapGB: b.RAMCapGB, VMs: make([]trace.VM, len(b.VMs))}
+	for i, vm := range b.VMs {
+		if from < 0 || to > len(vm.CPU) || from >= to {
+			t.Fatalf("window [%d,%d) out of range [0,%d)", from, to, len(vm.CPU))
+		}
+		wb.VMs[i] = trace.VM{ID: vm.ID, CPUCapGHz: vm.CPUCapGHz, RAMCapGB: vm.RAMCapGB,
+			CPU: vm.CPU.Slice(from, to), RAM: vm.RAM.Slice(from, to)}
 	}
 	return wb
+}
+
+// rolled is one step of a rolling run: its result, cloned out of the
+// pipeline's arena, and whether the step ran a full signature search.
+type rolled struct {
+	Result   *BoxResult
+	Research bool
+}
+
+// rollSteps steps one pipeline over the box's rolling windows — the
+// training window plus one horizon, sliding a horizon per step, the
+// windows the engine steps a replayed trace over — and clones every
+// result. A step without a result ends the run with its error; degraded
+// steps' causes come back joined.
+func rollSteps(t *testing.T, b *trace.Box, spd int, cfg Config) ([]rolled, error) {
+	t.Helper()
+	p, err := NewPipeline(spd, cfg)
+	if err != nil {
+		t.Fatalf("pipeline: %v", err)
+	}
+	var out []rolled
+	var errs []error
+	for _, wb := range rollingWindows(t, b, cfg) {
+		res, err := p.StepInto(context.Background(), wb)
+		if res == nil {
+			return nil, err
+		}
+		errs = append(errs, err)
+		out = append(out, rolled{Result: res.Clone(), Research: p.LastDecision().Research})
+	}
+	return out, errors.Join(errs...)
 }
 
 // rollingWindows pre-builds the windowed boxes of a rolling run so
@@ -85,7 +124,6 @@ func compareResults(t *testing.T, step int, want, got *BoxResult, tol float64) {
 func TestStepIntoIncrementalMatchesReference(t *testing.T) {
 	b, spd := stationaryBox(t, 12)
 	cfg := fastConfig(spd)
-	cfg.Workers = 1
 	cfg.Reuse = ReusePolicy{Enabled: true, MaxAge: 6}
 	ref, fast := stepPair(t, cfg, spd)
 	ctx := context.Background()
@@ -101,10 +139,11 @@ func TestStepIntoIncrementalMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: incremental: %v", step, err)
 		}
-		if ref.LastResearch() != fast.LastResearch() {
-			t.Fatalf("step %d: research %v vs %v", step, ref.LastResearch(), fast.LastResearch())
+		research := fast.LastDecision().Research
+		if ref.LastDecision().Research != research {
+			t.Fatalf("step %d: research %v vs %v", step, ref.LastDecision().Research, research)
 		}
-		if step > 0 && !fast.LastResearch() && rollerRolls.Value() == rolls {
+		if step > 0 && !research && rollerRolls.Value() == rolls {
 			t.Fatalf("step %d: reuse step on a rolled window did not roll", step)
 		}
 		compareResults(t, step, want, got, 1e-9)
@@ -124,7 +163,6 @@ func TestStepIntoAllocFree(t *testing.T) {
 	}
 	b, spd := stationaryBox(t, 40)
 	cfg := fastConfig(spd)
-	cfg.Workers = 1
 	cfg.Reuse = ReusePolicy{Enabled: true, MaxAge: 1 << 30, MAPEGrowth: 1e12}
 	p, err := NewPipeline(spd, cfg)
 	if err != nil {
@@ -143,7 +181,7 @@ func TestStepIntoAllocFree(t *testing.T) {
 		if _, err := p.StepInto(ctx, windows[next]); err != nil {
 			t.Fatalf("step %d: %v", next, err)
 		}
-		if p.LastResearch() {
+		if p.LastDecision().Research {
 			t.Fatalf("step %d researched mid-gate", next)
 		}
 		next++
@@ -153,7 +191,7 @@ func TestStepIntoAllocFree(t *testing.T) {
 	}
 }
 
-// TestRunRollingResultsOwnTheirMemory: RunRolling's retained results
+// TestRunRollingResultsOwnTheirMemory: results a rolling run retains
 // are clones, not views of the pipeline's arena — scribbling over step
 // k's sizes, model and prediction changes neither step k+1 nor a
 // second run. Reuse is on, where the roller rewrites the live model's
@@ -162,9 +200,9 @@ func TestRunRollingResultsOwnTheirMemory(t *testing.T) {
 	b, spd := stationaryBox(t, 12)
 	cfg := fastConfig(spd)
 	cfg.Reuse = ReusePolicy{Enabled: true, MaxAge: 6}
-	want, err := RunRolling(b, spd, cfg)
+	want, err := rollSteps(t, b, spd, cfg)
 	if err != nil {
-		t.Fatalf("RunRolling: %v", err)
+		t.Fatalf("rolling run: %v", err)
 	}
 
 	// The same run step by step, vandalizing every clone before the
@@ -174,12 +212,13 @@ func TestRunRollingResultsOwnTheirMemory(t *testing.T) {
 		t.Fatalf("pipeline: %v", err)
 	}
 	refits := 0
-	err = p.Roll(context.Background(), b, func(step int, _ *trace.Box, res *BoxResult, err error) error {
+	for step, wb := range rollingWindows(t, b, cfg) {
+		res, err := p.StepInto(context.Background(), wb)
 		if err != nil {
-			return err
+			t.Fatalf("step %d: %v", step, err)
 		}
 		compareResults(t, step, want[step].Result, res, 0)
-		if !p.LastResearch() {
+		if !p.LastDecision().Research {
 			refits++
 		}
 		c := res.Clone()
@@ -200,10 +239,6 @@ func TestRunRollingResultsOwnTheirMemory(t *testing.T) {
 				fit.Coef[j] = math.NaN()
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Roll: %v", err)
 	}
 	if refits == 0 {
 		t.Fatal("no reuse step ran — the live model was never at risk")
@@ -211,9 +246,9 @@ func TestRunRollingResultsOwnTheirMemory(t *testing.T) {
 
 	// And the retained slice itself: every step still holds what it
 	// held when it was taken, not the last step's arena contents.
-	again, err := RunRolling(b, spd, cfg)
+	again, err := rollSteps(t, b, spd, cfg)
 	if err != nil {
-		t.Fatalf("RunRolling: %v", err)
+		t.Fatalf("rolling run: %v", err)
 	}
 	for step := range want {
 		compareResults(t, step, want[step].Result, again[step].Result, 0)
@@ -228,9 +263,7 @@ func TestRunRollingResultsOwnTheirMemory(t *testing.T) {
 // different VM counts (3 and 17) that both prepare a step and then
 // both finish it solve on each other's leftover scratch, and each
 // finishes after the other has solved. Their sizes and tickets must be
-// bit-equal to each pipeline stepped alone, with the solves inline
-// (Workers 1: every solve reuses the one pooled scratch) and on the
-// pool.
+// bit-equal to each pipeline stepped alone.
 func TestSolveScratchSharedAcrossPipelines(t *testing.T) {
 	boxOf := func(vms int, seed int64) *trace.Box {
 		tr := trace.Generate(trace.GenConfig{
@@ -248,56 +281,53 @@ func TestSolveScratchSharedAcrossPipelines(t *testing.T) {
 		tickets [2]int
 	}
 	ctx := context.Background()
-	for _, workers := range []int{1, 0} {
-		cfg := fastConfig(16)
-		cfg.Workers = workers
-		cfg.Reuse = ReusePolicy{Enabled: true, MaxAge: 3}
-		windows := make([][]*trace.Box, len(boxes))
-		trains := make([][]*trace.Box, len(boxes))
-		for i, b := range boxes {
-			windows[i] = rollingWindows(t, b, cfg)
-			for s := range windows[i] {
-				trains[i] = append(trains[i], windowBox(t, b, s*cfg.Horizon, s*cfg.Horizon+cfg.TrainWindows))
+	cfg := fastConfig(16)
+	cfg.Reuse = ReusePolicy{Enabled: true, MaxAge: 3}
+	windows := make([][]*trace.Box, len(boxes))
+	trains := make([][]*trace.Box, len(boxes))
+	for i, b := range boxes {
+		windows[i] = rollingWindows(t, b, cfg)
+		for s := range windows[i] {
+			trains[i] = append(trains[i], windowBox(t, b, s*cfg.Horizon, s*cfg.Horizon+cfg.TrainWindows))
+		}
+	}
+	step := func(p *Pipeline, wb *trace.Box) outcome {
+		res, err := p.StepInto(ctx, wb)
+		if err != nil {
+			t.Fatalf("box %s: %v", wb.ID, err)
+		}
+		return outcome{
+			sizes:   [2][]float64{append([]float64(nil), res.CPU.Sizes...), append([]float64(nil), res.RAM.Sizes...)},
+			tickets: [2]int{res.CPU.TicketsAfter, res.RAM.TicketsAfter},
+		}
+	}
+	newPipeline := func() *Pipeline {
+		p, err := NewPipeline(16, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	alone := make([][]outcome, len(boxes))
+	for i := range boxes {
+		p := newPipeline()
+		for _, wb := range windows[i] {
+			alone[i] = append(alone[i], step(p, wb))
+		}
+	}
+	together := []*Pipeline{newPipeline(), newPipeline()}
+	for s := range windows[0] {
+		for i, p := range together {
+			if err := p.Prepare(ctx, trains[i][s]); err != nil {
+				t.Fatalf("step %d: prepare: %v", s, err)
 			}
 		}
-		step := func(p *Pipeline, wb *trace.Box) outcome {
-			res, err := p.StepInto(ctx, wb)
-			if err != nil {
-				t.Fatalf("workers %d box %s: %v", workers, wb.ID, err)
-			}
-			return outcome{
-				sizes:   [2][]float64{append([]float64(nil), res.CPU.Sizes...), append([]float64(nil), res.RAM.Sizes...)},
-				tickets: [2]int{res.CPU.TicketsAfter, res.RAM.TicketsAfter},
-			}
-		}
-		newPipeline := func() *Pipeline {
-			p, err := NewPipeline(16, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p
-		}
-		alone := make([][]outcome, len(boxes))
-		for i := range boxes {
-			p := newPipeline()
-			for _, wb := range windows[i] {
-				alone[i] = append(alone[i], step(p, wb))
-			}
-		}
-		together := []*Pipeline{newPipeline(), newPipeline()}
-		for s := range windows[0] {
-			for i, p := range together {
-				if err := p.Prepare(ctx, trains[i][s]); err != nil {
-					t.Fatalf("workers %d step %d: prepare: %v", workers, s, err)
-				}
-			}
-			for i, p := range together {
-				got, want := step(p, windows[i][s]), alone[i][s]
-				for r := range got.sizes {
-					if !sameBits(got.sizes[r], want.sizes[r]) || got.tickets[r] != want.tickets[r] {
-						t.Fatalf("workers %d step %d box of %d VMs resource %d: interleaved %v (%d tickets), alone %v (%d tickets)",
-							workers, s, len(boxes[i].VMs), r, got.sizes[r], got.tickets[r], want.sizes[r], want.tickets[r])
-					}
+		for i, p := range together {
+			got, want := step(p, windows[i][s]), alone[i][s]
+			for r := range got.sizes {
+				if !sameBits(got.sizes[r], want.sizes[r]) || got.tickets[r] != want.tickets[r] {
+					t.Fatalf("step %d box of %d VMs resource %d: interleaved %v (%d tickets), alone %v (%d tickets)",
+						s, len(boxes[i].VMs), r, got.sizes[r], got.tickets[r], want.sizes[r], want.tickets[r])
 				}
 			}
 		}

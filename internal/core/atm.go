@@ -72,8 +72,8 @@ type Config struct {
 	// peak demand over the training history, preventing spill-over of
 	// unfinished demand (paper Section IV-A1).
 	UseLowerBounds bool
-	// Workers bounds the worker pool used for box fan-out and per-box
-	// temporal-model fitting; <= 0 uses one worker per core.
+	// Workers bounds Run's box fan-out; <= 0 uses one worker per core.
+	// One box's fits and solves always run on its own goroutine.
 	Workers int
 	// Degraded, when true, keeps the run alive through per-box model
 	// failures: a box whose signature search, temporal fit or resize
@@ -320,14 +320,9 @@ func RunContext(ctx context.Context, boxes []*trace.Box, samplesPerDay int, cfg 
 	ctx, span := obs.StartSpan(ctx, "core.run")
 	defer span.End()
 	span.SetAttr("boxes", len(boxes))
-	// The pool already saturates the cores at box granularity; the
-	// nested per-box temporal fan-out stays sequential to avoid
-	// oversubscription.
-	boxCfg := cfg
-	boxCfg.Workers = 1
 	if !cfg.Degraded {
 		return parallel.Map(len(boxes), func(i int) (*BoxResult, error) {
-			return RunBoxContext(ctx, boxes[i], samplesPerDay, boxCfg)
+			return RunBoxContext(ctx, boxes[i], samplesPerDay, cfg)
 		}, parallel.WithWorkers(cfg.Workers))
 	}
 	results := make([]*BoxResult, len(boxes))
@@ -335,7 +330,7 @@ func RunContext(ctx context.Context, boxes []*trace.Box, samplesPerDay int, cfg 
 	// The worker fn never errors, so every box runs to completion even
 	// when siblings fail — the whole point of degraded mode.
 	_ = parallel.ForEach(len(boxes), func(i int) error {
-		results[i], errs[i] = RunBoxContext(ctx, boxes[i], samplesPerDay, boxCfg)
+		results[i], errs[i] = RunBoxContext(ctx, boxes[i], samplesPerDay, cfg)
 		return nil
 	}, parallel.WithWorkers(cfg.Workers))
 	return results, errors.Join(errs...)

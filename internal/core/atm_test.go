@@ -263,43 +263,31 @@ func TestRunRolling(t *testing.T) {
 	})
 	b := &tr.Boxes[0]
 	cfg := fastConfig(32) // train 64, horizon 32 → 3 rolling steps over 160
-	results, err := RunRolling(b, 32, cfg)
+	results, err := rollSteps(t, b, 32, cfg)
 	if err != nil {
-		t.Fatalf("RunRolling: %v", err)
+		t.Fatalf("rolling run: %v", err)
 	}
 	if len(results) != 3 {
 		t.Fatalf("steps = %d, want 3", len(results))
 	}
+	var mape float64
+	var before, after int
 	for i, r := range results {
-		if r.Step != i || r.Result == nil {
+		if r.Result == nil {
 			t.Fatalf("step %d malformed: %+v", i, r)
 		}
 		if len(r.Result.CPU.Sizes) != len(b.VMs) {
 			t.Errorf("step %d sizes = %d", i, len(r.Result.CPU.Sizes))
 		}
+		mape += r.Result.MeanMAPE() / float64(len(results))
+		before += r.Result.CPU.TicketsBefore + r.Result.RAM.TicketsBefore
+		after += r.Result.CPU.TicketsAfter + r.Result.RAM.TicketsAfter
 	}
-	sum := SummarizeRolling(results)
-	if sum.Steps != 3 || sum.MeanMAPE <= 0 {
-		t.Errorf("summary = %+v", sum)
+	if mape <= 0 {
+		t.Errorf("mean MAPE = %v", mape)
 	}
-	if sum.TicketsBefore > 0 && sum.TicketsAfter > sum.TicketsBefore {
-		t.Errorf("online ATM increased tickets: %d -> %d", sum.TicketsBefore, sum.TicketsAfter)
-	}
-}
-
-func TestRunRollingTooShort(t *testing.T) {
-	tr := trace.Generate(trace.GenConfig{
-		Boxes: 1, Days: 1, SamplesPerDay: 32, Seed: 14, GapFraction: 1e-9,
-	})
-	cfg := fastConfig(32)
-	if _, err := RunRolling(&tr.Boxes[0], 32, cfg); !errors.Is(err, ErrShortTrace) {
-		t.Errorf("err = %v, want ErrShortTrace", err)
-	}
-}
-
-func TestSummarizeRollingEmpty(t *testing.T) {
-	if s := SummarizeRolling(nil); s.Steps != 0 {
-		t.Errorf("empty summary = %+v", s)
+	if before > 0 && after > before {
+		t.Errorf("online ATM increased tickets: %d -> %d", before, after)
 	}
 }
 

@@ -270,12 +270,12 @@ func TestRunRollingDegradedGap(t *testing.T) {
 	cfg := fastConfig(spd)
 	cfg.Spatial = spatial.Config{Method: spatial.MethodDTW}
 
-	if res, err := RunRolling(b, spd, cfg); res != nil || !errors.Is(err, cluster.ErrNonFinite) {
+	if res, err := rollSteps(t, b, spd, cfg); res != nil || !errors.Is(err, cluster.ErrNonFinite) {
 		t.Fatalf("strict run: %d results, err = %v; want an ErrNonFinite abort", len(res), err)
 	}
 
 	cfg.Degraded = true
-	results, err := RunRolling(b, spd, cfg)
+	results, err := rollSteps(t, b, spd, cfg)
 	if !errors.Is(err, cluster.ErrNonFinite) {
 		t.Fatalf("err = %v, want the joined ErrNonFinite causes", err)
 	}

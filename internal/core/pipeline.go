@@ -91,9 +91,9 @@ func (r ReusePolicy) mapeGrowth() float64 {
 // temporal fit/predict → dependent OLS reconstruction → per-resource
 // resize, with optional model reuse across successive windows. StepInto
 // is the only implementation of that sequence: the batch entry points
-// (Run, RunBox) step a fresh pipeline once, and the rolling/streaming
-// drivers (RunRolling, control.RunRolling, the engine package) step one
-// pipeline per box window after window.
+// (Run, RunBox) step a fresh pipeline once, and the streaming engine
+// (the daemon and its trace replays) steps one pipeline per box window
+// after window.
 //
 // A Pipeline retains per-box model state between StepInto calls (the
 // signature set, its age, the drift baseline, the incremental roller
@@ -132,7 +132,6 @@ type reuseState struct {
 	researchCause string // Reason* constant behind researchNext ("" when unset)
 	severeDrift   bool   // last observation breached twice the growth bound
 
-	lastResearch bool     // whether the most recent model phase ran a full search
 	lastDecision Decision // typed record of the most recent model phase's choice
 }
 
@@ -192,10 +191,6 @@ func NewPipeline(samplesPerDay int, cfg Config) (*Pipeline, error) {
 	}
 	return &Pipeline{cfg: cfg, samplesPerDay: samplesPerDay, factory: factory}, nil
 }
-
-// LastResearch reports whether the most recent step ran a full
-// signature search (vs a refit of the retained set).
-func (p *Pipeline) LastResearch() bool { return p.lastResearch }
 
 // SevereDrift reports whether the most recent step's observed error
 // breached TWICE the ReusePolicy drift bound — the immediate-research

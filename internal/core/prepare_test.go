@@ -115,7 +115,6 @@ func TestPrepareThenStepMatchesStep(t *testing.T) {
 							})
 							b, spd := &tr.Boxes[0], tr.SamplesPerDay
 							cfg := fastConfig(spd)
-							cfg.Workers = 1
 							cfg.Degraded = true
 							cfg.UseLowerBounds = true
 							cfg.Temporal = forecaster(spd)
@@ -215,7 +214,6 @@ func TestPrepareStepAllocFree(t *testing.T) {
 	}
 	b, spd := stationaryBox(t, 40)
 	cfg := fastConfig(spd)
-	cfg.Workers = 1
 	cfg.Reuse = ReusePolicy{Enabled: true, MaxAge: 1 << 30, MAPEGrowth: 1e12}
 	p, err := NewPipeline(spd, cfg)
 	if err != nil {

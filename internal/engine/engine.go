@@ -3,10 +3,10 @@
 // whenever Horizon new samples have landed, runs the ready steps
 // through one engine-wide scheduler (at most Workers step computations
 // at a time, cheapest first; see sched), and keeps the latest resize
-// plan per box for the service layer to expose. It is the online
-// counterpart of core.RunRolling — both drive core.Pipeline.StepInto
-// over the same windows, so a replayed trace publishes plans
-// bit-identical to the batch rolling run, and a steady-state engine
+// plan per box for the service layer to expose. Replay feeds a
+// recorded trace through the same loop for the facade's rolling runs
+// and the robustness sweep, stepping core.Pipeline.StepInto
+// over the same windows a rolling run would, and a steady-state engine
 // pass performs zero heap allocations. The engine keeps only each box's
 // latest Plan; per-step outcomes are the decision events
 // (Config.Events).
@@ -101,9 +101,8 @@ type Config struct {
 	// period.
 	SamplesPerDay int
 	// Workers is the engine-wide bound on concurrent step computations,
-	// across all shards; <= 0 uses one per core. Per-box pipeline work
-	// stays inline (Core.Workers pinned to 1), like core.Run's fleet
-	// fan-out.
+	// across all shards; <= 0 uses one per core. A step's own model
+	// phase runs on its slot's goroutine; Core.Workers is not read.
 	Workers int
 	// Backend, when non-nil, is the actuation target plans are pushed
 	// to through the transactional core.ApplyBox (snapshot, apply,
@@ -278,6 +277,12 @@ type Engine struct {
 	// running counts live Run scheduler loops, one per shard; the
 	// readiness probe requires all of them.
 	running atomic.Int32
+
+	// visit, set only by Replay, sees every step's outcome after it is
+	// published, while its result is still valid: the plan, or one
+	// holding only the box and step with a nil result when the window
+	// produced none.
+	visit func(p *Plan, res *core.BoxResult, err error)
 }
 
 // New validates the configuration and returns an engine over the
@@ -311,8 +316,6 @@ func New(store *state.Store, cfg Config) (*Engine, error) {
 			write = policy.NewGuard(write, *cfg.Policy)
 		}
 	}
-	// The step scheduler owns the parallelism; per-box work stays inline.
-	cfg.Core.Workers = 1
 	e := &Engine{
 		store:    store,
 		cfg:      cfg,
@@ -432,7 +435,7 @@ func (e *Engine) pass(ctx context.Context, i int, direct bool) {
 
 // need returns the total sample count required before step k can fire:
 // the training window plus k+1 horizons (the step is evaluated against
-// its horizon's actuals, mirroring core.RunRolling's windows).
+// its horizon's actuals).
 func (e *Engine) need(steps int) int {
 	return e.cfg.Core.TrainWindows + (steps+1)*e.cfg.Core.Horizon
 }
@@ -744,6 +747,9 @@ func (e *Engine) finish(ctx context.Context, br *boxRun, dispatched, ready time.
 			})
 		}
 	}
+	if e.visit != nil {
+		e.visit(br.plan, res, errors.Join(err, applyErr))
+	}
 }
 
 // pipeline runs the box's pipeline over its window box: the next step's
@@ -795,6 +801,9 @@ func (e *Engine) skip(sh *engineShard, br *boxRun, event, traceID string, err er
 			ev.Err = err.Error()
 		}
 		e.cfg.Events.Publish(ev)
+	}
+	if e.visit != nil {
+		e.visit(&Plan{Box: br.id, Step: step, Shard: br.shard, Pass: pass, TraceID: traceID}, nil, err)
 	}
 }
 

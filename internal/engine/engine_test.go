@@ -83,12 +83,12 @@ func replay(t *testing.T, e *Engine, st *state.Store, b *trace.Box) []Plan {
 	return plans
 }
 
-// batchPlans flattens batch rolling results the way the engine
-// publishes them, so batch and stream compare plan against plan.
-func batchPlans(id string, batch []core.RollingResult) []Plan {
+// batchPlans flattens the oracle's rolling results the way the engine
+// publishes them, so oracle and stream compare plan against plan.
+func batchPlans(id string, batch []oracleStep) []Plan {
 	plans := make([]Plan, len(batch))
 	for i, r := range batch {
-		planInto(&plans[i], id, r.Step, r.Result, core.Decision{Research: r.Research}, 0, 0, "")
+		planInto(&plans[i], id, i, r.Result, core.Decision{Research: r.Research}, 0, 0, "")
 	}
 	return plans
 }
@@ -137,9 +137,10 @@ func checkParity(t *testing.T, want, got []Plan) {
 
 // TestEngineBatchParity replays a trace sample-by-sample through the
 // streaming engine and requires every published plan — sizes, tickets,
-// mean MAPE, research flag — to be bit-identical to the batch
-// core.RunRolling over the same trace, with model reuse both disabled
-// and enabled (where both sides roll the retained model incrementally).
+// mean MAPE, research flag — to be bit-identical to the reference
+// rolling run (rollOracle) over the same trace, with model reuse both
+// disabled and enabled (where both sides roll the retained model
+// incrementally).
 func TestEngineBatchParity(t *testing.T) {
 	for _, tc := range []struct {
 		reuse  bool
@@ -148,9 +149,9 @@ func TestEngineBatchParity(t *testing.T) {
 		t.Run(fmt.Sprintf("reuse=%v/shards=%d", tc.reuse, tc.shards), func(t *testing.T) {
 			b, spd := genBox(13)
 			cfg := fastConfig(spd, tc.reuse)
-			batch, err := core.RunRolling(b, spd, cfg)
+			batch, err := rollOracle(b, spd, cfg)
 			if err != nil {
-				t.Fatalf("RunRolling: %v", err)
+				t.Fatalf("rollOracle: %v", err)
 			}
 
 			st, err := state.NewStoreSharded(cfg.TrainWindows+2*cfg.Horizon, tc.shards)

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"atm/internal/control"
 	"atm/internal/core"
+	"atm/internal/engine"
 	"atm/internal/predict"
 	"atm/internal/report"
 	"atm/internal/spatial"
@@ -37,8 +39,10 @@ type RobustCell struct {
 	// forecasts); MeanLambda is the trust trajectory's mean.
 	MeanMAPE   float64 `json:"mean_mape"`
 	MeanLambda float64 `json:"mean_lambda"`
-	// BlendedSteps/FlooredSteps/DegradedSteps count controller
-	// interventions (see control.RollingSummary).
+	// BlendedSteps counts steps whose plan was mixed toward the safe
+	// allocation (λ < 1 on a non-degraded step), FlooredSteps those whose
+	// trust was floored outright (severe drift or a degraded fallback),
+	// DegradedSteps the stingy-fallback steps.
 	BlendedSteps  int `json:"blended_steps"`
 	FlooredSteps  int `json:"floored_steps"`
 	DegradedSteps int `json:"degraded_steps,omitempty"`
@@ -165,12 +169,13 @@ func RobustBench(opts Options) (*RobustBenchResult, error) {
 			if err != nil {
 				return nil, fmt.Errorf("experiments: robustbench %s: %w", fam, err)
 			}
-			s, err := control.RunRolling(b, spd, cfg, control.Config{Enabled: true, Fixed: true, Lambda: l})
+			s, steps, err := robustReplay(b, spd, cfg, control.Config{Enabled: true, Fixed: true, Lambda: l})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: robustbench %s λ=%v: %w", fam, l, err)
 			}
-			res.Steps = s.Steps
-			family.Cells = append(family.Cells, robustCell(fmt.Sprintf("λ=%.2f", l), l, s))
+			res.Steps = steps
+			s.Mode, s.Lambda = fmt.Sprintf("λ=%.2f", l), l
+			family.Cells = append(family.Cells, s)
 			switch l {
 			case 0:
 				pureReactive = s.TicketsAfter
@@ -182,11 +187,11 @@ func RobustBench(opts Options) (*RobustBenchResult, error) {
 			// bit-identical to the controller-free run.
 			if fam == trace.AdversaryNone && l == 1 {
 				b2, _ := perturbed(fam)
-				off, err := control.RunRolling(b2, spd, cfg, control.Config{})
+				off, offSteps, err := robustReplay(b2, spd, cfg, control.Config{})
 				if err != nil {
 					return nil, fmt.Errorf("experiments: robustbench control-off: %w", err)
 				}
-				res.StationaryParity = off.Steps == s.Steps &&
+				res.StationaryParity = offSteps == steps &&
 					off.TicketsBefore == s.TicketsBefore &&
 					off.TicketsAfter == s.TicketsAfter &&
 					off.MeanMAPE == s.MeanMAPE
@@ -197,11 +202,12 @@ func RobustBench(opts Options) (*RobustBenchResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: robustbench %s: %w", fam, err)
 		}
-		s, err := control.RunRolling(b, spd, cfg, control.Config{Enabled: true})
+		s, _, err := robustReplay(b, spd, cfg, control.Config{Enabled: true})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: robustbench %s adaptive: %w", fam, err)
 		}
-		family.Cells = append(family.Cells, robustCell("adaptive", -1, s))
+		s.Mode, s.Lambda = "adaptive", -1
+		family.Cells = append(family.Cells, s)
 
 		family.EndpointTickets = pureForecast
 		if pureReactive < pureForecast {
@@ -217,14 +223,48 @@ func RobustBench(opts Options) (*RobustBenchResult, error) {
 	return res, nil
 }
 
-func robustCell(mode string, lambda float64, s control.RollingSummary) RobustCell {
-	return RobustCell{
-		Mode: mode, Lambda: lambda,
-		TicketsBefore: s.TicketsBefore, TicketsAfter: s.TicketsAfter,
-		MeanMAPE: s.MeanMAPE, MeanLambda: s.MeanLambda,
-		BlendedSteps: s.BlendedSteps, FlooredSteps: s.FlooredSteps,
-		DegradedSteps: s.DegradedSteps,
+// robustReplay replays the box through the engine under the trust
+// policy and folds every published plan into one cell, its mode left to
+// the caller: the tickets of the published (blended) sizes and the
+// realized MAPE of the non-degraded steps. With the controller off
+// every step counts λ = 1. It returns the step count too.
+func robustReplay(b *trace.Box, spd int, ccfg core.Config, ctl control.Config) (r RobustCell, steps int, err error) {
+	var mapeSum, lambdaSum float64
+	scored := 0
+	cfg := engine.Config{Core: ccfg, SamplesPerDay: spd, Control: ctl}
+	err = engine.Replay(context.Background(), b, cfg, func(p engine.Plan, res *core.BoxResult, err error) error {
+		if res == nil {
+			return err
+		}
+		steps++
+		lambda := 1.0
+		if ctl.Enabled {
+			lambda = p.Lambda
+			if p.BlendReason == control.ReasonSevereDrift || p.BlendReason == control.ReasonDegraded {
+				r.FlooredSteps++
+			}
+			if !res.Degraded && lambda < 1 {
+				r.BlendedSteps++
+			}
+		}
+		lambdaSum += lambda
+		if res.Degraded {
+			r.DegradedSteps++
+		} else if m := res.MeanMAPE(); !math.IsNaN(m) && !math.IsInf(m, 0) {
+			mapeSum += m
+			scored++
+		}
+		r.TicketsBefore += res.CPU.TicketsBefore + res.RAM.TicketsBefore
+		r.TicketsAfter += res.CPU.TicketsAfter + res.RAM.TicketsAfter
+		return nil
+	})
+	if scored > 0 {
+		r.MeanMAPE = mapeSum / float64(scored)
 	}
+	if steps > 0 {
+		r.MeanLambda = lambdaSum / float64(steps)
+	}
+	return r, steps, err
 }
 
 // robustTolerance is the adaptive slack: 10% of the endpoint ticket
