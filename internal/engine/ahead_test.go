@@ -34,7 +34,7 @@ func (f *schedFixture) spanStart(name string, box, step int) time.Time {
 // its step falls due takes its place among the due ones.
 func TestGateDueBeforeAhead(t *testing.T) {
 	h := newGateHarness(1)
-	h.s.tryAcquire()
+	h.s.tryAcquire(&boxRun{})
 	ahead := func(name string, due time.Duration) *boxRun {
 		br := &boxRun{id: name, ahead: true, due: h.base.Add(due)}
 		h.s.push(br)
@@ -53,6 +53,36 @@ func TestGateDueBeforeAhead(t *testing.T) {
 	}
 	if late.ahead || !late.ready.Equal(h.base.Add(3)) {
 		t.Fatalf("promoted box is ahead=%v, ready at %v", late.ahead, late.ready)
+	}
+}
+
+// TestGateLendsIngestSlot: while batches land, the slot shut for ingest
+// is refused to due steps and lent to a model phase run ahead — unless a
+// due step is queued for it, which the phase would pass.
+func TestGateLendsIngestSlot(t *testing.T) {
+	h := newGateHarness(2)
+	h.s.lastAppend = time.Now // batches keep landing
+	due, ahead := &boxRun{}, &boxRun{ahead: true}
+	if !h.s.tryAcquire(due) || h.s.tryAcquire(due) {
+		t.Fatal("due steps were not held to one of two slots while batches land")
+	}
+	h.enqueue("due", 1)
+	if h.s.tryAcquire(ahead) {
+		t.Fatal("a model phase run ahead passed the due step queued for the shut slot")
+	}
+	if got := h.next(); got != "due" {
+		t.Fatalf("dispatched %q into the freed slot, want the due step", got)
+	}
+	if !h.s.tryAcquire(ahead) {
+		t.Fatal("a model phase run ahead was refused the slot shut for ingest")
+	}
+	h.s.push(&boxRun{id: "ahead", ahead: true, due: h.base})
+	if got := h.next(); got != "ahead" {
+		t.Fatalf("dispatched %q into the shut slot, want the model phase run ahead", got)
+	}
+	h.s.dispatch(2)
+	if h.s.held() != 0 || h.s.queued() != 0 {
+		t.Fatalf("idle scheduler holds %d slots and %d boxes, want 0 and 0", h.s.held(), h.s.queued())
 	}
 }
 

@@ -423,7 +423,7 @@ func (e *Engine) pass(ctx context.Context, i int, direct bool) {
 	}
 	inline := direct && min(e.sched.slots, len(ready)) == 1
 	for _, br := range ready {
-		if inline && e.sched.tryAcquire() {
+		if inline && e.sched.tryAcquire(br) {
 			e.run(br)
 		} else {
 			e.sched.push(br)
@@ -532,7 +532,7 @@ func (e *Engine) estimate(br *boxRun) time.Duration {
 // queue is empty.
 func (e *Engine) run(br *boxRun) {
 	for e.step(br); e.settle(br); e.step(br) {
-		if !e.sched.tryAcquire() {
+		if !e.sched.tryAcquire(br) {
 			e.sched.push(br)
 			return
 		}

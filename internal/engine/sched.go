@@ -31,8 +31,9 @@ func (br *boxRun) describe() string {
 	return br.state.String()
 }
 
-// ingestLinger is how long after an append one slot stays shut: longer
-// than a client's turnaround plus a runtime hiccup, about one cheap step.
+// ingestLinger is how long after an append one slot stays shut to due
+// steps: longer than a client's turnaround plus a runtime hiccup, about
+// one cheap step. A model phase run ahead may take that slot meanwhile.
 const ingestLinger = 3 * time.Millisecond
 
 // sched is the engine-wide step scheduler: one ready queue of boxes and
@@ -50,10 +51,14 @@ const ingestLinger = 3 * time.Millisecond
 // only when no due step wants it, and move up a class (promote) the
 // moment their step falls due.
 //
-// While batches are landing one of several slots stays shut: Go polls
-// the network only on an idle P or every 10 ms from sysmon, so with
-// every P inside a step a burst would trickle in a body per poll and
-// the queue would order half of it instead of all of it.
+// While batches are landing one of several slots stays shut to due
+// steps: Go polls the network only on an idle P or every 10 ms from
+// sysmon, so with every P inside a step a burst would trickle in a body
+// per poll and the queue would order half of it instead of all of it.
+// The shut slot is lent to the model phases run ahead, when one heads
+// the queue: ingest has no deadline and a plan has, and a phase done
+// before its step falls due is a step that only finishes. One that is
+// promoted in the lent slot stays there.
 type sched struct {
 	mu    sync.Mutex
 	slots int
@@ -66,11 +71,13 @@ type sched struct {
 	lastAppend func() time.Time // when ingest last landed a batch
 }
 
-// open is how many slots steps may hold now and, when one is shut for
-// ingest, for how much longer.
-func (s *sched) open() (int, time.Duration) {
-	if left := time.Until(s.lastAppend().Add(ingestLinger)); s.slots > 1 && left > 0 {
-		return s.slots - 1, left
+// open is how many slots may be held once work of the given class
+// starts and, when one is shut to it for ingest, for how much longer.
+func (s *sched) open(ahead bool) (int, time.Duration) {
+	if !ahead && s.slots > 1 {
+		if left := time.Until(s.lastAppend().Add(ingestLinger)); left > 0 {
+			return s.slots - 1, left
+		}
 	}
 	return s.slots, 0
 }
@@ -103,8 +110,13 @@ func (s *sched) dispatch(freed int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.busy -= freed
-	limit, left := s.open()
-	for ; s.busy < limit && len(s.queue) > 0; s.busy++ {
+	var left time.Duration
+	for len(s.queue) > 0 {
+		var limit int
+		if limit, left = s.open(s.queue[0].ahead); s.busy >= limit {
+			break
+		}
+		s.busy++
 		go s.start(heap.Pop(&s.queue).(*boxRun))
 	}
 	stepsQueued.Set(float64(len(s.queue)))
@@ -119,12 +131,13 @@ func (s *sched) dispatch(freed int) {
 	}
 }
 
-// tryAcquire takes an open slot for a step that runs on the caller's
-// goroutine.
-func (s *sched) tryAcquire() bool {
+// tryAcquire takes an open slot for the queued box's work to run on the
+// caller's goroutine. A model phase run ahead may take the slot shut for
+// ingest only when no due step is queued for it.
+func (s *sched) tryAcquire(br *boxRun) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	limit, _ := s.open()
+	limit, _ := s.open(br.ahead && (len(s.queue) == 0 || s.queue[0].ahead))
 	if s.busy >= limit {
 		return false
 	}

@@ -88,10 +88,10 @@ func (h *gateHarness) next() string {
 // equals, whatever order they queued in.
 func TestGateBoundsAndOrder(t *testing.T) {
 	h := newGateHarness(2)
-	if !h.s.tryAcquire() || !h.s.tryAcquire() { // both slots are free
+	if !h.s.tryAcquire(&boxRun{}) || !h.s.tryAcquire(&boxRun{}) { // both slots are free
 		t.Fatal("a free slot was refused")
 	}
-	if h.s.tryAcquire() {
+	if h.s.tryAcquire(&boxRun{}) {
 		t.Fatal("a third step was admitted to two slots")
 	}
 	h.enqueue("e", 5)
@@ -123,7 +123,7 @@ func TestGateBoundsAndOrder(t *testing.T) {
 // own length.
 func TestGateAging(t *testing.T) {
 	h := newGateHarness(1)
-	h.s.tryAcquire()
+	h.s.tryAcquire(&boxRun{})
 	h.enqueue("large", 0+100)
 	for now := time.Duration(0); ; now += 10 {
 		if now > 1000 {
@@ -551,6 +551,16 @@ func newFitBlock() *fitBlock {
 	return &fitBlock{blocked: make(chan struct{}), unblock: make(chan struct{})}
 }
 
+// parked reports whether a fit is parked, or was.
+func (b *fitBlock) parked() bool {
+	select {
+	case <-b.blocked:
+		return true
+	default:
+		return false
+	}
+}
+
 func (b *fitBlock) fit() {
 	if b.armed.CompareAndSwap(true, false) {
 		close(b.blocked)
@@ -712,8 +722,10 @@ func TestEngineBoxNeverStepsConcurrently(t *testing.T) {
 }
 
 // TestEngineIngestHeadroom: while batches keep landing the scheduler
-// runs steps in all but one of its slots; within a few ingestLinger of
-// the last batch it uses them all. A single slot is never kept back.
+// runs due steps in all but one of its slots; within a few ingestLinger
+// of the last batch it uses them all. A single slot is never kept back.
+// The slot kept back is lent to model phases run ahead (see
+// ingestHeadroomAhead).
 func TestEngineIngestHeadroom(t *testing.T) {
 	for _, workers := range []int{3, 1} {
 		var fitting atomic.Int32
@@ -752,6 +764,89 @@ func TestEngineIngestHeadroom(t *testing.T) {
 		if held := f.e.sched.held(); held != 0 {
 			t.Fatalf("Workers %d: %d slots held by an idle engine", workers, held)
 		}
+	}
+	ingestHeadroomAhead(t)
+}
+
+// ingestHeadroomAhead: while batches keep landing, the model phases run
+// ahead by boxes that have planned fill every slot, the one shut for
+// ingest included, and a box going on from its step into its next phase
+// takes that slot itself (tryAcquire), with no dispatch; a due step
+// queued meanwhile waits for the slot until the batches stop.
+func ingestHeadroomAhead(t *testing.T) {
+	const workers = 3
+	var landing atomic.Bool
+	first := newFitBlock() // box 0's step
+	ahead := make([]*fitBlock, 4)
+	for i := range ahead {
+		ahead[i] = newFitBlock()
+	}
+	f := newSchedFixture(t, 8, []int{2, 2, 2, 2}, func() {}, func(c *Config) { c.Workers = workers })
+	f.onFit = func(box, step int) {
+		switch step {
+		case 0:
+			if box == 0 {
+				first.fit()
+			}
+		case 1:
+			ahead[box].fit()
+		}
+	}
+	f.e.sched.lastAppend = func() time.Time {
+		if landing.Load() {
+			return time.Now()
+		}
+		return f.st.LastAppend()
+	}
+	var starts atomic.Int32
+	run := f.e.sched.start
+	f.e.sched.start = func(br *boxRun) {
+		starts.Add(1)
+		run(br)
+	}
+	for _, b := range ahead[:3] {
+		b.armed.Store(true)
+	}
+	landing.Store(true)
+	stop := f.run()
+	first.armed.Store(true)
+	f.feed(0, f.e.Need(0))
+	<-first.blocked
+	f.feed(1, f.e.Need(0))
+	waitFor(t, "box 1 to plan and go on into its next phase", ahead[1].parked)
+	f.feed(2, f.e.Need(0))
+	waitFor(t, "box 2's step to queue", func() bool { return f.e.sched.queued() == 1 })
+	time.Sleep(5 * ingestLinger)
+	if q, held := f.e.sched.queued(), f.e.sched.held(); q != 1 || held != workers-1 {
+		t.Fatalf("a due step took the slot shut for ingest: %d queued, %d slots held, want 1 and %d", q, held, workers-1)
+	}
+	started := starts.Load()
+	close(first.unblock) // box 2's step takes box 0's slot
+	waitFor(t, "boxes 0 and 2 to go on into their next phases", func() bool { return ahead[0].parked() && ahead[2].parked() })
+	if held := f.e.sched.held(); held != workers {
+		t.Fatalf("%d slots held by model phases run ahead while batches land, want %d", held, workers)
+	}
+	if got := starts.Load() - started; got != 1 {
+		t.Fatalf("%d dispatches for box 2's step and two boxes going on into their phases, want 1: the phases take their slots through tryAcquire", got)
+	}
+	f.feed(3, f.e.Need(0))
+	waitFor(t, "box 3's step to queue", func() bool { return f.e.sched.queued() == 1 })
+	close(ahead[1].unblock) // the slot box 1 gives back is the one shut for ingest
+	waitFor(t, "box 1's phase to end", func() bool { return f.e.sched.held() == workers-1 })
+	time.Sleep(5 * ingestLinger)
+	if d, _ := f.e.Debug(f.boxes[3].ID); d.State != "queued" || f.e.sched.held() != workers-1 {
+		t.Fatalf("box 3's due step is %s with %d slots held while batches land, want queued and %d", d.State, f.e.sched.held(), workers-1)
+	}
+	landing.Store(false)
+	f.waitSteps(1, 3)
+	close(ahead[0].unblock)
+	close(ahead[2].unblock)
+	for i := range ahead {
+		f.waitState(i, "prepared")
+	}
+	stop()
+	if held := f.e.sched.held(); held != 0 {
+		t.Fatalf("%d slots held by an idle engine", held)
 	}
 }
 
